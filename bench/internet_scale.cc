@@ -19,10 +19,9 @@
 //      overall, 83% of those lasting >= 1 h.
 //
 // Determinism contract: stdout and BENCH_internet_scale.json are
-// byte-identical for every LG_THREADS/LG_WORLD_THREADS value (CI diffs
-// them); wall time and RSS — the nondeterministic readings — go to stderr
-// only. LG_RSS_CEILING_MB=<n> turns the peak-RSS reading into an exit-code
-// gate for CI.
+// byte-identical across runs; wall time and RSS — the nondeterministic
+// readings — go to stderr only. LG_RSS_CEILING_MB=<n> turns the peak-RSS
+// reading into an exit-code gate for CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -193,6 +192,8 @@ int main() {
     engine.originate(origin, prefix, poison);
     sched.run();
   }
+  // No SimWorld publishes this bare scheduler's lg.scheduler.* totals.
+  jr->capture_scheduler(sched);
   const std::size_t reached_after =
       count_with_route(engine, topo.graph, prefix);
   const std::size_t through_after =

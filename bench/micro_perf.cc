@@ -9,9 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -61,31 +59,23 @@ void BM_BgpOriginateAndConverge(benchmark::State& state) {
 }
 BENCHMARK(BM_BgpOriginateAndConverge);
 
-// Frontier-pump throughput at 1/2/4 world-threads: a 300-stub topology with
-// eight stub origins announcing (then withdrawing) simultaneously, so every
-// delivery quantum carries updates for many receivers and phase 1 of the
-// pump has real work to fan out. One cached world per thread count — the
-// convergence outcome is identical across them by the determinism contract,
-// only the wall-clock should differ.
-lg::workload::SimWorld& pump_world(std::size_t world_threads) {
-  static std::unordered_map<std::size_t,
-                            std::unique_ptr<lg::workload::SimWorld>>
-      worlds;
-  auto& slot = worlds[world_threads];
-  if (!slot) {
+// Frontier-pump throughput: a 300-stub topology with eight stub origins
+// announcing (then withdrawing) simultaneously, so every delivery quantum
+// carries updates for many receivers.
+lg::workload::SimWorld& pump_world() {
+  static lg::workload::SimWorld world([] {
     lg::workload::SimWorldConfig cfg;
     cfg.topology.num_stubs = 300;
     cfg.topology.seed = 21;
     cfg.engine.seed = 21;
-    cfg.engine.world_threads = world_threads;
     cfg.announce_infrastructure = false;
-    slot = std::make_unique<lg::workload::SimWorld>(cfg);
-  }
-  return *slot;
+    return cfg;
+  }());
+  return world;
 }
 
 void BM_FrontierPump(benchmark::State& state) {
-  auto& world = pump_world(static_cast<std::size_t>(state.range(0)));
+  auto& world = pump_world();
   const auto& stubs = world.topology().stubs;
   const std::size_t stride = stubs.size() / 8;
   std::vector<std::pair<AsId, topo::Prefix>> origins;
@@ -105,18 +95,16 @@ void BM_FrontierPump(benchmark::State& state) {
     }
     world.converge();
   }
-  state.counters["world_threads"] =
-      static_cast<double>(world.engine().world_threads());
 }
-BENCHMARK(BM_FrontierPump)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_FrontierPump);
 
-// Per-frontier fixed overhead (bucket bookkeeping, receiver grouping, merge
-// ordering) rather than decision throughput: a single origin flapping on the
-// same 300-stub world, so most frontiers carry only a handful of messages
-// and the pump's bookkeeping dominates. Single-threaded by construction —
-// this is the cost floor the old event-at-a-time loop did not pay.
+// Per-frontier fixed overhead (bucket bookkeeping, receiver ordering)
+// rather than decision throughput: a single origin flapping on the same
+// 300-stub world, so most frontiers carry only a handful of messages and the
+// pump's bookkeeping dominates — the cost floor the old event-at-a-time loop
+// did not pay.
 void BM_FrontierMerge(benchmark::State& state) {
-  auto& world = pump_world(1);
+  auto& world = pump_world();
   const AsId origin = world.topology().stubs.front();
   const auto prefix = topo::AddressPlan::production_prefix(origin);
   for (auto _ : state) {

@@ -110,11 +110,9 @@ int main() {
   // Growing worlds, ~20 stub origins announcing at t=0 so every delivery
   // quantum carries work for many receivers. Simulation results (messages,
   // convergence sim-time) are deterministic and land in stdout + JSON;
-  // wall-clock — the only thing LG_WORLD_THREADS may change — goes to stderr
-  // only, so this report stays byte-diffable across thread counts (the CI
-  // determinism gate relies on that).
+  // wall-clock goes to stderr only, so this report stays byte-diffable
+  // across runs.
   bench::section("Convergence scalability (frontier pump)");
-  const std::size_t world_threads = bgp::BgpEngine::world_threads_from_env();
   for (const std::uint32_t stubs : {150u, 400u, 800u}) {
     workload::SimWorldConfig cfg;
     cfg.topology.num_stubs = stubs;
@@ -146,9 +144,8 @@ int main() {
                  static_cast<double>(w.engine().total_messages()));
     jr->headline("convergence_simtime_s_" + cell,
                  w.engine().last_activity_time());
-    std::fprintf(stderr,
-                 "[sec5_4] %s world_threads=%zu converge wall=%.2f s\n",
-                 cell.c_str(), world_threads, wall_s);
+    std::fprintf(stderr, "[sec5_4] %s converge wall=%.2f s\n", cell.c_str(),
+                 wall_s);
   }
 
   jr->headline("amortized_option_probes_per_reverse_path", per_path_options);

@@ -12,8 +12,9 @@
 //   * announcement-budget utilization, which must sit in [0, 1] — the
 //     regression surface for the AnnouncementBudget::utilization bug where
 //     a drain running past the nominal horizon read > 1.0,
-//   * steady-state RSS with a >= 100k-prefix universe (stderr only; gate
-//     with LG_RSS_CEILING_MB).
+//   * steady-state process RSS with a >= 100k-prefix universe, with the
+//     thread count it was taken at (stderr only; gate with
+//     LG_RSS_CEILING_MB).
 //
 // Checkpoint/restore: LG_SERVICE_CHECKPOINT_AT=<sim s> stops the streaming
 // cell at the first tick boundary past that time and serializes every shard
@@ -29,13 +30,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "fleet/env_knobs.h"
 #include "fleet/service_plane.h"
+#include "mem/rss.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -59,23 +60,6 @@ double quantile(const std::vector<double>& sorted, double q) {
   const std::size_t idx = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[idx < sorted.size() ? idx : sorted.size() - 1];
-}
-
-// Resident set in MB from /proc/self/status. Hardware/allocator-dependent:
-// stderr only, never stdout or the JSON report.
-double rss_mb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0.0;
-  char line[256];
-  double kb = 0.0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtod(line + 6, nullptr);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb / 1024.0;
 }
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -218,18 +202,21 @@ int main() {
 
   // ---- Steady-state memory cell: a >= 100k-prefix universe. ----
   // Per-prefix cost is a few dozen POD bytes plus bounded report rings, so
-  // RSS must stay flat no matter how long the stream runs. RSS numbers are
-  // allocator- and hardware-dependent: stderr only.
+  // RSS must stay flat no matter how long the stream runs. The reading is
+  // process RSS after the cell, so it grows with the shard threads that
+  // held worlds concurrently; it is printed with that thread count.
+  // Allocator- and hardware-dependent: stderr only.
   fleet::ServiceConfig mem_cfg = cfg;
   mem_cfg.prefixes = std::max<std::size_t>(cfg.prefixes, 100000);
   mem_cfg.horizon_seconds = 1800.0;
   mem_cfg.drain_cap_seconds = 3600.0;
+  const std::size_t mem_threads =
+      mem_cfg.threads ? mem_cfg.threads : util::default_thread_count();
   bench::section("Steady-state memory — 100k-prefix universe");
   fleet::ServiceResult mem_result;
   {
-    bench::WallClock wc(
-        "service plane 100k prefixes", mem_cfg.shards,
-        mem_cfg.threads ? mem_cfg.threads : util::default_thread_count());
+    bench::WallClock wc("service plane 100k prefixes", mem_cfg.shards,
+                        mem_threads);
     fleet::ServiceScheduler mem_scheduler(mem_cfg);
     mem_result = mem_scheduler.run();
   }
@@ -240,9 +227,12 @@ int main() {
             }()));
   bench::kv("episodes closed", std::to_string(mem_result.episodes_closed()));
   bench::kv("budget respected", mem_result.budget_respected() ? "yes" : "NO");
-  const double rss = rss_mb();
-  std::fprintf(stderr, "[service plane 100k prefixes] steady-state RSS %.1f MB\n",
-               rss);
+  const double rss =
+      static_cast<double>(mem::current_rss_bytes()) / (1024.0 * 1024.0);
+  std::fprintf(stderr,
+               "[service plane 100k prefixes] steady-state RSS %.1f MB "
+               "(process, %zu thread%s)\n",
+               rss, mem_threads, mem_threads == 1 ? "" : "s");
   const double rss_ceiling =
       fleet::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
   bool rss_ok = true;

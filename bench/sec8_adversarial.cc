@@ -14,7 +14,7 @@
 // (prevalence, replicate) cell, each with its own SimWorld and its own
 // AdversaryPlane installed via ScopedAdversaryPlane. Per-trial adversary
 // seeds derive from the trial seed, so output is bit-identical per seed for
-// any LG_THREADS / LG_WORLD_THREADS value.
+// any LG_THREADS value.
 //
 // Environment: LG_ADVERSARY=<prevalence> replaces the sweep with that
 // single prevalence; LG_ADVERSARY_SEED=<n> rebases every trial's adversary

@@ -13,8 +13,8 @@
 //
 // The empty set — the overwhelmingly common case — holds nullptr and never
 // allocates. Buffers are immutable after construction, so sharing across
-// lg::run / LG_WORLD_THREADS workers is safe (atomic refcounts); to modify,
-// build a new Communities and wrap it.
+// lg::run trial workers is safe (atomic refcounts); to modify, build a new
+// Communities and wrap it.
 #pragma once
 
 #include <cstddef>

@@ -2,27 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 
 #include "adversary/adversary_plane.h"
 #include "faults/fault_plane.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace lg::bgp {
-
-namespace {
-// Below this many receivers in a frontier the fan-out overhead (submit +
-// wake + join) exceeds the decision-process work; run phase 1 inline. A
-// constant independent of the worker count, so it never affects results.
-constexpr std::size_t kMinParallelReceivers = 4;
-}  // namespace
 
 BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
                      EngineConfig cfg)
     : graph_(&graph), sched_(&sched), cfg_(cfg), rng_(cfg.seed, 0x62677065ULL) {
+  if (cfg.world_threads > 1) {
+    throw std::invalid_argument(
+        "EngineConfig::world_threads must be 0 or 1: the frontier pump is "
+        "single-threaded");
+  }
   auto& reg = obs::MetricsRegistry::current();
   c_updates_sent_ = &reg.counter("lg.bgp.updates_sent");
   c_announces_sent_ = &reg.counter("lg.bgp.announces_sent");
@@ -83,15 +79,9 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
-  // Per-receiver shards so phase-1 workers never share a map; only fault
-  // runs can reorder deliveries, so only they pay the allocation.
+  // Only fault runs can reorder deliveries, so only they pay for the
+  // per-receiver sequence shards.
   if (faults_->enabled()) delivered_seq_.resize(n);
-  work_slot_.assign(n, kNoIndex);
-
-  world_threads_ =
-      cfg_.world_threads != 0
-          ? cfg_.world_threads
-          : (util::in_parallel_region() ? 1 : world_threads_from_env());
 
   // Peerlock locked set: computed unconditionally (cheap const queries
   // against the immutable graph) so every speaker always holds the pointer;
@@ -131,18 +121,6 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
 }
 
 BgpEngine::~BgpEngine() = default;
-
-std::size_t BgpEngine::world_threads_from_env() {
-  return util::thread_count_from_env("LG_WORLD_THREADS", 1);
-}
-
-util::ThreadPool* BgpEngine::world_pool() {
-  if (world_threads_ <= 1) return nullptr;
-  if (!world_pool_) {
-    world_pool_ = std::make_unique<util::ThreadPool>(world_threads_);
-  }
-  return world_pool_.get();
-}
 
 std::uint32_t BgpEngine::index_of(AsId id) const noexcept {
   if (!sparse_index_.empty()) {
@@ -351,98 +329,119 @@ void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
   }
 }
 
-void BgpEngine::process_receiver(ReceiverWork& w,
-                                 const std::vector<UpdateMessage>& msgs,
-                                 double now) {
-  BgpSpeaker& receiver = speakers_[w.receiver];
+std::size_t BgpEngine::deliver_to(std::uint32_t r, std::size_t lo,
+                                  std::size_t hi,
+                                  std::vector<UpdateMessage>& msgs,
+                                  double now) {
+  BgpSpeaker& receiver = speakers_[r];
   const bool faults_on = faults_->enabled();
-  auto* seqs = faults_on ? &delivered_seq_[w.receiver] : nullptr;
   // With a single message there is nothing to net out: the frontier outcome
   // is exactly the per-event outcome, so skip the best-route snapshot and
   // the post-loop value comparison (the dominant case in sparse phases of
   // convergence, where copying Routes would swamp the import itself).
-  const bool single = w.msg_indices.size() == 1;
-  w.outcomes.resize(w.msg_indices.size());
-  for (std::size_t k = 0; k < w.msg_indices.size(); ++k) {
-    const UpdateMessage& msg = msgs[w.msg_indices[k]];
-    MsgOutcome& out = w.outcomes[k];
-    // Fault plane: the session reset while this update was in flight. Model
-    // TCP/session recovery by re-queueing delivery for when it comes back
-    // up; any newer state sent after restoration diffs against adj-out and
-    // supersedes this message shortly after. (session_up/restored_at are
-    // pure reads — the bookkeeping hit is recorded in the merge phase.)
-    if (faults_on && !faults_->session_up(msg.from, msg.to, now)) {
-      out.kind = MsgOutcome::kRequeue;
-      out.requeue_at =
-          faults_->session_restored_at(msg.from, msg.to, now) + 1e-3;
-      continue;
-    }
-    // Fault-plane requeues can reorder deliveries on a session: an update
-    // requeued across a reset lands at the same quantum the post-restore
-    // adj-out retransmit uses, so without this check a stale announce could
-    // be applied after (or instead of) the fresh diff and pin the receiver
-    // to an outdated path until the next unrelated update. Sequence numbers
-    // are per-(session, prefix) and monotone at the sender, so anything at
-    // or below the last applied seq is superseded.
+  const bool single = hi - lo == 1;
+  touches_.clear();
+  std::size_t terminal = 0;
+  for (std::size_t k = lo; k < hi; ++k) {
+    UpdateMessage& msg = msgs[static_cast<std::uint32_t>(pump_order_[k])];
     if (faults_on) {
+      // Fault plane: the session reset while this update was in flight.
+      // Model TCP/session recovery by re-queueing delivery for when it comes
+      // back up; any newer state sent after restoration diffs against
+      // adj-out and supersedes this message shortly after.
+      if (!faults_->session_up(msg.from, msg.to, now)) {
+        const double up = faults_->session_restored_at(msg.from, msg.to, now);
+        faults_->note_session_hit(msg.from, msg.to, now);
+        enqueue_delivery(up + 1e-3, std::move(msg));
+        continue;
+      }
+      // Fault-plane requeues can reorder deliveries on a session: an update
+      // requeued across a reset lands at the same quantum the post-restore
+      // adj-out retransmit uses, so without this check a stale announce
+      // could be applied after (or instead of) the fresh diff and pin the
+      // receiver to an outdated path until the next unrelated update.
+      // Sequence numbers are per-(session, prefix) and monotone at the
+      // sender, so anything at or below the last applied seq is superseded.
       const SessionPrefixKey key{
           (static_cast<std::uint64_t>(msg.from) << 32) | msg.to, msg.prefix};
-      std::uint64_t& applied = (*seqs)[key];
+      std::uint64_t& applied = delivered_seq_[r][key];
       if (msg.seq <= applied) {
-        out.kind = MsgOutcome::kStale;
+        c_updates_stale_dropped_->inc();
+        trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
+                       msg.to);
+        ++terminal;
         continue;
       }
       applied = msg.seq;
     }
-    out.kind = MsgOutcome::kDelivered;
-    if (single) {
-      out.best_changed = receiver.process_update(msg, now);
-      if (out.best_changed) {
-        PrefixTouch touch;
-        touch.prefix = msg.prefix;
-        touch.any_changed = true;
-        touch.net_changed = true;
-        w.prefixes.push_back(std::move(touch));
-      }
-      if (receiver.config().damping_enabled) {
-        out.damping_delay =
-            receiver.damping_reuse_delay(msg.prefix, msg.from, now);
-      }
-      continue;
-    }
     // Snapshot the pre-frontier best on first touch of each prefix, so the
-    // merge phase can detect *net* route changes across the whole frontier.
-    std::size_t touch_idx = w.prefixes.size();
-    for (std::size_t t = 0; t < w.prefixes.size(); ++t) {
-      if (w.prefixes[t].prefix == msg.prefix) {
-        touch_idx = t;
-        break;
+    // export step below can detect *net* route changes across the frontier.
+    std::size_t touch = 0;
+    if (!single) {
+      while (touch < touches_.size() && touches_[touch].prefix != msg.prefix) {
+        ++touch;
+      }
+      if (touch == touches_.size()) {
+        touches_.push_back({msg.prefix, std::nullopt, false});
+        if (const Route* best = receiver.best_route(msg.prefix)) {
+          touches_.back().before = *best;
+        }
       }
     }
-    if (touch_idx == w.prefixes.size()) {
-      PrefixTouch touch;
-      touch.prefix = msg.prefix;
-      if (const Route* best = receiver.best_route(msg.prefix)) {
-        touch.before = *best;
+    const bool changed = receiver.process_update(msg, now);
+    last_activity_ = now;
+    ++delivered_total_;
+    c_updates_delivered_->inc();
+    trace_->record(now, obs::TraceKind::kUpdateDelivered, msg.from, msg.to);
+    if (changed) {
+      ++best_changes_[r];
+      c_best_path_changes_->inc();
+      trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
+      if (single) {
+        touches_.push_back({msg.prefix, std::nullopt, true});
+      } else {
+        touches_[touch].changed = true;
       }
-      w.prefixes.push_back(std::move(touch));
     }
-    out.best_changed = receiver.process_update(msg, now);
-    if (out.best_changed) w.prefixes[touch_idx].any_changed = true;
-    // Flap damping: if this session is suppressed, the merge phase arranges
-    // a re-evaluation once the penalty decays to the reuse threshold.
+    // Flap damping: if this session is now suppressed, re-evaluate once the
+    // penalty decays to the reuse threshold.
     if (receiver.config().damping_enabled) {
-      out.damping_delay = receiver.damping_reuse_delay(msg.prefix, msg.from, now);
+      if (const auto delay =
+              receiver.damping_reuse_delay(msg.prefix, msg.from, now)) {
+        const AsId to = msg.to;
+        const AsId from = msg.from;
+        const Prefix prefix = msg.prefix;
+        sched_->after(*delay + 0.001, [this, to, from, prefix] {
+          BgpSpeaker& spk = speaker(to);
+          if (spk.recheck_damping(prefix, from, sched_->now())) {
+            ++best_changes_[checked_index(to)];
+            c_best_path_changes_->inc();
+            trace_->record(sched_->now(), obs::TraceKind::kBestPathChange, to);
+            notify(to, prefix);
+            schedule_exports(to, prefix);
+          }
+        });
+      }
     }
+    ++terminal;
   }
-  if (single) return;  // net_changed already decided above
-  for (PrefixTouch& touch : w.prefixes) {
-    const Route* cur = receiver.best_route(touch.prefix);
-    const bool same =
-        (cur == nullptr && !touch.before.has_value()) ||
-        (cur != nullptr && touch.before.has_value() && *cur == *touch.before);
-    touch.net_changed = touch.any_changed && !same;
+  // Notify + export once per prefix with a *net* best-route change: a
+  // frontier that flip-flops a best route inside one quantum produces no
+  // spurious route event and no export churn.
+  const AsId rid = as_ids_[r];
+  for (const PrefixTouch& t : touches_) {
+    if (!t.changed) continue;
+    if (!single) {
+      const Route* cur = receiver.best_route(t.prefix);
+      const bool same = cur == nullptr
+                            ? !t.before.has_value()
+                            : t.before.has_value() && *cur == *t.before;
+      if (same) continue;
+    }
+    notify(rid, t.prefix);
+    schedule_exports(rid, t.prefix);
   }
+  return terminal;
 }
 
 void BgpEngine::pump_frontier(std::int64_t bucket) {
@@ -452,128 +451,24 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   frontier_.erase(fit);
   const double now = sched_->now();
 
-  // Group messages by receiver. Per-receiver arrival order is preserved in
-  // msg_indices; cross-receiver order is irrelevant because receivers only
-  // mutate their own state in phase 1 and the merge runs in AS-index order.
-  if (work_slot_.size() < speakers_.size()) {
-    work_slot_.assign(speakers_.size(), kNoIndex);
-  }
-  work_used_ = 0;
-  work_order_.clear();
+  // Receivers in AS-index order, each receiver's messages in arrival order:
+  // one sort of (receiver index << 32 | arrival index) keys. Exports and
+  // requeues land in later buckets, so applying each receiver's side effects
+  // in place cannot reorder anything this frontier still has to deliver.
+  pump_order_.clear();
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
-    const std::uint32_t r = checked_index(msgs[i].to);
-    std::uint32_t slot = work_slot_[r];
-    if (slot == kNoIndex) {
-      slot = static_cast<std::uint32_t>(work_used_++);
-      if (slot == work_.size()) work_.emplace_back();
-      work_[slot].reset(r);
-      work_slot_[r] = slot;
-      work_order_.push_back(slot);
-    }
-    work_[slot].msg_indices.push_back(i);
+    pump_order_.push_back(
+        (static_cast<std::uint64_t>(checked_index(msgs[i].to)) << 32) | i);
   }
-  std::sort(work_order_.begin(), work_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return work_[a].receiver < work_[b].receiver;
-            });
+  std::sort(pump_order_.begin(), pump_order_.end());
 
-  // ---- Phase 1: per-receiver import/decision, fanned out when it pays.
-  // Workers touch disjoint ReceiverWork slots and disjoint speakers; no
-  // RNG, scheduler, metrics, or fault mutation happens here.
-  util::ThreadPool* pool = world_pool();
-  if (pool != nullptr && work_order_.size() >= kMinParallelReceivers) {
-    const std::size_t jobs =
-        std::min(world_threads_ * 2, work_order_.size());
-    const std::size_t per_job = (work_order_.size() + jobs - 1) / jobs;
-    std::vector<std::exception_ptr> errors(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      const std::size_t lo = j * per_job;
-      const std::size_t hi = std::min(lo + per_job, work_order_.size());
-      if (lo >= hi) break;
-      pool->submit([this, &msgs, &errors, j, lo, hi, now] {
-        try {
-          for (std::size_t g = lo; g < hi; ++g) {
-            process_receiver(work_[work_order_[g]], msgs, now);
-          }
-        } catch (...) {
-          errors[j] = std::current_exception();
-        }
-      });
-    }
-    pool->wait_idle();
-    for (const std::exception_ptr& err : errors) {
-      if (err) std::rethrow_exception(err);
-    }
-  } else {
-    for (const std::uint32_t slot : work_order_) {
-      process_receiver(work_[slot], msgs, now);
-    }
-  }
-
-  // ---- Phase 2: deterministic merge, receivers in AS-index order, each
-  // receiver's messages in arrival order. Every side effect the old
-  // event-at-a-time pump performed per delivery happens here, in an order
-  // that never depends on the worker count.
   std::size_t terminal = 0;
-  for (const std::uint32_t slot : work_order_) {
-    ReceiverWork& w = work_[slot];
-    const AsId rid = as_ids_[w.receiver];
-    for (std::size_t k = 0; k < w.msg_indices.size(); ++k) {
-      UpdateMessage& msg = msgs[w.msg_indices[k]];
-      const MsgOutcome& out = w.outcomes[k];
-      switch (out.kind) {
-        case MsgOutcome::kRequeue:
-          faults_->note_session_hit(msg.from, msg.to, now);
-          enqueue_delivery(out.requeue_at, std::move(msg));
-          break;
-        case MsgOutcome::kStale:
-          c_updates_stale_dropped_->inc();
-          trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
-                         msg.to);
-          ++terminal;
-          break;
-        case MsgOutcome::kDelivered: {
-          last_activity_ = now;
-          ++delivered_total_;
-          c_updates_delivered_->inc();
-          trace_->record(now, obs::TraceKind::kUpdateDelivered, msg.from,
-                         msg.to);
-          if (out.best_changed) {
-            ++best_changes_[w.receiver];
-            c_best_path_changes_->inc();
-            trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
-          }
-          if (out.damping_delay) {
-            const AsId to = msg.to;
-            const AsId from = msg.from;
-            const Prefix prefix = msg.prefix;
-            sched_->after(*out.damping_delay + 0.001, [this, to, from, prefix] {
-              BgpSpeaker& spk = speaker(to);
-              if (spk.recheck_damping(prefix, from, sched_->now())) {
-                ++best_changes_[checked_index(to)];
-                c_best_path_changes_->inc();
-                trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
-                               to);
-                notify(to, prefix);
-                schedule_exports(to, prefix);
-              }
-            });
-          }
-          ++terminal;
-          break;
-        }
-      }
-    }
-    // Notify + export once per (receiver, prefix) with a *net* best-route
-    // change: a frontier that flip-flops a best route inside one quantum
-    // produces no spurious route event and no export churn.
-    for (const PrefixTouch& touch : w.prefixes) {
-      if (touch.net_changed) {
-        notify(rid, touch.prefix);
-        schedule_exports(rid, touch.prefix);
-      }
-    }
-    work_slot_[w.receiver] = kNoIndex;
+  for (std::size_t lo = 0; lo < pump_order_.size();) {
+    const auto r = static_cast<std::uint32_t>(pump_order_[lo] >> 32);
+    std::size_t hi = lo + 1;
+    while (hi < pump_order_.size() && (pump_order_[hi] >> 32) == r) ++hi;
+    terminal += deliver_to(r, lo, hi, msgs, now);
+    lo = hi;
   }
   // Terminal messages leave flight only after the cascade above: any exports
   // this frontier triggered are already counted, so a still-busy pump span

@@ -9,25 +9,17 @@
 // Deliveries run through a *frontier pump*: every in-flight update is
 // assigned to the first quantum boundary at or after its arrival time
 // (EngineConfig::pump_quantum), and all updates landing in the same quantum
-// form one frontier. A frontier is processed in two phases:
-//
-//  1. per-receiver import/decision — each receiving speaker applies its
-//     frontier updates in arrival order, mutating only its own state. This
-//     phase is side-effect-free outside the speaker (no RNG, no scheduler,
-//     no metrics), so it can fan out across LG_WORLD_THREADS pool workers;
-//  2. a deterministic merge on the pump thread, in AS-index order — counters,
-//     traces, fault bookkeeping, route-change notifications, and the
-//     triggered exports (which draw MRAI/link-delay randomness) all happen
-//     here, in an order that never depends on the worker count.
-//
-// Consequence: stdout, run reports, trace rings, and span trees are
-// byte-identical for any LG_WORLD_THREADS value, while the decision-process
-// work — the dominant cost on large topologies — scales across cores. See
-// DESIGN.md "Parallel intra-world convergence".
+// form one frontier. The pump visits a frontier's receivers in AS-index
+// order and applies each receiver's messages in arrival order, with every
+// side effect in place (fault requeue, stale drop, counters, traces, damping
+// recheck). It then notifies and exports once per prefix whose best route
+// changed *net* across the frontier, so a best route that flip-flops inside
+// one quantum causes no route event and no export churn. Every export or
+// requeue lands in a later bucket, so a frontier never feeds itself. See
+// DESIGN.md "Frontier pump".
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -55,7 +47,6 @@ class AdversaryPlane;
 }  // namespace lg::adversary
 
 namespace lg::util {
-class ThreadPool;
 class BinWriter;
 class BinReader;
 }  // namespace lg::util
@@ -70,14 +61,13 @@ struct EngineConfig {
   std::uint64_t seed = 7;
   // Frontier quantum: an update arriving at t is delivered at the first
   // multiple of pump_quantum >= t, batching same-quantum arrivals into one
-  // frontier. Part of the simulation semantics (identical at every thread
-  // count); keep it below link_delay_min so cross-session ordering stays
-  // delay-driven.
+  // frontier. Part of the simulation semantics; keep it below
+  // link_delay_min so cross-session ordering stays delay-driven.
   double pump_quantum = 0.005;
-  // Worker threads for the per-receiver phase of each frontier. 0 resolves
-  // LG_WORLD_THREADS (default 1) and degrades to 1 inside a parallel trial
-  // region (util::in_parallel_region), so trial- and world-level pools
-  // compose without oversubscription. The value never changes results.
+  // Retired: the pump is single-threaded, and the constructor throws
+  // std::invalid_argument for any value above 1. The field remains only
+  // because the benchmark (perfbench/) sets it to 1; it is removed with the
+  // next change to the benchmark.
   std::size_t world_threads = 0;
 };
 
@@ -110,9 +100,6 @@ class BgpEngine {
   BgpSpeaker& speaker(AsId id);
   const BgpSpeaker& speaker(AsId id) const;
 
-  // Resolved LG_WORLD_THREADS value (>= 1).
-  static std::size_t world_threads_from_env();
-
   // The Peerlock locked set (sorted provider-free clique) this engine
   // computed and installed into every speaker; the invariant checker
   // replicates the filter from it.
@@ -123,8 +110,6 @@ class BgpEngine {
   // for bench/sec8_adversarial and the adversary tests).
   std::uint64_t pathlen_rejections() const;
   std::uint64_t peerlock_rejections() const;
-  // Effective worker count of this engine's frontier pump.
-  std::size_t world_threads() const noexcept { return world_threads_; }
 
   // ---- Origination control (what BGP-Mux gave the paper's authors) ----
   // (Re)announce `prefix` from `as` under `policy`; triggers propagation.
@@ -219,36 +204,12 @@ class BgpEngine {
     std::uint64_t next_seq = 0;
   };
 
-  // ---- Frontier pump plumbing ----
-  // One message's phase-1 verdict, consumed by the merge phase.
-  struct MsgOutcome {
-    enum Kind : std::uint8_t { kDelivered, kStale, kRequeue };
-    Kind kind = kDelivered;
-    bool best_changed = false;
-    double requeue_at = 0.0;  // valid for kRequeue
-    std::optional<double> damping_delay;
-  };
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
   struct PrefixTouch {
     Prefix prefix;
     std::optional<Route> before;
-    bool any_changed = false;
-    bool net_changed = false;
-  };
-  // All frontier work confined to one receiving speaker. Filled by exactly
-  // one pool worker, then read by the merge phase — never shared.
-  struct ReceiverWork {
-    std::uint32_t receiver = 0;              // dense AS index
-    std::vector<std::uint32_t> msg_indices;  // into the frontier, in order
-    std::vector<MsgOutcome> outcomes;
-    std::vector<PrefixTouch> prefixes;       // first-touch order
-    void reset(std::uint32_t r) {
-      receiver = r;
-      msg_indices.clear();
-      outcomes.clear();
-      prefixes.clear();
-    }
+    bool changed = false;  // some message changed the best route
   };
 
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
@@ -266,15 +227,15 @@ class BgpEngine {
   // Route the message into its quantum bucket (scheduling the bucket's pump
   // tick if this is the bucket's first message).
   void enqueue_delivery(double due, UpdateMessage msg);
-  // Process one frontier: phase-1 per-receiver import/decision (possibly on
-  // the world pool), then the deterministic AS-index-order merge.
+  // Process one frontier: receivers in AS-index order, each through
+  // deliver_to.
   void pump_frontier(std::int64_t bucket);
-  // Phase 1 for one receiver. Thread-confined: touches only that speaker,
-  // its delivered-seq map, and `work` itself.
-  void process_receiver(ReceiverWork& work,
-                        const std::vector<UpdateMessage>& msgs, double now);
-  // Lazily built LG_WORLD_THREADS pool (nullptr when world_threads_ == 1).
-  util::ThreadPool* world_pool();
+  // Apply the frontier messages msgs[pump_order_[lo..hi)], all addressed to
+  // the speaker at dense index `r`, then notify and export its net best-route
+  // changes. Returns how many messages left flight (delivered or dropped as
+  // stale); requeued ones stay in flight.
+  std::size_t deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
+                         std::vector<UpdateMessage>& msgs, double now);
   void notify(AsId as, const Prefix& prefix);
   // Convergence-pump spans: a bgp.pump span covers each maximal period with
   // at least one update in flight (the 0 -> 1 transition opens it, the
@@ -320,9 +281,9 @@ class BgpEngine {
   std::vector<AsId> sess_nbr_;            // size sess_base_.back()
   std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
   // Highest sequence number applied per (session, prefix), sharded by the
-  // *receiving* AS index so phase-1 workers touch disjoint maps; only
-  // allocated and consulted when the fault plane is enabled (the only source
-  // of delivery reordering), so fault-free runs never touch it.
+  // *receiving* AS index; only allocated and consulted when the fault plane
+  // is enabled (the only source of delivery reordering), so fault-free runs
+  // never touch it.
   std::vector<std::unordered_map<SessionPrefixKey, std::uint64_t,
                                  SessionPrefixKeyHash>>
       delivered_seq_;
@@ -332,16 +293,13 @@ class BgpEngine {
   // Exactly one pump tick is scheduled per live bucket.
   std::unordered_map<std::int64_t, std::vector<UpdateMessage>> frontier_;
   // Retired bucket vectors, recycled by enqueue_delivery so steady-state
-  // pumping allocates no per-bucket storage (LG_MEM_POOL=0 disables reuse).
+  // pumping allocates no per-bucket storage.
   mem::VectorPool<UpdateMessage> msg_pool_;
-  // Reusable pump scratch: receiver -> work-slot mapping, the slot pool, and
-  // the slot order (sorted by AS index before merge).
-  std::vector<std::uint32_t> work_slot_;
-  std::vector<ReceiverWork> work_;
-  std::size_t work_used_ = 0;
-  std::vector<std::uint32_t> work_order_;
-  std::size_t world_threads_ = 1;
-  std::unique_ptr<util::ThreadPool> world_pool_;
+  // Reusable pump scratch: the frontier's (receiver index << 32 | arrival
+  // index) keys, sorted, and the current receiver's touched prefixes in
+  // first-touch order.
+  std::vector<std::uint64_t> pump_order_;
+  std::vector<PrefixTouch> touches_;
 
   std::uint64_t total_messages_ = 0;
   double last_activity_ = 0.0;

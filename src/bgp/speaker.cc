@@ -159,8 +159,7 @@ bool BgpSpeaker::import_acceptable(const UpdateMessage& msg) {
   // hop that is neither locked itself (clique exemption) nor the locked
   // AS's customer is a route leak — exactly the shape a poison O-A-O takes
   // when A is in the clique. Pure const queries against the immutable graph
-  // and the engine-owned sorted locked set, so the phase-1 import fan-out
-  // stays thread-safe.
+  // and the engine-owned sorted locked set.
   if (cfg_.peerlock_filter && locked_ases_ != nullptr &&
       !locked_ases_->empty()) {
     const AsPath& path = msg.path.get();

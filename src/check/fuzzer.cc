@@ -192,7 +192,6 @@ ScenarioResult run_scenario(const ScenarioOptions& opt) {
   // the send gap on a session (and are common on real edge routers).
   static constexpr double kMraiChoices[] = {2.0, 10.0, 30.0};
   ec.default_mrai = kMraiChoices[rng.uniform_u32(3)];
-  ec.world_threads = opt.world_threads;
   bgp::BgpEngine engine(gt.graph, sched, ec);
   ReferenceBgp ref(gt.graph);
   randomize_speaker_configs(rng, gt.graph, engine, ref);
@@ -348,14 +347,12 @@ ScenarioResult run_scenario(const ScenarioOptions& opt) {
 
 SweepSummary run_sweep(std::uint64_t first_seed, std::size_t count,
                        double fault_intensity, bool log_failures,
-                       std::size_t world_threads,
                        double adversary_prevalence) {
   SweepSummary summary;
   for (std::size_t i = 0; i < count; ++i) {
     ScenarioOptions opt;
     opt.seed = first_seed + i;
     opt.fault_intensity = fault_intensity;
-    opt.world_threads = world_threads;
     opt.adversary_prevalence = adversary_prevalence;
     const ScenarioResult result = run_scenario(opt);
     ++summary.runs;

@@ -38,10 +38,6 @@ struct ScenarioOptions {
   // Upper bound on extra script events per origin (past the initial
   // originate).
   std::size_t max_events_per_origin = 4;
-  // Worker threads for the engine's frontier pump (bgp::EngineConfig::
-  // world_threads); 0 = engine default. Results must not depend on it —
-  // the determinism-contract tests sweep this knob.
-  std::size_t world_threads = 0;
   // > 0 scopes an lg::adversary plane at that prevalence with a
   // seed-derived adversary seed: path-length filters and Peerlock apply to
   // both the engine and the reference, which must still agree exactly.
@@ -82,13 +78,11 @@ struct SweepSummary {
 
 // Runs seeds [first_seed, first_seed + count) at the given fault intensity.
 // When log_failures is set, each failing seed prints a replayable
-// "LG_CHECK_SEED=<seed>" line to stderr. `world_threads` is forwarded to
-// every scenario's engine (0 = engine default), `adversary_prevalence` to
-// every scenario's adversary plane (0 = no plane).
+// "LG_CHECK_SEED=<seed>" line to stderr. `adversary_prevalence` is
+// forwarded to every scenario's adversary plane (0 = no plane).
 SweepSummary run_sweep(std::uint64_t first_seed, std::size_t count,
                        double fault_intensity = 0.0,
                        bool log_failures = true,
-                       std::size_t world_threads = 0,
                        double adversary_prevalence = 0.0);
 
 // The LG_CHECK_SEED environment variable, if set: the seed a previous

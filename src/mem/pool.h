@@ -6,32 +6,20 @@
 // its heap buffer freed) only to be re-allocated for the next bucket.
 // VectorPool keeps retired vectors — cleared but with capacity intact — and
 // hands them back on acquire, so steady-state pumping performs no per-bucket
-// heap traffic.
-//
-// Pooling is a pure allocation optimisation and never changes results; the
-// LG_MEM_POOL=0 escape hatch (read once per pool) disables reuse so the
-// allocator-churn delta can be measured (see docs/OPERATORS.md).
+// heap traffic. Pooling is a pure allocation optimisation and never changes
+// results.
 //
 // Not thread-safe: each pool is owned by one engine on one pump thread.
 #pragma once
 
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
 namespace lg::mem {
 
-// Process-wide pooling switch: LG_MEM_POOL=0 disables buffer reuse.
-inline bool pooling_enabled_from_env() {
-  const char* v = std::getenv("LG_MEM_POOL");
-  return v == nullptr || (v[0] != '0' || v[1] != '\0');
-}
-
 template <typename T>
 class VectorPool {
  public:
-  VectorPool() : enabled_(pooling_enabled_from_env()) {}
-
   // An empty vector, reusing a retired buffer's capacity when available.
   std::vector<T> acquire() {
     if (!spares_.empty()) {
@@ -44,7 +32,6 @@ class VectorPool {
 
   // Return a vector to the pool. Contents are cleared; capacity is kept.
   void release(std::vector<T>&& v) {
-    if (!enabled_) return;  // let it die: measurement escape hatch
     v.clear();
     spares_.push_back(std::move(v));
   }
@@ -59,7 +46,6 @@ class VectorPool {
 
  private:
   std::vector<std::vector<T>> spares_;
-  bool enabled_;
 };
 
 }  // namespace lg::mem

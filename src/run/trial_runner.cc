@@ -48,11 +48,6 @@ void TrialRunner::run_erased(std::size_t n,
     util::ThreadPool pool(threads_);
     for (std::size_t i = 0; i < n; ++i) {
       pool.submit([&, i] {
-        // Nesting contract: while trials fan out across >1 workers, nested
-        // world-level parallelism (bgp::BgpEngine's LG_WORLD_THREADS pool)
-        // degrades to sequential so the two pools never oversubscribe. With
-        // a single trial worker the world pool keeps its full width.
-        const util::ScopedParallelRegion parallel_region(threads_ > 1);
         auto metrics = std::make_unique<obs::MetricsRegistry>();
         metrics->set_enabled(metrics_enabled);
         auto ring = std::make_unique<obs::TraceRing>(trace_capacity);

@@ -14,28 +14,6 @@ std::size_t default_thread_count() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::size_t thread_count_from_env(const char* name, std::size_t fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end != v && parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
-
-namespace {
-thread_local bool t_in_parallel_region = false;
-}  // namespace
-
-bool in_parallel_region() noexcept { return t_in_parallel_region; }
-
-ScopedParallelRegion::ScopedParallelRegion(bool active)
-    : prev_(t_in_parallel_region) {
-  t_in_parallel_region = prev_ || active;
-}
-
-ScopedParallelRegion::~ScopedParallelRegion() { t_in_parallel_region = prev_; }
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
   workers_.reserve(threads);

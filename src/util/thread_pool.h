@@ -22,31 +22,6 @@ namespace lg::util {
 // (minimum 1).
 std::size_t default_thread_count();
 
-// Worker count from an arbitrary environment knob (e.g. LG_WORLD_THREADS):
-// the parsed value when set and >= 1, otherwise `fallback`.
-std::size_t thread_count_from_env(const char* name, std::size_t fallback);
-
-// ---- Pool-nesting contract ----
-// A thread is "inside a parallel region" while it executes work fanned out
-// across a multi-worker pool (run::TrialRunner marks its workers when it runs
-// trials on more than one thread). Nested parallelism consults this flag and
-// degrades to sequential execution — e.g. bgp::BgpEngine's world-level
-// frontier pool sizes itself to 1 inside a parallel trial — so trial-level
-// and world-level pools compose without oversubscribing the machine.
-// Results never depend on the flag: it only decides who does the work.
-bool in_parallel_region() noexcept;
-
-class ScopedParallelRegion {
- public:
-  explicit ScopedParallelRegion(bool active = true);
-  ~ScopedParallelRegion();
-  ScopedParallelRegion(const ScopedParallelRegion&) = delete;
-  ScopedParallelRegion& operator=(const ScopedParallelRegion&) = delete;
-
- private:
-  bool prev_;
-};
-
 class ThreadPool {
  public:
   // threads == 0 picks default_thread_count().

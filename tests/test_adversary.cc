@@ -11,8 +11,7 @@
 //    forwarding (the captive signature);
 //  * destabilizer schedules are finite, alternating, and bounded by the
 //    engine's route-flap damping;
-//  * the differential oracle agrees with the engine with adversaries on,
-//    for any LG_WORLD_THREADS value;
+//  * the differential oracle agrees with the engine with adversaries on;
 //  * LG_ADVERSARY* env parsing is strict (no silent fallbacks).
 #include <gtest/gtest.h>
 
@@ -428,23 +427,19 @@ TEST(Destabilizer, WorkloadQuiescesAndDampingBoundsChurn) {
 TEST(AdversaryDifferential, SweepAgreesWithReference) {
   const auto summary =
       check::run_sweep(910000, 12, /*fault_intensity=*/0.0,
-                       /*log_failures=*/true, /*world_threads=*/0,
-                       /*adversary_prevalence=*/0.5);
+                       /*log_failures=*/true, /*adversary_prevalence=*/0.5);
   EXPECT_TRUE(summary.ok()) << summary.failing_seeds.size()
                             << " failing seeds";
 }
 
 TEST(AdversaryDifferential, FullPrevalenceSweepAgrees) {
-  const auto summary =
-      check::run_sweep(920000, 8, 0.0, true, 0, 1.0);
+  const auto summary = check::run_sweep(920000, 8, 0.0, true, 1.0);
   EXPECT_TRUE(summary.ok());
 }
 
-TEST(AdversaryDifferential, AgreesForAnyWorldThreadCount) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const auto summary = check::run_sweep(930000, 6, 0.0, true, threads, 0.7);
-    EXPECT_TRUE(summary.ok()) << "world_threads=" << threads;
-  }
+TEST(AdversaryDifferential, HighPrevalenceSweepAgrees) {
+  const auto summary = check::run_sweep(930000, 6, 0.0, true, 0.7);
+  EXPECT_TRUE(summary.ok());
 }
 
 TEST(AdversaryDifferential, ReplaysSeedFromEnvironment) {

@@ -1,67 +1,18 @@
-// lg::mem — arena allocation, vector pooling, and the RSS probes backing
-// the Internet-scale memory work: bump allocation with alignment, block
-// reuse across reset(), env-gated pooling, and sane /proc-derived RSS.
+// lg::mem — vector pooling and the RSS probes backing the Internet-scale
+// memory work: recycled buffer capacity and sane /proc-derived RSS.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <vector>
 
 #include "bgp/types.h"
-#include "mem/arena.h"
 #include "mem/pool.h"
 #include "mem/rss.h"
 
 namespace lg::mem {
 namespace {
 
-TEST(ArenaTest, AllocatesAlignedMemory) {
-  Arena arena;
-  void* a = arena.allocate(3, 1);
-  void* b = arena.allocate(8, 8);
-  void* c = arena.allocate(16, 16);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 16, 0u);
-  EXPECT_GE(arena.bytes_allocated(), 3u + 8u + 16u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-}
-
-TEST(ArenaTest, CreateConstructsObjects) {
-  Arena arena;
-  struct Pod {
-    int x;
-    double y;
-  };
-  Pod* p = arena.create<Pod>(Pod{7, 2.5});
-  EXPECT_EQ(p->x, 7);
-  EXPECT_EQ(p->y, 2.5);
-  int* xs = arena.allocate_array<int>(100);
-  for (int i = 0; i < 100; ++i) xs[i] = i;
-  EXPECT_EQ(xs[99], 99);
-}
-
-TEST(ArenaTest, ResetReusesBlocks) {
-  Arena arena;
-  for (int i = 0; i < 1000; ++i) arena.allocate(64, 8);
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Blocks are retained for reuse, not freed.
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  for (int i = 0; i < 1000; ++i) arena.allocate(64, 8);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, LargeAllocationsGetDedicatedBlocks) {
-  Arena arena;
-  void* big = arena.allocate(4u << 20, 64);
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 4u << 20);
-}
-
 TEST(VectorPoolTest, RecyclesCapacity) {
   VectorPool<int> pool;
-  if (!pooling_enabled_from_env()) GTEST_SKIP() << "LG_MEM_POOL=0";
   auto v = pool.acquire();
   v.reserve(256);
   int* data = v.data();

@@ -16,6 +16,7 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "util/json.h"
+#include "util/scheduler.h"
 #include "workload/scenarios.h"
 #include "workload/sim_world.h"
 
@@ -366,6 +367,26 @@ TEST(Report, WriteFileRoundTrips) {
   buf << in.rdbuf();
   EXPECT_EQ(buf.str(), report.to_json());
   std::remove(path.c_str());
+}
+
+// A harness driving a bare scheduler (no SimWorld publishing lg.scheduler.*)
+// feeds it to the report directly; the later metrics capture — which the
+// bench JsonReport runs at scope exit — must not zero the executed count.
+TEST(Report, CapturedSchedulerSurvivesMetricsCapture) {
+  util::Scheduler sched;
+  for (int i = 0; i < 5; ++i) sched.at(static_cast<double>(i), [] {});
+  sched.run();
+  ASSERT_EQ(sched.executed(), 5u);
+
+  MetricsRegistry reg;
+  reg.counter("lg.bgp.updates_sent").inc(2);
+  obs::RunReport report("bare_scheduler");
+  report.capture_scheduler(sched);
+  report.capture_metrics(reg);
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\"lg.scheduler.events_executed\": 5"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"lg.scheduler.queue_depth_hwm\""), std::string::npos);
 }
 
 TEST(Report, CapturedTracesKeepNewestWhenTruncated) {
