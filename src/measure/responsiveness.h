@@ -40,10 +40,7 @@ class Responsiveness {
   // Checkpoint support. rate_limited() only draws from the RNG when
   // rate_limit_drop_prob > 0, but the stream position must still survive a
   // restore for configs that enable it.
-  util::Rng::State rng_state() const noexcept { return rng_.save_state(); }
-  void restore_rng(const util::Rng::State& s) noexcept {
-    rng_.restore_state(s);
-  }
+  util::Rng& rng() noexcept { return rng_; }
 
  private:
   ResponsivenessConfig cfg_;

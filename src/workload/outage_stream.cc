@@ -45,33 +45,18 @@ OutageEvent OutageStream::next() {
   return out;
 }
 
-void OutageStream::save(util::BinWriter& w) const {
-  w.magic(kStreamTag, kVersion);
-  const util::Rng::State rs = rng_.save_state();
-  w.u64(rs.state);
-  w.u64(rs.inc);
-  w.b(rs.have_cached_normal);
-  w.f64(rs.cached_normal);
-  w.f64(clock_);
-  w.u64(generated_);
-  w.b(has_pending_);
-  w.f64(pending_.start_seconds);
-  w.f64(pending_.duration_seconds);
+template <class Ar, class Self>
+void OutageStream::layout(Ar& ar, Self& self) {
+  ar.magic(kStreamTag, kVersion);
+  util::serialize(ar, self.rng_);
+  ar.f64(self.clock_);
+  ar.u64(self.generated_);
+  ar.b(self.has_pending_);
+  ar.f64(self.pending_.start_seconds);
+  ar.f64(self.pending_.duration_seconds);
 }
 
-void OutageStream::load(util::BinReader& r) {
-  r.magic(kStreamTag, kVersion);
-  util::Rng::State rs;
-  rs.state = r.u64();
-  rs.inc = r.u64();
-  rs.have_cached_normal = r.b();
-  rs.cached_normal = r.f64();
-  rng_.restore_state(rs);
-  clock_ = r.f64();
-  generated_ = r.u64();
-  has_pending_ = r.b();
-  pending_.start_seconds = r.f64();
-  pending_.duration_seconds = r.f64();
-}
+void OutageStream::serialize(util::BinWriter& w) const { layout(w, *this); }
+void OutageStream::serialize(util::BinReader& r) { layout(r, *this); }
 
 }  // namespace lg::workload

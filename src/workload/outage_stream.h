@@ -48,11 +48,15 @@ class OutageStream {
   std::uint64_t generated() const noexcept { return generated_; }
   const OutageStreamConfig& config() const noexcept { return cfg_; }
 
-  // Mutable state only — configuration is rebuilt from config on restore.
-  void save(util::BinWriter& w) const;
-  void load(util::BinReader& r);
+  // Checkpoint: save (BinWriter) or restore (BinReader) the mutable state
+  // only — configuration is rebuilt from config on restore.
+  void serialize(util::BinWriter& w) const;
+  void serialize(util::BinReader& r);
 
  private:
+  // The checkpoint layout behind both serialize() overloads.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self);
   void ensure_pending();
 
   OutageStreamConfig cfg_;
