@@ -34,13 +34,7 @@ int main() {
   jr->set_config("max_problem_events", 20.0);
 
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   const auto prefix = topo::AddressPlan::production_prefix(origin);
 
   const auto announce = [&](std::optional<bgp::AvoidHint> hint,

@@ -41,13 +41,7 @@ RunResult run_cell(std::size_t prepend, std::uint64_t seed, double mrai = 30.0) 
     cfg.engine.default_mrai = mrai;
     return cfg;
   }());
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperimentConfig cfg;
   cfg.baseline_prepend = prepend;
   workload::PoisonExperiment experiment(world, origin, cfg);

@@ -128,13 +128,7 @@ int main() {
 
   // Deterministic multihomed origin: the lowest-id stub with >= 2 providers
   // (poison repair needs an alternate provider to exist).
-  AsId origin = topo::kInvalidAs;
-  for (const AsId s : topo.stubs) {
-    if (topo.graph.providers(s).size() >= 2) {
-      origin = s;
-      break;
-    }
-  }
+  AsId origin = topo.first_multihomed_stub();
   if (origin == topo::kInvalidAs) {
     std::fprintf(stderr, "no multihomed stub in topology\n");
     return 1;

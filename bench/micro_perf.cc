@@ -120,13 +120,7 @@ BENCHMARK(BM_FrontierMerge);
 
 void BM_PoisonAndConverge(benchmark::State& state) {
   auto& world = shared_world();
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   core::Remediator remediator(world.engine(), origin);
   remediator.announce_baseline();
   world.converge();

@@ -59,13 +59,7 @@ constexpr std::size_t kFailCasesPerChunk = 250;  // 12 * 250 = 3,000
 TrialResult run_deployment_trial() {
   TrialResult result;
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperiment experiment(world, origin);
   experiment.setup();
 

@@ -30,13 +30,7 @@ struct LossRun {
 
 LossRun run_cell(std::size_t prepend) {
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperimentConfig cfg;
   cfg.baseline_prepend = prepend;
   cfg.measure_loss = true;

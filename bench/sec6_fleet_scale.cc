@@ -221,5 +221,15 @@ int main() {
     std::printf("\n  ERROR: a shard exceeded its announcement budget cap\n");
     return 1;
   }
+  // Every episode must settle: continuations run past the horizon.
+  std::size_t open_at_end = 0;
+  for (const CellRow& cell : cells) {
+    for (const auto& s : cell.result.shards) open_at_end += s.open_at_end;
+  }
+  if (open_at_end != 0) {
+    std::printf("\n  ERROR: %zu episodes still open at the end of the run\n",
+                open_at_end);
+    return 1;
+  }
   return 0;
 }

@@ -64,13 +64,7 @@ struct TrialResult {
 TrialResult run_anomaly_trial() {
   TrialResult result;
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperiment experiment(world, origin);
   experiment.setup();
   const auto feeds = world.feed_ases(30);
@@ -130,13 +124,7 @@ TrialResult run_anomaly_trial() {
 TrialResult run_filter_trial(std::size_t batch) {
   TrialResult result;
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperiment experiment(world, origin);
   experiment.setup();
   const auto feeds = world.feed_ases(30);

@@ -80,13 +80,7 @@ TrialResult run_trial(double intensity, std::uint64_t fault_seed_base,
   faults::ScopedFaultPlane fault_scope(plane);
 
   workload::SimWorld world(workload::SimWorld::small_config(ctx.seed));
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   if (origin == topo::kInvalidAs) return r;
 
   core::LifeguardConfig cfg;

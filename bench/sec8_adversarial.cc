@@ -90,13 +90,7 @@ TrialResult run_trial(double prevalence, std::uint64_t adv_seed_base,
   adversary::ScopedAdversaryPlane adv_scope(plane);
 
   workload::SimWorld world(workload::SimWorld::small_config(ctx.seed));
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   if (origin == topo::kInvalidAs) return r;
 
   core::LifeguardConfig cfg;

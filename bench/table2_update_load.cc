@@ -30,13 +30,7 @@ constexpr std::size_t kPoisonsPerBatch = 5;
 // world convergences overlap on multi-core hosts.
 std::vector<std::pair<double, double>> measure_u_batch(std::size_t batch) {
   workload::SimWorld world;
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   workload::PoisonExperiment experiment(world, origin);
   experiment.setup();
   const auto feeds = world.feed_ases(20);

@@ -24,13 +24,7 @@ int main() {
 
   // LIFEGUARD runs at a multihomed origin (the University-of-Wisconsin
   // BGP-Mux analogue).
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   std::printf("Origin AS %u (providers:", origin);
   for (const AsId p : world.graph().providers(origin)) std::printf(" %u", p);
   std::printf(")\n");

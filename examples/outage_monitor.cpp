@@ -17,13 +17,7 @@ using topo::AsId;
 int main() {
   workload::SimWorld world(workload::SimWorld::small_config(57));
 
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
 
   core::LifeguardConfig cfg;
   cfg.decision.min_elapsed_seconds = 300.0;

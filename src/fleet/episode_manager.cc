@@ -261,6 +261,17 @@ void EpisodeManager::monitor_round() {
   admission_pass(now);
   if (now + cfg_.ping_interval <= stop_at_) {
     sched_->after(cfg_.ping_interval, [this] { monitor_round(); });
+    return;
+  }
+  // Last round: a detection still waiting on admission gets its own
+  // continuation, as every later state already has, so the horizon never
+  // leaves it open.
+  for (std::size_t idx = 0; idx < targets_.size(); ++idx) {
+    const TargetCtx& t = targets_[idx];
+    if (t.state == EpisodeState::kSuspect && t.open_episode != SIZE_MAX) {
+      sched_->after(cfg_.defer_retry_seconds,
+                    [this, idx] { admit_point(idx); });
+    }
   }
 }
 
@@ -552,16 +563,21 @@ void EpisodeManager::verify_failback(std::size_t target_idx) {
   set_state(t, EpisodeState::kIsolate);
   LG_INFO << "fleet: VERIFY failed back to ISOLATE for "
           << topo::format_ipv4(rec.target);
-  reisolate_point(target_idx);
+  admit_point(target_idx);
 }
 
-void EpisodeManager::reisolate_point(std::size_t target_idx) {
+void EpisodeManager::admit_point(std::size_t target_idx) {
   TargetCtx& t = targets_[target_idx];
-  if (t.state != EpisodeState::kIsolate || t.open_episode == SIZE_MAX) return;
+  const bool reisolating = t.state == EpisodeState::kIsolate;
+  if ((!reisolating && t.state != EpisodeState::kSuspect) ||
+      t.open_episode == SIZE_MAX) {
+    return;
+  }
   EpisodeRecord& rec = episodes_[t.open_episode];
   const double now = sched_->now();
   if (ping_target(t)) {
-    rec.note = "resolved during re-isolation";
+    rec.note = reisolating ? "resolved during re-isolation"
+                           : "resolved while awaiting admission";
     close_episode(t, rec, EpisodeOutcome::kResolvedSelf, now,
                   EpisodeState::kMonitor);
     return;
@@ -573,8 +589,19 @@ void EpisodeManager::reisolate_point(std::size_t target_idx) {
                    t.info.as, now - t.first_failure_at);
     spans_->annotate(t.episode_span, "admission_deferred",
                      now - t.first_failure_at);
+    // A bucket that can never again hold one isolation's estimate would
+    // retry forever.
+    TokenBucket& bucket = admission_->bucket();
+    const double ceiling =
+        bucket.rate() > 0.0 ? bucket.burst() : bucket.level(now);
+    if (ceiling + 1e-9 < admission_->cost_estimate()) {
+      rec.note = "declined: probe admission exhausted";
+      close_episode(t, rec, EpisodeOutcome::kDeclined, now,
+                    EpisodeState::kMonitor);
+      return;
+    }
     sched_->after(cfg_.defer_retry_seconds,
-                  [this, target_idx] { reisolate_point(target_idx); });
+                  [this, target_idx] { admit_point(target_idx); });
     return;
   }
   run_isolation(t, now);

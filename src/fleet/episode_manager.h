@@ -160,8 +160,9 @@ class EpisodeManager {
 
   // Announce the origin's baseline (production + sentinel) and schedule the
   // monitoring loops. Rounds self-reschedule until `stop_at` simulated
-  // seconds; per-episode continuations (decision, verify, holddown) keep
-  // running past it so in-flight episodes settle and poisons revert.
+  // seconds; per-episode continuations (admission, decision, verify,
+  // holddown) keep running past it so in-flight episodes settle and poisons
+  // revert.
   void start(double stop_at);
 
   // Every episode ever opened, in detection order.
@@ -218,8 +219,9 @@ class EpisodeManager {
   void remediate_point(std::size_t target_idx);
   void verify_round(std::size_t target_idx);
   void verify_failback(std::size_t target_idx);
-  // Probe-budget-gated isolation retry after a VERIFY → ISOLATE fallback.
-  void reisolate_point(std::size_t target_idx);
+  // Probe-budget-gated isolation retry, for a VERIFY → ISOLATE fallback and
+  // for a detection the last monitor round left waiting on admission.
+  void admit_point(std::size_t target_idx);
   // Undo `rec`'s remediation: drop its poison refcount (re-announcing the
   // shrunk union when membership changes; reverts are not token-charged)
   // or clear the forced egress.

@@ -52,13 +52,7 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
 
   // The origin: first multihomed stub — LIFEGUARD's premise is an edge
   // network with provider choice.
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   if (origin == topo::kInvalidAs) {
     report.origin = origin;
     return report;  // degenerate topology; empty shard

@@ -63,13 +63,7 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioOptions& opt) {
   wc.responsiveness.seed = opt.seed + 2;
   workload::SimWorld world(wc);
 
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   if (origin == topo::kInvalidAs) return res;  // vacuously clean
 
   std::vector<measure::VantagePoint> helpers;

@@ -54,6 +54,16 @@ struct GeneratedTopology {
     out.insert(out.end(), small_transit.begin(), small_transit.end());
     return out;
   }
+
+  // The first stub with at least two providers — the origin poison repair
+  // needs, since it shifts traffic to an alternate provider — or kInvalidAs
+  // when no stub qualifies.
+  AsId first_multihomed_stub() const {
+    for (const AsId as : stubs) {
+      if (graph.providers(as).size() >= 2) return as;
+    }
+    return kInvalidAs;
+  }
 };
 
 // Generates a valid topology (GeneratedTopology::graph passes validate()).

@@ -16,12 +16,7 @@ using topo::AsId;
 class DnsFailoverTest : public ::testing::Test {
  protected:
   DnsFailoverTest() : world_(workload::SimWorld::small_config(61)) {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) {
-        origin_ = as;
-        break;
-      }
-    }
+    origin_ = world_.topology().first_multihomed_stub();
     client_ = topo::kInvalidAs;
     for (const AsId as : world_.stub_vantage_ases(6)) {
       if (as != origin_) {

@@ -22,11 +22,11 @@ class LifeguardTest : public ::testing::Test {
 
   // Pick an origin stub with >= 2 providers so poisoning is permissible.
   AsId pick_origin() {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) return as;
+    const AsId as = world_.topology().first_multihomed_stub();
+    if (as == topo::kInvalidAs) {
+      ADD_FAILURE() << "no multihomed stub in topology";
     }
-    ADD_FAILURE() << "no multihomed stub in topology";
-    return topo::kInvalidAs;
+    return as;
   }
 
   workload::SimWorld world_;

@@ -14,12 +14,7 @@ using topo::AsId;
 class LifeguardEdgeTest : public ::testing::Test {
  protected:
   LifeguardEdgeTest() : world_(workload::SimWorld::small_config(91)) {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) {
-        origin_ = as;
-        break;
-      }
-    }
+    origin_ = world_.topology().first_multihomed_stub();
   }
 
   std::vector<measure::VantagePoint> make_helpers() {

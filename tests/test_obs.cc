@@ -421,13 +421,7 @@ TEST(ObsIntegration, PoisonRepairCycleLeavesMetricFootprint) {
   ring.clear();
 
   workload::SimWorld world(workload::SimWorld::small_config(31));
-  topo::AsId origin = topo::kInvalidAs;
-  for (const topo::AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  topo::AsId origin = world.topology().first_multihomed_stub();
   ASSERT_NE(origin, topo::kInvalidAs);
 
   core::LifeguardConfig cfg;

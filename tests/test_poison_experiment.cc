@@ -17,10 +17,8 @@ class PoisonExperimentTest : public ::testing::Test {
   }
 
   AsId pick_origin() {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) return as;
-    }
-    return world_.topology().stubs.front();
+    const AsId as = world_.topology().first_multihomed_stub();
+    return as != topo::kInvalidAs ? as : world_.topology().stubs.front();
   }
 
   workload::SimWorld world_;
@@ -105,13 +103,7 @@ TEST_F(PoisonExperimentTest, UnpreparedBaselineExploresMore) {
 
   auto run = [&](workload::PoisonExperimentConfig cfg) {
     workload::SimWorld world(workload::SimWorld::small_config(17));
-    AsId origin = topo::kInvalidAs;
-    for (const AsId as : world.topology().stubs) {
-      if (world.graph().providers(as).size() >= 2) {
-        origin = as;
-        break;
-      }
-    }
+    AsId origin = world.topology().first_multihomed_stub();
     workload::PoisonExperiment experiment(world, origin, cfg);
     experiment.setup();
     const auto feeds = world.feed_ases(10);

@@ -19,10 +19,8 @@ class BgpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   BgpPropertyTest() : world_(workload::SimWorld::small_config(GetParam())) {}
 
   AsId pick_origin() {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) return as;
-    }
-    return world_.topology().stubs.front();
+    const AsId as = world_.topology().first_multihomed_stub();
+    return as != topo::kInvalidAs ? as : world_.topology().stubs.front();
   }
 
   // Checks that `path` (receiver-side first, origin last) is valley-free

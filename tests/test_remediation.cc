@@ -190,13 +190,7 @@ TEST_F(SentinelTest, PoisonedAsReachabilityFallback) {
 
 TEST(LifeguardForwardTest, ForwardFailureRepairsViaEgressShift) {
   workload::SimWorld world(workload::SimWorld::small_config(83));
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  AsId origin = world.topology().first_multihomed_stub();
   core::LifeguardConfig cfg;
   cfg.decision.min_elapsed_seconds = 300.0;
   core::Lifeguard guard(world.scheduler(), world.engine(), world.prober(),
