@@ -42,6 +42,15 @@ struct AsLinkKey {
   AsLinkKey() = default;
   AsLinkKey(AsId x, AsId y) : a(x < y ? x : y), b(x < y ? y : x) {}
   friend bool operator==(const AsLinkKey&, const AsLinkKey&) = default;
+
+  // Checkpoint layout for the util/codec.h archives (K is const AsLinkKey
+  // when saving); a loaded key is put back in canonical order.
+  template <class Ar, class K>
+  static void layout(Ar& ar, K& k) {
+    ar.u32(k.a);
+    ar.u32(k.b);
+    if constexpr (Ar::kLoading) k = AsLinkKey(k.a, k.b);
+  }
 };
 
 struct AsLinkKeyHash {
