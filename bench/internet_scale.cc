@@ -34,6 +34,7 @@
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "topology/valley_free.h"
+#include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -48,24 +49,18 @@ namespace {
 // thread counts and sessions for the same topology + seed.
 std::uint64_t rib_fingerprint(const bgp::BgpEngine& engine,
                               const topo::AsGraph& graph, const Prefix& p) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  util::Fnv1a h;
   for (const AsId as : graph.as_ids()) {
     const bgp::Route* best = engine.best_route(as, p);
-    mix(as);
+    h.u64(as);
     if (best == nullptr) {
-      mix(0xdeadULL);
+      h.u64(0xdeadULL);
       continue;
     }
-    mix(best->neighbor);
-    for (const AsId hop : best->path.get()) mix(hop);
+    h.u64(best->neighbor);
+    for (const AsId hop : best->path.get()) h.u64(hop);
   }
-  return h;
+  return h.state;
 }
 
 std::size_t count_with_route(const bgp::BgpEngine& engine,

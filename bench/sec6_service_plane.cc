@@ -37,6 +37,7 @@
 #include "fleet/env_knobs.h"
 #include "fleet/service_plane.h"
 #include "mem/rss.h"
+#include "util/hashing.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -60,15 +61,6 @@ double quantile(const std::vector<double>& sorted, double q) {
   const std::size_t idx = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[idx < sorted.size() ? idx : sorted.size() - 1];
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 void print_result(const fleet::ServiceResult& result) {
@@ -111,7 +103,8 @@ void print_result(const fleet::ServiceResult& result) {
             }()));
   char digest[32];
   std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(fnv1a(result.fingerprint())));
+                static_cast<unsigned long long>(
+                    util::fnv1a(result.fingerprint())));
   bench::kv("behaviour digest (FNV-1a)", digest);
 
   bench::section("Time-to-remediate CDF");

@@ -29,12 +29,13 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
   trace_ = &obs::TraceRing::current();
   spans_ = &obs::SpanRegistry::current();
   faults_ = &faults::FaultPlane::current();
-  // Only an enabled fault plane can lose updates or reorder deliveries, so
-  // only then do these counters exist — registering them unconditionally
-  // would add zero-valued rows to every fault-free run report.
+  // These counters exist only under an enabled fault plane: it is the only
+  // source of lost updates and, at MRAI >= 0.1 s, of updates held behind an
+  // older one. Registering them unconditionally would add zero-valued rows
+  // to every fault-free run report.
   if (faults_->enabled()) {
     c_updates_lost_ = &reg.counter("lg.bgp.updates_lost");
-    c_updates_stale_dropped_ = &reg.counter("lg.bgp.updates_stale_dropped");
+    c_updates_held_ = &reg.counter("lg.bgp.updates_held");
   }
 
   as_ids_ = graph.as_ids();  // sorted: index order == AS-id order
@@ -79,9 +80,6 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
-  // Only fault runs can reorder deliveries, so only they pay for the
-  // per-receiver sequence shards.
-  if (faults_->enabled()) delivered_seq_.resize(n);
 
   // Peerlock locked set: computed unconditionally (cheap const queries
   // against the immutable graph) so every speaker always holds the pointer;
@@ -243,7 +241,6 @@ void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
   msg.from = from;
   msg.to = to;
   msg.prefix = prefix;
-  msg.seq = ++mrai.next_seq;
   if (current) {
     msg.type = MsgType::kAnnounce;
     msg.path = current->path;
@@ -286,12 +283,32 @@ void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
     c_withdrawals_sent_->inc();
     trace_->record(sched_->now(), obs::TraceKind::kWithdrawSent, from, to);
   }
-  double delay = link_delay();
+  // The delivery time is final here; the pump never revisits it.
+  const double now = sched_->now();
+  double due = now + link_delay();
   if (faults_->enabled()) {
-    delay += faults_->update_delay(from, to, sched_->now());
+    due += faults_->update_delay(from, to, now);
+    // Fault plane: a session down at the arrival instant holds the update
+    // until it is back up, modelling TCP/session recovery.
+    for (;;) {
+      const double at = static_cast<double>(bucket_of(due)) * cfg_.pump_quantum;
+      if (faults_->session_up(from, to, at)) break;
+      faults_->note_session_hit(from, to, now);
+      due = faults_->session_restored_at(from, to, at) + 1e-3;
+    }
   }
+  // TCP order: never due before the previous update on this (session,
+  // prefix), so a newer update cannot overtake an older one at any MRAI.
+  if (due < mrai.last_due) {
+    due = mrai.last_due;
+    if (c_updates_held_ != nullptr) {
+      c_updates_held_->inc();
+      trace_->record(now, obs::TraceKind::kUpdateHeld, from, to);
+    }
+  }
+  mrai.last_due = due;
   delivery_scheduled();
-  enqueue_delivery(sched_->now() + delay, std::move(msg));
+  enqueue_delivery(due, std::move(msg));
 }
 
 void BgpEngine::delivery_scheduled() {
@@ -311,15 +328,17 @@ void BgpEngine::delivery_done() {
   }
 }
 
+std::int64_t BgpEngine::bucket_of(double due) const {
+  return static_cast<std::int64_t>(std::ceil(due / cfg_.pump_quantum));
+}
+
 void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
-  // First quantum boundary at or after the arrival time. One pump tick per
-  // live bucket: later arrivals for the same quantum just append. A bucket
-  // cannot be resurrected after its tick ran — anything enqueued *during*
-  // the tick at the bucket's own instant lands back in the map and
-  // re-schedules, and the scheduler's batch extraction runs it in the same
-  // step, preserving at-that-instant delivery.
-  const auto bucket = static_cast<std::int64_t>(
-      std::ceil(due / cfg_.pump_quantum));
+  // One pump tick per live bucket: later arrivals for the same quantum just
+  // append. A bucket cannot be resurrected after its tick ran — anything
+  // enqueued *during* the tick at the bucket's own instant lands back in the
+  // map and re-schedules, and the scheduler's batch extraction runs it in
+  // the same step, preserving at-that-instant delivery.
+  const std::int64_t bucket = bucket_of(due);
   const auto [it, inserted] = frontier_.try_emplace(bucket);
   if (inserted) it->second = msg_pool_.acquire();
   it->second.push_back(std::move(msg));
@@ -329,51 +348,18 @@ void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
   }
 }
 
-std::size_t BgpEngine::deliver_to(std::uint32_t r, std::size_t lo,
-                                  std::size_t hi,
-                                  std::vector<UpdateMessage>& msgs,
-                                  double now) {
+void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
+                           std::vector<UpdateMessage>& msgs, double now) {
   BgpSpeaker& receiver = speakers_[r];
-  const bool faults_on = faults_->enabled();
   // With a single message there is nothing to net out: the frontier outcome
   // is exactly the per-event outcome, so skip the best-route snapshot and
   // the post-loop value comparison (the dominant case in sparse phases of
   // convergence, where copying Routes would swamp the import itself).
   const bool single = hi - lo == 1;
   touches_.clear();
-  std::size_t terminal = 0;
   for (std::size_t k = lo; k < hi; ++k) {
-    UpdateMessage& msg = msgs[static_cast<std::uint32_t>(pump_order_[k])];
-    if (faults_on) {
-      // Fault plane: the session reset while this update was in flight.
-      // Model TCP/session recovery by re-queueing delivery for when it comes
-      // back up; any newer state sent after restoration diffs against
-      // adj-out and supersedes this message shortly after.
-      if (!faults_->session_up(msg.from, msg.to, now)) {
-        const double up = faults_->session_restored_at(msg.from, msg.to, now);
-        faults_->note_session_hit(msg.from, msg.to, now);
-        enqueue_delivery(up + 1e-3, std::move(msg));
-        continue;
-      }
-      // Fault-plane requeues can reorder deliveries on a session: an update
-      // requeued across a reset lands at the same quantum the post-restore
-      // adj-out retransmit uses, so without this check a stale announce
-      // could be applied after (or instead of) the fresh diff and pin the
-      // receiver to an outdated path until the next unrelated update.
-      // Sequence numbers are per-(session, prefix) and monotone at the
-      // sender, so anything at or below the last applied seq is superseded.
-      const SessionPrefixKey key{
-          (static_cast<std::uint64_t>(msg.from) << 32) | msg.to, msg.prefix};
-      std::uint64_t& applied = delivered_seq_[r][key];
-      if (msg.seq <= applied) {
-        c_updates_stale_dropped_->inc();
-        trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
-                       msg.to);
-        ++terminal;
-        continue;
-      }
-      applied = msg.seq;
-    }
+    const UpdateMessage& msg =
+        msgs[static_cast<std::uint32_t>(pump_order_[k])];
     // Snapshot the pre-frontier best on first touch of each prefix, so the
     // export step below can detect *net* route changes across the frontier.
     std::size_t touch = 0;
@@ -423,7 +409,6 @@ std::size_t BgpEngine::deliver_to(std::uint32_t r, std::size_t lo,
         });
       }
     }
-    ++terminal;
   }
   // Notify + export once per prefix with a *net* best-route change: a
   // frontier that flip-flops a best route inside one quantum produces no
@@ -441,7 +426,6 @@ std::size_t BgpEngine::deliver_to(std::uint32_t r, std::size_t lo,
     notify(rid, t.prefix);
     schedule_exports(rid, t.prefix);
   }
-  return terminal;
 }
 
 void BgpEngine::pump_frontier(std::int64_t bucket) {
@@ -452,9 +436,9 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   const double now = sched_->now();
 
   // Receivers in AS-index order, each receiver's messages in arrival order:
-  // one sort of (receiver index << 32 | arrival index) keys. Exports and
-  // requeues land in later buckets, so applying each receiver's side effects
-  // in place cannot reorder anything this frontier still has to deliver.
+  // one sort of (receiver index << 32 | arrival index) keys. Exports land in
+  // later buckets, so applying each receiver's side effects in place cannot
+  // reorder anything this frontier still has to deliver.
   pump_order_.clear();
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
     pump_order_.push_back(
@@ -462,18 +446,17 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   }
   std::sort(pump_order_.begin(), pump_order_.end());
 
-  std::size_t terminal = 0;
   for (std::size_t lo = 0; lo < pump_order_.size();) {
     const auto r = static_cast<std::uint32_t>(pump_order_[lo] >> 32);
     std::size_t hi = lo + 1;
     while (hi < pump_order_.size() && (pump_order_[hi] >> 32) == r) ++hi;
-    terminal += deliver_to(r, lo, hi, msgs, now);
+    deliver_to(r, lo, hi, msgs, now);
     lo = hi;
   }
-  // Terminal messages leave flight only after the cascade above: any exports
-  // this frontier triggered are already counted, so a still-busy pump span
-  // stays open across back-to-back frontiers.
-  for (; terminal > 0; --terminal) delivery_done();
+  // Messages leave flight only after the cascade above: any exports this
+  // frontier triggered are already counted, so a still-busy pump span stays
+  // open across back-to-back frontiers.
+  for (std::size_t n = msgs.size(); n > 0; --n) delivery_done();
   msg_pool_.release(std::move(msgs));
 }
 
@@ -508,7 +491,7 @@ void BgpEngine::reset_counters() {
   c_mrai_deferrals_->reset();
   c_best_path_changes_->reset();
   if (c_updates_lost_ != nullptr) c_updates_lost_->reset();
-  if (c_updates_stale_dropped_ != nullptr) c_updates_stale_dropped_->reset();
+  if (c_updates_held_ != nullptr) c_updates_held_->reset();
 }
 
 void BgpEngine::reexport_all() {

@@ -6,17 +6,24 @@
 // and bookkeeping for the convergence/update-count measurements of §5.2 and
 // the load model of Table 2.
 //
+// Each update's delivery time is fixed once, when it is sent: the link
+// delay plus the fault plane's extra delay, moved past any session-down
+// window at the arrival instant, then raised to the previous delivery on
+// the same (session, prefix). The last step is the ordering BGP gets from
+// TCP: an update never overtakes the one sent before it on its session for
+// its prefix, at any MRAI, with or without faults.
+//
 // Deliveries run through a *frontier pump*: every in-flight update is
 // assigned to the first quantum boundary at or after its arrival time
 // (EngineConfig::pump_quantum), and all updates landing in the same quantum
 // form one frontier. The pump visits a frontier's receivers in AS-index
 // order and applies each receiver's messages in arrival order, with every
-// side effect in place (fault requeue, stale drop, counters, traces, damping
-// recheck). It then notifies and exports once per prefix whose best route
-// changed *net* across the frontier, so a best route that flip-flops inside
-// one quantum causes no route event and no export churn. Every export or
-// requeue lands in a later bucket, so a frontier never feeds itself. See
-// DESIGN.md "Frontier pump".
+// side effect in place (counters, traces, damping recheck); it never
+// consults the fault plane. It then notifies and exports once per prefix
+// whose best route changed *net* across the frontier, so a best route that
+// flip-flops inside one quantum causes no route event and no export churn.
+// Every export lands in a later bucket, so a frontier never feeds itself.
+// See DESIGN.md "Frontier pump".
 #pragma once
 
 #include <cstdint>
@@ -29,7 +36,6 @@
 #include "mem/pool.h"
 #include "obs/span.h"
 #include "topology/as_graph.h"
-#include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -176,32 +182,14 @@ class BgpEngine {
   void serialize(util::BinWriter& w) const;
   void serialize(util::BinReader& r);
 
-  // Public so the hash-quality regression tests can exercise it directly.
-  struct SessionPrefixKey {
-    std::uint64_t session;  // (from << 32) | to
-    Prefix prefix;
-    // (session, prefix) order is the snapshot's deterministic entry order.
-    friend auto operator<=>(const SessionPrefixKey&,
-                            const SessionPrefixKey&) = default;
-  };
-  struct SessionPrefixKeyHash {
-    std::size_t operator()(const SessionPrefixKey& k) const noexcept {
-      // hash_combine, not XOR: the MRAI map holds one entry per (session,
-      // prefix) and a plain XOR of the two field hashes cancels correlated
-      // bits (any (session ^ d, prefix') pair with matching prefix-hash
-      // delta d collides deterministically).
-      return util::hash_combine(std::hash<std::uint64_t>{}(k.session),
-                                topo::PrefixHash{}(k.prefix));
-    }
-  };
-
  private:
   struct MraiState {
     double ready_at = 0.0;
     bool flush_scheduled = false;
-    // Monotone per-(session, prefix) send counter stamped into every
-    // UpdateMessage, so delivery can reject superseded in-flight updates.
-    std::uint64_t next_seq = 0;
+    // Delivery time of the last update sent on this (session, prefix); the
+    // next one is never due earlier. Not checkpointed: a snapshot needs a
+    // quiesced engine, where every last_due is past and cannot bind again.
+    double last_due = 0.0;
   };
 
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
@@ -229,6 +217,9 @@ class BgpEngine {
   // per-prefix MRAI tables below. Throws for unknown sessions.
   std::uint32_t session_index(AsId from, AsId to) const;
   MraiState& mrai_state(AsId from, AsId to, const Prefix& prefix);
+  // The frontier bucket an arrival at `due` lands in: the first quantum
+  // boundary at or after it, delivered at bucket * pump_quantum.
+  std::int64_t bucket_of(double due) const;
   // Route the message into its quantum bucket (scheduling the bucket's pump
   // tick if this is the bucket's first message).
   void enqueue_delivery(double due, UpdateMessage msg);
@@ -237,10 +228,9 @@ class BgpEngine {
   void pump_frontier(std::int64_t bucket);
   // Apply the frontier messages msgs[pump_order_[lo..hi)], all addressed to
   // the speaker at dense index `r`, then notify and export its net best-route
-  // changes. Returns how many messages left flight (delivered or dropped as
-  // stale); requeued ones stay in flight.
-  std::size_t deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
-                         std::vector<UpdateMessage>& msgs, double now);
+  // changes.
+  void deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
+                  std::vector<UpdateMessage>& msgs, double now);
   void notify(AsId as, const Prefix& prefix);
   // Convergence-pump spans: a bgp.pump span covers each maximal period with
   // at least one update in flight (the 0 -> 1 transition opens it, the
@@ -255,9 +245,10 @@ class BgpEngine {
   util::Scheduler* sched_;
   EngineConfig cfg_;
   util::Rng rng_;
-  // Fault plane resolved at construction (faults::FaultPlane::current()).
-  // Disabled plane => every hook is one predictable branch; enabled plane
-  // injects session downtime, update loss (with retransmit), and delays.
+  // Fault plane resolved at construction (faults::FaultPlane::current()) and
+  // consulted only on send. Disabled plane => every hook is one predictable
+  // branch; enabled plane injects session downtime, update loss (with
+  // retransmit), and delays.
   faults::FaultPlane* faults_;
   // Adversary plane resolved at construction (AdversaryPlane::current()).
   // Disabled plane => no profiles applied, locked set still computed (the
@@ -285,13 +276,6 @@ class BgpEngine {
   std::vector<std::uint32_t> sess_base_;  // size n+1
   std::vector<AsId> sess_nbr_;            // size sess_base_.back()
   std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
-  // Highest sequence number applied per (session, prefix), sharded by the
-  // *receiving* AS index; only allocated and consulted when the fault plane
-  // is enabled (the only source of delivery reordering), so fault-free runs
-  // never touch it.
-  std::vector<std::unordered_map<SessionPrefixKey, std::uint64_t,
-                                 SessionPrefixKeyHash>>
-      delivered_seq_;
   std::vector<RouteObserver*> observers_;
 
   // Frontier buckets keyed by quantum index (bucket time = key * quantum).
@@ -327,8 +311,9 @@ class BgpEngine {
   // Fault-plane consequence counters; registered only when the plane is
   // enabled (like lg.faults.*) so fault-free reports stay byte-identical.
   // With them, the identity sent == announces + withdrawals + lost holds.
+  // updates_held counts sends whose delivery was raised to keep order.
   obs::Counter* c_updates_lost_ = nullptr;
-  obs::Counter* c_updates_stale_dropped_ = nullptr;
+  obs::Counter* c_updates_held_ = nullptr;
   obs::TraceRing* trace_;
   obs::SpanRegistry* spans_;
 };

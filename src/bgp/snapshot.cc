@@ -28,7 +28,6 @@
 
 #include "bgp/engine.h"
 #include "bgp/speaker.h"
-#include "faults/fault_plane.h"
 #include "util/codec.h"
 
 namespace lg::bgp {
@@ -39,7 +38,10 @@ constexpr std::uint32_t kEngineTag = 0x4e454742;   // "BGEN"
 constexpr std::uint32_t kSpeakerTag = 0x4b505342;  // "BSPK"
 // v2: SpeakerConfig grew the adversarial import policies (path_length_limit,
 // peerlock_filter) and their rejection counters.
-constexpr std::uint32_t kVersion = 2;
+// v3: deliveries keep per-(session, prefix) order by send-time due times, so
+// the MRAI entries lost their sequence counter and the delivered-sequence
+// tables are gone.
+constexpr std::uint32_t kVersion = 3;
 
 // One intern table: buffer address -> id when saving, id -> ref when
 // loading.
@@ -253,14 +255,13 @@ void BgpEngine::layout(Ar& ar, Self& self) {
   }
 
   // MRAI tables: one entry per directed session (mrai_state indexes them by
-  // session_index).
+  // session_index). last_due is left out: in a quiesced engine it is past.
   const std::size_t n_sessions = self.sess_nbr_.size();
   util::sorted_map(ar, self.mrai_, 13, [&](auto& p, auto& table) {
     prefix(ar, p);
-    ar.vec(table, 17, [&](auto& ms) {
+    ar.vec(table, 9, [&](auto& ms) {
       ar.f64(ms.ready_at);
       ar.b(ms.flush_scheduled);
-      ar.u64(ms.next_seq);
     });
     if (table.size() != n_sessions) {
       throw std::runtime_error(
@@ -270,32 +271,6 @@ void BgpEngine::layout(Ar& ar, Self& self) {
           "topology?)");
     }
   });
-
-  // Per-receiver delivered-sequence maps: one per speaker under the fault
-  // plane, none otherwise.
-  std::size_t n_seq = self.delivered_seq_.size();
-  ar.count(n_seq, 8);
-  if constexpr (Ar::kLoading) {
-    if (n_seq != 0 && n_seq != n_speakers) {
-      throw std::runtime_error(
-          "snapshot: " + std::to_string(n_seq) +
-          " delivered-sequence shards for " + std::to_string(n_speakers) +
-          " speakers (corrupt snapshot?)");
-    }
-    self.delivered_seq_.assign(n_seq, {});
-  }
-  for (auto& seqs : self.delivered_seq_) {
-    util::sorted_map(ar, seqs, 21, [&](auto& key, auto& seq) {
-      ar.u64(key.session);
-      prefix(ar, key.prefix);
-      ar.u64(seq);
-    });
-  }
-  // A fault-free snapshot restored under the fault plane starts with empty
-  // tables; the pump indexes one per receiver.
-  if constexpr (Ar::kLoading) {
-    if (self.faults_->enabled()) self.delivered_seq_.resize(n_speakers);
-  }
 
   SnapshotPools pools;
   std::size_t n = n_speakers;

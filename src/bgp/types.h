@@ -98,11 +98,6 @@ struct UpdateMessage {
   AsId from = topo::kInvalidAs;
   AsId to = topo::kInvalidAs;
   Prefix prefix;
-  // Per-(session, prefix) send sequence number, stamped by the engine. Lets
-  // the receive side detect a superseded in-flight update when fault-plane
-  // requeues reorder deliveries (an update sent earlier must never be
-  // applied after one sent later on the same session for the same prefix).
-  std::uint64_t seq = 0;
   PathRef path;                // valid iff type == kAnnounce; shared buffer
   CommunitiesRef communities;  // valid iff type == kAnnounce; shared buffer
   std::optional<AvoidHint> avoid_hint;  // valid iff type == kAnnounce

@@ -158,8 +158,9 @@ ScenarioResult run_scenario(const ScenarioOptions& opt) {
     fc = faults::FaultConfig::at_intensity(opt.fault_intensity);
     // The stock intensity mapping keeps extra delays far below the default
     // MRAI, so a delayed update can never be overtaken by a newer one.
-    // Stretch delays and tighten reset epochs to scenario timescales so
-    // in-flight reordering — the stale-redelivery hazard — actually occurs.
+    // Stretch delays and tighten reset epochs to scenario timescales so the
+    // reordering hazard — a newer update due before an older one on its
+    // session, which the engine must hold back — actually occurs.
     fc.update_delay_prob = 0.4 * opt.fault_intensity;
     fc.update_delay_max_seconds = 30.0 * opt.fault_intensity;
     fc.session_reset_period = 150.0;
@@ -189,9 +190,11 @@ ScenarioResult run_scenario(const ScenarioOptions& opt) {
   bgp::EngineConfig ec;
   ec.seed = rng.next_u64();
   // Vary advertisement pacing: short MRAIs are what let fault delays exceed
-  // the send gap on a session (and are common on real edge routers).
-  static constexpr double kMraiChoices[] = {2.0, 10.0, 30.0};
-  ec.default_mrai = kMraiChoices[rng.uniform_u32(3)];
+  // the send gap on a session (and are common on real edge routers). 0 and
+  // 1 ms sit below the link delay and the 5 ms pump quantum, so consecutive
+  // updates on a session are in flight together and must keep their order.
+  static constexpr double kMraiChoices[] = {0.0, 0.001, 2.0, 10.0, 30.0};
+  ec.default_mrai = kMraiChoices[rng.uniform_u32(5)];
   bgp::BgpEngine engine(gt.graph, sched, ec);
   ReferenceBgp ref(gt.graph);
   randomize_speaker_configs(rng, gt.graph, engine, ref);
@@ -341,7 +344,7 @@ ScenarioResult run_scenario(const ScenarioOptions& opt) {
     result.reexport_messages = engine.total_messages() - before;
   }
   result.faults_injected = plane.injected();
-  result.stale_drops = reg.counter("lg.bgp.updates_stale_dropped").value();
+  result.updates_held = reg.counter("lg.bgp.updates_held").value();
   return result;
 }
 

@@ -56,7 +56,7 @@ struct ScenarioResult {
   std::vector<Violation> violations;
   std::uint64_t reexport_messages = 0;  // must be 0 at a true fixpoint
   std::uint64_t faults_injected = 0;    // plane verdicts that perturbed the run
-  std::uint64_t stale_drops = 0;        // superseded in-flight updates dropped
+  std::uint64_t updates_held = 0;       // sends held back to keep order
 
   bool ok() const {
     return engine_quiesced && reference_converged && mismatches == 0 &&

@@ -330,7 +330,7 @@ void InvariantChecker::check_adj_out_consistency(
         if (!entry) {
           out.push_back({"adj_out_consistency",
                          "advertised route missing from receiver RIB "
-                         "(lost or stale-dropped update): " +
+                         "(lost update): " +
                              where});
           continue;
         }

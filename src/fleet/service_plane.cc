@@ -13,6 +13,7 @@
 #include "obs/trace.h"
 #include "run/trial_runner.h"
 #include "util/codec.h"
+#include "util/hashing.h"
 #include "util/rng.h"
 #include "workload/outage_stream.h"
 #include "workload/sim_world.h"
@@ -29,22 +30,6 @@ constexpr std::uint32_t kVersion = 2;
 
 constexpr std::uint8_t kNoSlot = 0xff;
 constexpr std::uint32_t kFreeSlot = 0xffffffffu;
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix_f64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_mix(h, bits);
-}
 
 // One formatted double for the fingerprint: fixed precision, no locale.
 void append_num(std::ostringstream& os, double v) {
@@ -171,7 +156,7 @@ class ServicePlane {
     report.episodes_opened = opened_;
     report.episodes_closed = closed_;
     report.outcomes = outcomes_;
-    report.fingerprint = fnv_;
+    report.fingerprint = fnv_.state;
     report.slot_leases = slot_leases_;
     report.slot_waits = slot_waits_;
     report.open_at_end = open_;
@@ -258,7 +243,7 @@ class ServicePlane {
     ar.u64(self.opened_);
     ar.u64(self.closed_);
     for (auto& o : self.outcomes_) ar.u64(o);
-    ar.u64(self.fnv_);
+    ar.u64(self.fnv_.state);
     ar.u64(self.slot_leases_);
     ar.u64(self.slot_waits_);
     ar.u64(self.total_records_);
@@ -606,14 +591,14 @@ class ServicePlane {
   }
 
   void push_record(const ServiceEpisodeRecord& rec) {
-    fnv_mix(fnv_, rec.key);
-    fnv_mix(fnv_, rec.client);
-    fnv_mix(fnv_, rec.blamed);
-    fnv_mix(fnv_, static_cast<std::uint64_t>(rec.outcome));
-    fnv_mix(fnv_, rec.flap_generation);
-    fnv_mix_f64(fnv_, rec.opened_at);
-    fnv_mix_f64(fnv_, rec.remediated_at);
-    fnv_mix_f64(fnv_, rec.closed_at);
+    fnv_.u64(rec.key);
+    fnv_.u64(rec.client);
+    fnv_.u64(rec.blamed);
+    fnv_.u64(static_cast<std::uint64_t>(rec.outcome));
+    fnv_.u64(rec.flap_generation);
+    fnv_.f64(rec.opened_at);
+    fnv_.f64(rec.remediated_at);
+    fnv_.f64(rec.closed_at);
     if (cfg_->record_ring == 0) {
       ++total_records_;
       return;
@@ -661,7 +646,7 @@ class ServicePlane {
   std::uint64_t opened_ = 0;
   std::uint64_t closed_ = 0;
   std::array<std::uint64_t, 7> outcomes_{};
-  std::uint64_t fnv_ = kFnvOffset;
+  util::Fnv1a fnv_;
   std::uint64_t slot_leases_ = 0;
   std::uint64_t slot_waits_ = 0;
   std::vector<ServiceEpisodeRecord> records_;

@@ -56,8 +56,8 @@ const char* trace_kind_name(TraceKind k) noexcept {
       return "decision_deferred";
     case TraceKind::kUpdateLost:
       return "update_lost";
-    case TraceKind::kStaleUpdateDropped:
-      return "stale_update_dropped";
+    case TraceKind::kUpdateHeld:
+      return "update_held";
     case TraceKind::kEpisodeStateChange:
       return "episode_state_change";
     case TraceKind::kEpisodeOpened:

@@ -51,9 +51,10 @@ enum class TraceKind : std::uint8_t {
   kDecisionDeferred,
   // Engine-side fault consequences. a = sender AS, b = receiver AS.
   // An update counted as sent but eaten by the fault plane (retransmit
-  // scheduled), and a superseded in-flight update dropped at delivery.
+  // scheduled), and a send whose delivery was raised to the previous one's
+  // on its (session, prefix) to keep order.
   kUpdateLost,
-  kStaleUpdateDropped,
+  kUpdateHeld,
   // Fleet service plane (lg::fleet). a = target address, b = kind-specific
   // (episode state code, blamed AS); value = deferral age / token level.
   kEpisodeStateChange,

@@ -1,13 +1,15 @@
 // BGP engine mechanics: propagation, withdrawal, MRAI batching, split
-// horizon, export policy, counters, and observer plumbing.
+// horizon, export policy, counters, observer plumbing, and per-(session,
+// prefix) delivery order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "bgp/collector.h"
 #include "bgp/engine.h"
 #include "check/audit.h"
+#include "check/invariants.h"
 #include "obs/metrics.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
@@ -261,40 +263,43 @@ TEST_F(EngineTest, ResetCountersZeroesObsCounters) {
             engine_.total_messages());
 }
 
-TEST(SessionPrefixKeyHashTest, HashCombineBreaksXorCollisionFamily) {
-  // The pre-hash_combine implementation was
-  //   H(session) ^ (PrefixHash(prefix) * 0x9e3779b97f4a7c15)
-  // which collides deterministically for any pair of keys whose session
-  // hashes differ by exactly the XOR of the two prefix terms. Build such a
-  // pair and check the shipped hash separates it.
-  using Key = bgp::BgpEngine::SessionPrefixKey;
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  const auto old_hash = [&](const Key& k) {
-    return std::hash<std::uint64_t>{}(k.session) ^
-           (topo::PrefixHash{}(k.prefix) * kGolden);
+// Regression: at an MRAI below the link delay, consecutive updates on one
+// session are in flight together. A newer update used to arrive first and
+// be overwritten by the older one, so at quiescence the receiver's RIB-in
+// disagreed with the sender's Adj-RIB-Out. Deliveries on a (session,
+// prefix) now keep send order at any MRAI, with no fault plane involved.
+TEST(DeliveryOrderTest, SubLinkDelayMraiKeepsAdjOutConsistent) {
+  const topo::Fig2Topology topo = topo::make_fig2_topology();
+  const topo::Prefix prefix = topo::AddressPlan::production_prefix(topo.o);
+  const std::vector<AsPath> paths = {
+      AsPath{topo.o},
+      bgp::poisoned_path(topo.o, {topo.a}, 3),
+      AsPath{topo.o, topo.o, topo.o},
+      AsPath{topo.o},
   };
-
-  const topo::Prefix p1(0x0a000000u, 24);
-  const topo::Prefix p2(0x0a000100u, 24);
-  const std::uint64_t m1 = topo::PrefixHash{}(p1) * kGolden;
-  const std::uint64_t m2 = topo::PrefixHash{}(p2) * kGolden;
-
-  const std::uint64_t s1 = (77ull << 32) | 42ull;
-  const Key k1{s1, p1};
-  // libstdc++'s std::hash<uint64_t> is the identity, so this session value
-  // makes the old hash collide with k1 by construction.
-  const Key k2{s1 ^ m1 ^ m2, p2};
-  ASSERT_NE(k1, k2);
-  ASSERT_EQ(old_hash(k1), old_hash(k2)) << "collision premise broken";
-
-  const bgp::BgpEngine::SessionPrefixKeyHash h;
-  EXPECT_NE(h(k1), h(k2));
-
-  // And distinct sane keys (same session, different prefixes — the MRAI
-  // map's common case) keep distinct hashes too.
-  const Key a{s1, p1};
-  const Key b{s1, p2};
-  EXPECT_NE(h(a), h(b));
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    util::Scheduler sched;
+    bgp::EngineConfig ec;
+    ec.default_mrai = 0.0;
+    ec.seed = seed;
+    bgp::BgpEngine engine(topo.graph, sched, ec);
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      sched.at(1.0 + 0.002 * static_cast<double>(i),
+               [&engine, &topo, prefix, path = paths[i]] {
+                 bgp::OriginPolicy policy;
+                 policy.default_path = path;
+                 engine.originate(topo.o, prefix, policy);
+               });
+    }
+    sched.run();
+    ASSERT_TRUE(sched.empty());
+    std::vector<check::Violation> out;
+    check::InvariantChecker(engine).check_adj_out_consistency(out);
+    for (const auto& v : out) {
+      ADD_FAILURE() << "seed " << seed << " [" << v.invariant << "] "
+                    << v.detail;
+    }
+  }
 }
 
 }  // namespace

@@ -314,21 +314,21 @@ TEST(FuzzerTest, FaultySweepStillReachesTheCleanFixpoint) {
     seeds += " " + std::to_string(s);
   }
   EXPECT_TRUE(summary.ok()) << "failing seeds:" << seeds;
-  // The sweep must actually have been perturbed, including in-flight updates
-  // superseded across session resets (the stale-redelivery hazard) — a sweep
+  // The sweep must actually have been perturbed, including updates held back
+  // behind an older one on their session (the reordering hazard) — a sweep
   // where no fault ever fired proves nothing.
   std::uint64_t injected = 0;
-  std::uint64_t stale = 0;
+  std::uint64_t held = 0;
   for (std::uint64_t seed = 10001; seed < 10031; ++seed) {
     check::ScenarioOptions opt;
     opt.seed = seed;
     opt.fault_intensity = 0.6;
     const auto r = check::run_scenario(opt);
     injected += r.faults_injected;
-    stale += r.stale_drops;
+    held += r.updates_held;
   }
   EXPECT_GT(injected, 0u);
-  EXPECT_GT(stale, 0u);
+  EXPECT_GT(held, 0u);
 }
 
 TEST(FuzzerTest, ReplaySeedEnvRoundTrips) {

@@ -173,13 +173,13 @@ TEST(FaultPlane, BgpConvergesToCleanFixpointUnderFaults) {
 }
 
 // Regression: a delayed in-flight announce must not overwrite newer state.
-// With an extra propagation delay larger than the session's MRAI, an old
-// announce can arrive AFTER the announce that superseded it; before
-// sequence-stamped deliveries the receiver would re-apply the stale path and
-// stay pinned to it (Adj-RIB-Out and the neighbor's RIB-in disagreeing)
-// until some unrelated update. Drive origin churn under heavy delay and
-// check sender/receiver consistency plus equality with the clean fixpoint
-// at quiescence.
+// With an extra propagation delay larger than the session's MRAI, a newer
+// announce would be due before the one it supersedes; unless the engine
+// holds it back, the receiver applies the stale path last and stays pinned
+// to it (Adj-RIB-Out and the neighbor's RIB-in disagreeing) until some
+// unrelated update. Drive origin churn under heavy delay and check
+// sender/receiver consistency plus equality with the clean fixpoint at
+// quiescence.
 TEST(FaultPlane, StaleInFlightRedeliveryCannotPinOldRoutes) {
   const auto best_paths = [](bool faulty) {
     obs::MetricsRegistry reg;
@@ -225,10 +225,11 @@ TEST(FaultPlane, StaleInFlightRedeliveryCannotPinOldRoutes) {
       ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
     }
 
-    // The scenario is only meaningful if deliveries really were reordered.
+    // The scenario is only meaningful if some update really had to be held
+    // back behind an older one.
     if (faulty) {
-      EXPECT_GT(reg.counter("lg.bgp.updates_stale_dropped").value(), 0u)
-          << "no stale redelivery occurred; the regression is untested";
+      EXPECT_GT(reg.counter("lg.bgp.updates_held").value(), 0u)
+          << "no update was held to keep order; the regression is untested";
     }
 
     std::vector<bgp::AsPath> result;
@@ -239,6 +240,44 @@ TEST(FaultPlane, StaleInFlightRedeliveryCannotPinOldRoutes) {
     return result;
   };
   EXPECT_EQ(best_paths(false), best_paths(true));
+}
+
+// An update whose arrival falls inside a reset of its session is held until
+// the session is back up: its delivery time is moved past the down window
+// when it is sent, and the pump never looks at the fault plane again.
+TEST(FaultPlane, UpdateArrivingDuringSessionResetWaitsForRestore) {
+  faults::FaultConfig cfg;
+  cfg.enabled = true;
+  cfg.session_reset_period = 100.0;
+  cfg.session_reset_prob = 1.0;  // every session resets in every epoch
+  cfg.session_down_seconds = 30.0;
+  faults::FaultPlane plane(cfg);
+  faults::ScopedFaultPlane scope(plane);
+
+  // Where the first 1 -> 2 reset after t = 1 s begins, to the millisecond.
+  double start = 1.0;
+  while (!plane.session_up(1, 2, start)) start += 0.001;
+  while (plane.session_up(1, 2, start)) start += 0.001;
+  const double restored = plane.session_restored_at(1, 2, start);
+
+  topo::AsGraph graph;
+  graph.add_as(1);
+  graph.add_as(2);
+  graph.add_link(2, 1, topo::Rel::kCustomer);
+  util::Scheduler sched;
+  bgp::BgpEngine engine(graph, sched);
+  const auto prefix = topo::AddressPlan::production_prefix(1);
+  // Sent while the session is still up, due 5-45 ms later: inside the reset.
+  sched.at(start - 0.005, [&engine, prefix] {
+    bgp::OriginPolicy policy;
+    policy.default_path = bgp::AsPath{1};
+    engine.originate(1, prefix, policy);
+  });
+  sched.run(restored);
+  EXPECT_EQ(engine.best_route(2, prefix), nullptr);
+  sched.run();
+  EXPECT_NE(engine.best_route(2, prefix), nullptr);
+  EXPECT_GT(engine.last_activity_time(), restored);
 }
 
 // Regression: lost updates are booked under their own counter, keeping
@@ -273,7 +312,7 @@ TEST(FaultPlane, LostUpdatesKeepTheSentCounterIdentity) {
   EXPECT_EQ(sent, announces + withdrawals + lost);
 }
 
-// Without an enabled fault plane the loss/stale counters must not even be
+// Without an enabled fault plane the loss/held counters must not even be
 // registered — fault-free run reports stay byte-identical.
 TEST(FaultPlane, FaultFreeRunsRegisterNoLossCounters) {
   obs::MetricsRegistry reg;
@@ -288,7 +327,7 @@ TEST(FaultPlane, FaultFreeRunsRegisterNoLossCounters) {
   sched.run();
   for (const auto* c : reg.counters()) {
     EXPECT_NE(c->name(), "lg.bgp.updates_lost");
-    EXPECT_NE(c->name(), "lg.bgp.updates_stale_dropped");
+    EXPECT_NE(c->name(), "lg.bgp.updates_held");
   }
   EXPECT_GT(reg.counter("lg.bgp.updates_sent").value(), 0u);
 }

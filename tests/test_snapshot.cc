@@ -24,6 +24,7 @@
 #include "fleet/service_plane.h"
 #include "topology/addressing.h"
 #include "util/codec.h"
+#include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 #include "workload/sim_world.h"
@@ -331,7 +332,9 @@ TEST(EngineSnapshotTest, RejectsMraiTablesSizedForAnotherTopology) {
             std::string::npos);
 }
 
-TEST(EngineSnapshotTest, FaultPlaneEngineKeepsOneSequenceTablePerSpeaker) {
+// A fault-free blob loads into an engine built under the fault plane, and
+// the restored engine pumps an update through it.
+TEST(EngineSnapshotTest, FaultFreeBlobLoadsUnderTheFaultPlane) {
   std::string clean_blob;
   {
     workload::SimWorld world(workload::SimWorld::small_config(7));
@@ -343,7 +346,6 @@ TEST(EngineSnapshotTest, FaultPlaneEngineKeepsOneSequenceTablePerSpeaker) {
   faults::ScopedFaultPlane scope(plane);
   workload::SimWorld world(workload::SimWorld::small_config(7));
   EXPECT_EQ(load_error(world.engine(), clean_blob), "");
-  // The pump consults the per-receiver sequence tables on every delivery.
   const topo::AsId origin = world.topology().stubs.front();
   const topo::Prefix prefix(0x0c000000u, 24);
   bgp::OriginPolicy pol;
@@ -352,40 +354,31 @@ TEST(EngineSnapshotTest, FaultPlaneEngineKeepsOneSequenceTablePerSpeaker) {
   world.converge();
   EXPECT_NE(world.engine().best_route(world.topology().stubs.back(), prefix),
             nullptr);
+}
 
-  // Zero tables or one per speaker; any other count is corruption. On a
-  // fresh four-AS engine the count follows the magic (8 bytes), RNG (25),
-  // four scalar counters (32), two per-AS counter vectors (2 x 40) and an
-  // empty MRAI map (8).
+// Version 2 engine blobs carried per-(session, prefix) sequence counters;
+// this build reads version 3 only and says so.
+TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
   const topo::AsGraph chain = chain_graph();
   util::Scheduler sched;
   bgp::BgpEngine engine(chain, sched, bgp::EngineConfig{});
   util::BinWriter w;
   engine.serialize(w);
   std::string blob = w.take();
-  constexpr std::size_t kSeqCountOffset = 8 + 25 + 32 + 2 * 40 + 8;
-  ASSERT_EQ(static_cast<unsigned char>(blob[kSeqCountOffset]), 4u);
-  blob[kSeqCountOffset] = 3;
-  EXPECT_NE(load_error(engine, blob).find("delivered-sequence"),
+  // The section opens with its tag, then its version as a little-endian u32.
+  ASSERT_EQ(static_cast<unsigned char>(blob[4]), 3u);
+  blob[4] = 2;
+  EXPECT_NE(load_error(engine, blob).find("section version 2"),
             std::string::npos);
 }
 
 // ---------------------------------------------------------- golden bytes
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // FNV-1a digests of checkpoint blobs as the format stands. Tags, versions
 // and field order are all part of the canon: existing checkpoints must keep
 // loading, so a change here is a format change.
-constexpr std::uint64_t kShardBlobDigest = 0x98293aae098aeb1eULL;
-constexpr std::uint64_t kEngineBlobDigest = 0xd4814602368f66dcULL;
+constexpr std::uint64_t kShardBlobDigest = 0x8cc2dea209ce3eb7ULL;
+constexpr std::uint64_t kEngineBlobDigest = 0x5fc5ef7a607bf977ULL;
 
 TEST(GoldenCheckpointTest, ServiceShardBlobIsPinned) {
   // The small config of tests/test_service_plane.cc, checkpointed mid-stream.
@@ -406,13 +399,13 @@ TEST(GoldenCheckpointTest, ServiceShardBlobIsPinned) {
   ASSERT_EQ(half.shards.size(), 4u);
   const std::string& blob = half.shards[2].checkpoint;
   ASSERT_FALSE(blob.empty());
-  EXPECT_EQ(fnv1a(blob), kShardBlobDigest) << "size " << blob.size();
+  EXPECT_EQ(util::fnv1a(blob), kShardBlobDigest) << "size " << blob.size();
 }
 
 // An engine state that fills every field the service plane leaves empty:
-// delivered-sequence shards (fault plane on), damping entries, an origin
-// policy with per-neighbour overrides, communities and an avoid hint, and a
-// forced egress.
+// damping entries, an origin policy with per-neighbour overrides,
+// communities and an avoid hint, and a forced egress, all converged under
+// the fault plane.
 std::string rich_engine_blob() {
   faults::FaultPlane plane(faults::FaultConfig::at_intensity(0.3));
   faults::ScopedFaultPlane scope(plane);
@@ -445,7 +438,7 @@ std::string rich_engine_blob() {
 
 TEST(GoldenCheckpointTest, RichEngineSnapshotIsPinned) {
   const std::string blob = rich_engine_blob();
-  EXPECT_EQ(fnv1a(blob), kEngineBlobDigest) << "size " << blob.size();
+  EXPECT_EQ(util::fnv1a(blob), kEngineBlobDigest) << "size " << blob.size();
 }
 
 }  // namespace
