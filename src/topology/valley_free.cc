@@ -1,28 +1,44 @@
 #include "topology/valley_free.h"
 
-#include <deque>
-#include <unordered_map>
+#include <algorithm>
+#include <stdexcept>
 
 namespace lg::topo {
 
 namespace {
 
-// BFS state: which AS we are at and whether we may still travel "up"
-// (customer->provider) or "across" (one peer edge). After the first down or
-// across move only provider->customer edges are legal.
-enum class Phase : std::uint8_t { kUp = 0, kDown = 1 };
-
-struct SearchState {
-  AsId as;
-  Phase phase;
-};
-
-std::uint64_t state_key(const SearchState& s) {
-  return (static_cast<std::uint64_t>(s.as) << 1) |
-         static_cast<std::uint64_t>(s.phase);
-}
+// A BFS state packs a dense AS index with whether the path may still travel
+// "up" (customer->provider) or "across" (one peer edge): index << 1 | phase.
+// After the first down or across move only provider->customer edges are
+// legal.
+constexpr std::uint32_t kUp = 0;
+constexpr std::uint32_t kDown = 1;
+constexpr std::uint32_t kUnseen = 0xffffffffu;
+constexpr std::uint32_t kBlocked = 0xfffffffeu;
 
 }  // namespace
+
+ValleyFreeOracle::ValleyFreeOracle(const AsGraph& graph)
+    : graph_(&graph),
+      num_ases_(graph.num_ases()),
+      num_links_(graph.num_links()),
+      ids_(graph.as_ids()) {
+  first_.reserve(ids_.size() + 1);
+  arcs_.reserve(2 * num_links_);
+  first_.push_back(0);
+  for (const AsId id : ids_) {
+    for (const Neighbor& n : graph.neighbors(id)) {
+      arcs_.push_back({index_of(n.id), n.rel});
+    }
+    first_.push_back(static_cast<std::uint32_t>(arcs_.size()));
+  }
+}
+
+std::uint32_t ValleyFreeOracle::index_of(AsId id) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it == ids_.end() || *it != id) return kNoIndex;
+  return static_cast<std::uint32_t>(it - ids_.begin());
+}
 
 bool ValleyFreeOracle::reachable(AsId src, AsId dst,
                                  const Avoidance& avoid) const {
@@ -31,67 +47,55 @@ bool ValleyFreeOracle::reachable(AsId src, AsId dst,
 
 std::vector<AsId> ValleyFreeOracle::shortest_path(
     AsId src, AsId dst, const Avoidance& avoid) const {
-  if (!graph_->has_as(src) || !graph_->has_as(dst)) return {};
+  if (graph_->num_ases() != num_ases_ || graph_->num_links() != num_links_) {
+    throw std::logic_error(
+        "ValleyFreeOracle: the graph changed after the oracle was built");
+  }
+  const std::uint32_t s = index_of(src);
+  const std::uint32_t d = index_of(dst);
+  if (s == kNoIndex || d == kNoIndex) return {};
   if (avoid.blocks_as(src) || avoid.blocks_as(dst)) return {};
   if (src == dst) return {src};
 
-  // Dense parent table when AS ids are compact (the generator issues
-  // sequential ids); the BFS is the hot path of the §5.1 bulk simulation.
-  std::uint64_t max_id = 0;
-  for (const AsId id : {src, dst}) max_id = std::max<std::uint64_t>(max_id, id);
-  // Conservative bound: ids seen while expanding may exceed src/dst.
-  std::vector<std::uint64_t> dense;
-  std::unordered_map<std::uint64_t, std::uint64_t> sparse;
-  constexpr std::uint64_t kUnset = ~std::uint64_t{0};
-  const std::size_t dense_limit = 1 << 21;  // ~2M states max for dense mode
-
-  auto ensure = [&](std::uint64_t key) -> std::uint64_t& {
-    if (key < dense_limit) {
-      if (dense.size() <= key) dense.resize(std::min<std::size_t>(dense_limit, std::max<std::size_t>(key + 1, dense.size() * 2 + 64)), kUnset);
-      return dense[key];
+  // parent[state] is the state it was reached from (the start is its own
+  // parent). Avoided ASes are pre-marked in both phases, so they are never
+  // entered.
+  std::vector<std::uint32_t> parent(2 * ids_.size(), kUnseen);
+  for (const AsId id : avoid.ases) {
+    if (const std::uint32_t i = index_of(id); i != kNoIndex) {
+      parent[i << 1 | kUp] = parent[i << 1 | kDown] = kBlocked;
     }
-    return sparse.try_emplace(key, kUnset).first->second;
-  };
-
-  std::deque<SearchState> queue;
-  const SearchState start{src, Phase::kUp};
-  ensure(state_key(start)) = state_key(start);
+  }
+  const bool avoid_links = !avoid.links.empty();
+  std::vector<std::uint32_t> queue;
+  const std::uint32_t start = s << 1 | kUp;
+  parent[start] = start;
   queue.push_back(start);
-
-  auto reconstruct = [&](SearchState end) {
-    std::vector<AsId> path;
-    std::uint64_t cur = state_key(end);
-    while (true) {
-      path.push_back(static_cast<AsId>(cur >> 1));
-      const std::uint64_t prev =
-          cur < dense_limit ? dense[cur] : sparse.at(cur);
-      if (prev == cur) break;
-      cur = prev;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-  };
-
-  while (!queue.empty()) {
-    const SearchState cur = queue.front();
-    queue.pop_front();
-    for (const auto& n : graph_->neighbors(cur.as)) {
-      if (avoid.blocks_as(n.id) || avoid.blocks_link(cur.as, n.id)) continue;
-      SearchState next{n.id, Phase::kDown};
-      if (cur.phase == Phase::kUp) {
-        if (n.rel == Rel::kProvider) {
-          next.phase = Phase::kUp;  // still climbing
-        }
-        // peer or customer edge: transitions to kDown (handled by default)
-      } else {
-        if (n.rel != Rel::kCustomer) continue;  // only downhill after apex
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::uint32_t cur = queue[head];
+    const std::uint32_t at = cur >> 1;
+    const bool up = (cur & 1) == kUp;
+    for (std::uint32_t e = first_[at]; e < first_[at + 1]; ++e) {
+      const Arc arc = arcs_[e];
+      if (!up && arc.rel != Rel::kCustomer) continue;  // downhill after apex
+      if (avoid_links && avoid.blocks_link(ids_[at], ids_[arc.to])) continue;
+      // Climbing continues only over a provider edge; a peer or customer
+      // edge is the apex.
+      const std::uint32_t next =
+          arc.to << 1 | (up && arc.rel == Rel::kProvider ? kUp : kDown);
+      if (parent[next] != kUnseen) continue;
+      parent[next] = cur;
+      if (arc.to != d) {
+        queue.push_back(next);
+        continue;
       }
-      const auto key = state_key(next);
-      auto& slot = ensure(key);
-      if (slot != kUnset) continue;
-      slot = state_key(cur);
-      if (n.id == dst) return reconstruct(next);
-      queue.push_back(next);
+      std::vector<AsId> path;
+      for (std::uint32_t st = next;; st = parent[st]) {
+        path.push_back(ids_[st >> 1]);
+        if (parent[st] == st) break;
+      }
+      std::reverse(path.begin(), path.end());
+      return path;
     }
   }
   return {};
