@@ -64,19 +64,28 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
     }
   }
   // Dense directed-session layout for the flat MRAI tables: each AS's
-  // sorted neighbor ids, concatenated, with prefix-sum offsets.
-  sess_base_.assign(n + 1, 0);
+  // sorted neighbor ids, concatenated, with prefix-sum offsets; and the
+  // graph-order -> slot permutation the export fan-out walks. Every link
+  // is two directed sessions.
+  const std::size_t sessions = 2 * graph.num_links();
+  sess_base_.reserve(n + 1);
+  sess_base_.push_back(0);
+  sess_nbr_.reserve(sessions);
+  export_slot_.resize(sessions);
+  std::vector<std::pair<AsId, std::uint32_t>> by_id;  // (neighbor, position)
   for (std::size_t i = 0; i < n; ++i) {
-    sess_base_[i + 1] =
-        sess_base_[i] +
-        static_cast<std::uint32_t>(graph.neighbors(as_ids_[i]).size());
-  }
-  sess_nbr_.resize(sess_base_[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    AsId* seg = sess_nbr_.data() + sess_base_[i];
-    std::size_t k = 0;
-    for (const auto& nb : graph.neighbors(as_ids_[i])) seg[k++] = nb.id;
-    std::sort(seg, seg + k);
+    const auto& ns = graph.neighbors(as_ids_[i]);
+    by_id.clear();
+    for (std::uint32_t k = 0; k < ns.size(); ++k) {
+      by_id.emplace_back(ns[k].id, k);
+    }
+    std::sort(by_id.begin(), by_id.end());
+    const std::uint32_t base = sess_base_.back();
+    for (std::uint32_t slot = 0; slot < by_id.size(); ++slot) {
+      sess_nbr_.push_back(by_id[slot].first);
+      export_slot_[base + by_id[slot].second] = slot;
+    }
+    sess_base_.push_back(static_cast<std::uint32_t>(sess_nbr_.size()));
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
@@ -151,140 +160,141 @@ void BgpEngine::remove_observer(RouteObserver* observer) {
 }
 
 void BgpEngine::originate(AsId as, const Prefix& prefix, OriginPolicy policy) {
-  speaker(as).set_origin_policy(prefix, std::move(policy));
-  schedule_exports(as, prefix);
+  const std::uint32_t i = checked_index(as);
+  speakers_[i].set_origin_policy(prefix, std::move(policy));
+  schedule_exports(i, prefix, speakers_[i].find_state(prefix));
 }
 
 void BgpEngine::withdraw(AsId as, const Prefix& prefix) {
-  speaker(as).clear_origin_policy(prefix);
-  schedule_exports(as, prefix);
+  const std::uint32_t i = checked_index(as);
+  speakers_[i].clear_origin_policy(prefix);
+  schedule_exports(i, prefix, speakers_[i].find_state(prefix));
 }
 
-void BgpEngine::schedule_exports(AsId from, const Prefix& prefix) {
-  for (const auto& n : graph_->neighbors(from)) {
-    try_send(from, n.id, prefix);
+void BgpEngine::schedule_exports(std::uint32_t fi, const Prefix& prefix,
+                                 BgpSpeaker::PrefixState* st) {
+  const std::uint32_t base = sess_base_[fi];
+  const std::uint32_t end = sess_base_[fi + 1];
+  if (base == end) return;
+  MraiState* mrai = mrai_table(prefix).data() + base;
+  for (std::uint32_t k = base; k < end; ++k) {
+    const std::uint32_t slot = export_slot_[k];
+    try_send(fi, slot, prefix, st, mrai[slot]);
   }
 }
 
-double BgpEngine::mrai_for(AsId from) {
-  const double base = speaker(from).config().mrai_seconds >= 0.0
-                          ? speaker(from).config().mrai_seconds
-                          : cfg_.default_mrai;
+double BgpEngine::mrai_for(std::uint32_t fi) {
+  const double own = speakers_[fi].config().mrai_seconds;
+  const double base = own >= 0.0 ? own : cfg_.default_mrai;
   const double lo = base * (1.0 - cfg_.mrai_jitter_frac);
   return rng_.uniform(lo, base);
 }
 
-std::uint32_t BgpEngine::session_index(AsId from, AsId to) const {
-  const std::uint32_t fi = checked_index(from);
-  const AsId* lo = sess_nbr_.data() + sess_base_[fi];
-  const AsId* hi = sess_nbr_.data() + sess_base_[fi + 1];
-  const AsId* it = std::lower_bound(lo, hi, to);
-  if (it == hi || *it != to) {
-    throw std::out_of_range("no session " + std::to_string(from) + "->" +
-                            std::to_string(to));
-  }
-  return sess_base_[fi] + static_cast<std::uint32_t>(it - lo);
-}
-
-BgpEngine::MraiState& BgpEngine::mrai_state(AsId from, AsId to,
-                                            const Prefix& prefix) {
-  const std::uint32_t idx = session_index(from, to);
+std::vector<BgpEngine::MraiState>& BgpEngine::mrai_table(
+    const Prefix& prefix) {
   std::vector<MraiState>& table = mrai_[prefix];
   if (table.empty()) table.resize(sess_nbr_.size());
-  return table[idx];
+  return table;
 }
 
-void BgpEngine::try_send(AsId from, AsId to, const Prefix& prefix) {
-  auto& mrai = mrai_state(from, to, prefix);
+BgpEngine::MraiState& BgpEngine::mrai_entry(std::uint32_t fi,
+                                            std::uint32_t slot,
+                                            const Prefix& prefix) {
+  return mrai_table(prefix)[sess_base_[fi] + slot];
+}
+
+void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
+                         const Prefix& prefix) {
+  try_send(fi, slot, prefix, speakers_[fi].find_state(prefix),
+           mrai_entry(fi, slot, prefix));
+}
+
+void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
+                         const Prefix& prefix, BgpSpeaker::PrefixState* st,
+                         MraiState& mrai) {
   const double now = sched_->now();
   if (now >= mrai.ready_at) {
-    send_now(from, to, prefix, mrai);
+    send_now(fi, slot, prefix, st, mrai);
     return;
   }
   if (!mrai.flush_scheduled) {
     mrai.flush_scheduled = true;
     c_mrai_deferrals_->inc();
-    trace_->record(now, obs::TraceKind::kMraiDefer, from, to,
-                   mrai.ready_at - now);
-    sched_->at(mrai.ready_at, [this, from, to, prefix] {
-      auto& m = mrai_state(from, to, prefix);
+    trace_->record(now, obs::TraceKind::kMraiDefer, as_ids_[fi],
+                   sess_nbr_[sess_base_[fi] + slot], mrai.ready_at - now);
+    sched_->at(mrai.ready_at, [this, fi, slot, prefix] {
+      MraiState& m = mrai_entry(fi, slot, prefix);
       m.flush_scheduled = false;
-      send_now(from, to, prefix, m);
+      send_now(fi, slot, prefix, speakers_[fi].find_state(prefix), m);
     });
   }
 }
 
-void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
+void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
+                         const Prefix& prefix, BgpSpeaker::PrefixState* st,
                          MraiState& mrai) {
+  const AsId from = as_ids_[fi];
+  const AsId to = sess_nbr_[sess_base_[fi] + slot];
+  const double now = sched_->now();
   // Fault plane: a reset session sends nothing. Retry once it is back up —
   // the diff against Adj-RIB-Out then sends whatever is current, so the
   // control plane stays eventually consistent through the outage.
-  if (faults_->enabled() && !faults_->session_up(from, to, sched_->now())) {
-    faults_->note_session_hit(from, to, sched_->now());
-    const double up = faults_->session_restored_at(from, to, sched_->now());
+  if (faults_->enabled() && !faults_->session_up(from, to, now)) {
+    faults_->note_session_hit(from, to, now);
+    const double up = faults_->session_restored_at(from, to, now);
     sched_->at(up + 1e-3,
-               [this, from, to, prefix] { try_send(from, to, prefix); });
+               [this, fi, slot, prefix] { try_send(fi, slot, prefix); });
     return;
   }
-  const std::uint32_t from_idx = checked_index(from);
-  BgpSpeaker& sender = speakers_[from_idx];
-  const auto current = sender.export_path(prefix, to);
-  const auto state = sender.adj_out_state(prefix, to);
-  const bool had_advertised = state == BgpSpeaker::AdjOutState::kAdvertised;
-  if (state == BgpSpeaker::AdjOutState::kNeverAdvertised) {
+  if (st == nullptr) return;  // no state: nothing to say, nothing said
+  BgpSpeaker& sender = speakers_[fi];
+  std::optional<BgpSpeaker::ExportUnit> current = sender.export_unit(*st, slot);
+  if (sender.adj_out_state(*st, slot) ==
+      BgpSpeaker::AdjOutState::kNeverAdvertised) {
     if (!current) return;  // never advertised, nothing now
-  } else if (sender.adj_out_unit(prefix, to) == current) {
-    return;  // nothing new to say
+  } else if (sender.adj_out_equals(*st, slot, current)) {
+    return;  // nothing new to say (a withdrawal gets past only if advertised)
   }
+  // Fault plane: decide loss BEFORE recording the Adj-RIB-Out. A lost update
+  // must leave adj-out untouched, or the retransmit scheduled here would see
+  // "already advertised" and never re-send.
+  if (faults_->enabled() && faults_->lose_update(from, to, now)) {
+    mrai.ready_at = now + mrai_for(fi);
+    ++total_messages_;
+    ++sent_by_[fi];
+    c_updates_sent_->inc();
+    // A lost update is neither an announce nor a withdrawal on the wire;
+    // book it under its own counter so sent == announces + withdrawals +
+    // lost stays an identity, and leave a trace of the eaten send.
+    c_updates_lost_->inc();
+    trace_->record(now, obs::TraceKind::kUpdateLost, from, to);
+    sched_->after(faults_->config().update_retransmit_seconds,
+                  [this, fi, slot, prefix] { try_send(fi, slot, prefix); });
+    return;
+  }
+  sender.record_advertised(*st, slot, current);
+  mrai.ready_at = now + mrai_for(fi);
 
+  ++total_messages_;
+  ++sent_by_[fi];
+  c_updates_sent_->inc();
   UpdateMessage msg;
   msg.from = from;
   msg.to = to;
   msg.prefix = prefix;
   if (current) {
     msg.type = MsgType::kAnnounce;
-    msg.path = current->path;
-    msg.communities = current->communities;
+    msg.path = std::move(current->path);
+    msg.communities = std::move(current->communities);
     msg.avoid_hint = current->avoid_hint;
-  } else {
-    if (!had_advertised) {  // adj-out holds an explicit "withdrawn" marker
-      sender.record_advertised(prefix, to, std::nullopt);
-      return;
-    }
-    msg.type = MsgType::kWithdraw;
-  }
-  // Fault plane: decide loss BEFORE recording the Adj-RIB-Out. A lost update
-  // must leave adj-out untouched, or the retransmit scheduled here would see
-  // "already advertised" and never re-send.
-  if (faults_->enabled() && faults_->lose_update(from, to, sched_->now())) {
-    mrai.ready_at = sched_->now() + mrai_for(from);
-    ++total_messages_;
-    ++sent_by_[from_idx];
-    c_updates_sent_->inc();
-    // A lost update is neither an announce nor a withdrawal on the wire;
-    // book it under its own counter so sent == announces + withdrawals +
-    // lost stays an identity, and leave a trace of the eaten send.
-    c_updates_lost_->inc();
-    trace_->record(sched_->now(), obs::TraceKind::kUpdateLost, from, to);
-    sched_->after(faults_->config().update_retransmit_seconds,
-                  [this, from, to, prefix] { try_send(from, to, prefix); });
-    return;
-  }
-  sender.record_advertised(prefix, to, current);
-  mrai.ready_at = sched_->now() + mrai_for(from);
-
-  ++total_messages_;
-  ++sent_by_[from_idx];
-  c_updates_sent_->inc();
-  if (msg.type == MsgType::kAnnounce) {
     c_announces_sent_->inc();
-    trace_->record(sched_->now(), obs::TraceKind::kUpdateSent, from, to);
+    trace_->record(now, obs::TraceKind::kUpdateSent, from, to);
   } else {
+    msg.type = MsgType::kWithdraw;
     c_withdrawals_sent_->inc();
-    trace_->record(sched_->now(), obs::TraceKind::kWithdrawSent, from, to);
+    trace_->record(now, obs::TraceKind::kWithdrawSent, from, to);
   }
   // The delivery time is final here; the pump never revisits it.
-  const double now = sched_->now();
   double due = now + link_delay();
   if (faults_->enabled()) {
     due += faults_->update_delay(from, to, now);
@@ -360,21 +370,20 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
   for (std::size_t k = lo; k < hi; ++k) {
     const UpdateMessage& msg =
         msgs[static_cast<std::uint32_t>(pump_order_[k])];
-    // Snapshot the pre-frontier best on first touch of each prefix, so the
-    // export step below can detect *net* route changes across the frontier.
+    // Resolve the receiver's state once per prefix, on first touch, and
+    // snapshot the pre-frontier best there, so the export step below can
+    // detect *net* route changes across the frontier.
     std::size_t touch = 0;
-    if (!single) {
-      while (touch < touches_.size() && touches_[touch].prefix != msg.prefix) {
-        ++touch;
-      }
-      if (touch == touches_.size()) {
-        touches_.push_back({msg.prefix, std::nullopt, false});
-        if (const Route* best = receiver.best_route(msg.prefix)) {
-          touches_.back().before = *best;
-        }
-      }
+    while (touch < touches_.size() && touches_[touch].prefix != msg.prefix) {
+      ++touch;
     }
-    const bool changed = receiver.process_update(msg, now);
+    if (touch == touches_.size()) {
+      BgpSpeaker::PrefixState& st = receiver.state_for(msg.prefix);
+      touches_.push_back(
+          {msg.prefix, &st, single ? std::nullopt : st.best, false});
+    }
+    PrefixTouch& t = touches_[touch];
+    const bool changed = receiver.process_update(*t.state, msg, now);
     last_activity_ = now;
     ++delivered_total_;
     c_updates_delivered_->inc();
@@ -383,28 +392,24 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
       ++best_changes_[r];
       c_best_path_changes_->inc();
       trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
-      if (single) {
-        touches_.push_back({msg.prefix, std::nullopt, true});
-      } else {
-        touches_[touch].changed = true;
-      }
+      t.changed = true;
     }
     // Flap damping: if this session is now suppressed, re-evaluate once the
     // penalty decays to the reuse threshold.
     if (receiver.config().damping_enabled) {
       if (const auto delay =
               receiver.damping_reuse_delay(msg.prefix, msg.from, now)) {
-        const AsId to = msg.to;
         const AsId from = msg.from;
         const Prefix prefix = msg.prefix;
-        sched_->after(*delay + 0.001, [this, to, from, prefix] {
-          BgpSpeaker& spk = speaker(to);
+        sched_->after(*delay + 0.001, [this, r, from, prefix] {
+          BgpSpeaker& spk = speakers_[r];
           if (spk.recheck_damping(prefix, from, sched_->now())) {
-            ++best_changes_[checked_index(to)];
+            ++best_changes_[r];
             c_best_path_changes_->inc();
-            trace_->record(sched_->now(), obs::TraceKind::kBestPathChange, to);
-            notify(to, prefix);
-            schedule_exports(to, prefix);
+            trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
+                           as_ids_[r]);
+            notify(as_ids_[r], prefix);
+            schedule_exports(r, prefix, spk.find_state(prefix));
           }
         });
       }
@@ -413,18 +418,10 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
   // Notify + export once per prefix with a *net* best-route change: a
   // frontier that flip-flops a best route inside one quantum produces no
   // spurious route event and no export churn.
-  const AsId rid = as_ids_[r];
   for (const PrefixTouch& t : touches_) {
-    if (!t.changed) continue;
-    if (!single) {
-      const Route* cur = receiver.best_route(t.prefix);
-      const bool same = cur == nullptr
-                            ? !t.before.has_value()
-                            : t.before.has_value() && *cur == *t.before;
-      if (same) continue;
-    }
-    notify(rid, t.prefix);
-    schedule_exports(rid, t.prefix);
+    if (!t.changed || (!single && t.state->best == t.before)) continue;
+    notify(as_ids_[r], t.prefix);
+    schedule_exports(r, t.prefix, t.state);
   }
 }
 
@@ -495,9 +492,9 @@ void BgpEngine::reset_counters() {
 }
 
 void BgpEngine::reexport_all() {
-  for (std::size_t i = 0; i < speakers_.size(); ++i) {
+  for (std::uint32_t i = 0; i < speakers_.size(); ++i) {
     for (const Prefix& prefix : speakers_[i].known_prefixes()) {
-      schedule_exports(as_ids_[i], prefix);
+      schedule_exports(i, prefix, speakers_[i].find_state(prefix));
     }
   }
 }
@@ -511,9 +508,11 @@ BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
     t.adj_out_slots += m.adj_out_slots;
     t.prefix_states += m.prefixes;
   }
-  // Engine-side per-session state: flat MRAI tables and the session layout.
+  // Engine-side per-session state: flat MRAI tables and the session layout,
+  // fan-out permutation included.
   t.bytes += sess_base_.capacity() * sizeof(std::uint32_t) +
-             sess_nbr_.capacity() * sizeof(AsId);
+             sess_nbr_.capacity() * sizeof(AsId) +
+             export_slot_.capacity() * sizeof(std::uint32_t);
   for (const auto& [p, table] : mrai_) {
     t.bytes += sizeof(p) + table.capacity() * sizeof(MraiState) + 32;
   }

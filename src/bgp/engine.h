@@ -6,6 +6,14 @@
 // and bookkeeping for the convergence/update-count measurements of §5.2 and
 // the load model of Table 2.
 //
+// An export fan-out (one sender, one prefix) resolves the sender's prefix
+// state and the prefix's MRAI table once, then offers the prefix to each
+// session by neighbor slot: the neighbor's rank in the sender's sorted
+// adjacency, which indexes both the MRAI table and the speaker's
+// Adj-RIB-Out. Sessions are visited in AsGraph::neighbors() order through a
+// permutation built at construction, because every send draws link delay
+// and MRAI jitter from the engine RNG; that order is part of the canon.
+//
 // Each update's delivery time is fixed once, when it is sent: the link
 // delay plus the fault plane's extra delay, moved past any session-down
 // window at the arrival instant, then raised to the previous delivery on
@@ -194,8 +202,11 @@ class BgpEngine {
 
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
+  // `state` is the receiver's state for the prefix, resolved on first touch
+  // and handed to the export fan-out.
   struct PrefixTouch {
     Prefix prefix;
+    BgpSpeaker::PrefixState* state = nullptr;
     std::optional<Route> before;
     bool changed = false;  // some message changed the best route
   };
@@ -209,14 +220,28 @@ class BgpEngine {
   std::uint32_t index_of(AsId id) const noexcept;
   std::uint32_t checked_index(AsId id) const;  // throws std::out_of_range
 
-  void schedule_exports(AsId from, const Prefix& prefix);
-  void try_send(AsId from, AsId to, const Prefix& prefix);
-  void send_now(AsId from, AsId to, const Prefix& prefix, MraiState& mrai);
-  // Dense directed-session index: rank of `to` within `from`'s sorted
-  // adjacency, offset by the per-AS prefix sum — the key into the flat
-  // per-prefix MRAI tables below. Throws for unknown sessions.
-  std::uint32_t session_index(AsId from, AsId to) const;
-  MraiState& mrai_state(AsId from, AsId to, const Prefix& prefix);
+  // Export fan-out of the speaker at index `fi` for `prefix`; `st` is that
+  // speaker's state for the prefix (nullptr: none). The prefix's MRAI table
+  // is resolved once, then every session is offered the prefix by neighbor
+  // slot, visited in AsGraph::neighbors() order because each send draws
+  // link delay and MRAI jitter from rng_.
+  void schedule_exports(std::uint32_t fi, const Prefix& prefix,
+                        BgpSpeaker::PrefixState* st);
+  // One session of a fan-out: `slot` is the neighbor's slot at the sender
+  // (its rank in the sorted adjacency), `mrai` the session's MRAI entry.
+  void try_send(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix,
+                BgpSpeaker::PrefixState* st, MraiState& mrai);
+  // The same with `st` and `mrai` re-resolved: the form the fault plane's
+  // retry closures call.
+  void try_send(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix);
+  void send_now(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix,
+                BgpSpeaker::PrefixState* st, MraiState& mrai);
+  // The per-(session, prefix) entry that deferred and retried sends
+  // re-resolve when their closures fire.
+  MraiState& mrai_entry(std::uint32_t fi, std::uint32_t slot,
+                        const Prefix& prefix);
+  // The prefix's MRAI table, created on first use.
+  std::vector<MraiState>& mrai_table(const Prefix& prefix);
   // The frontier bucket an arrival at `due` lands in: the first quantum
   // boundary at or after it, delivered at bucket * pump_quantum.
   std::int64_t bucket_of(double due) const;
@@ -238,7 +263,7 @@ class BgpEngine {
   // disabled this is an integer inc/dec plus one branch per message.
   void delivery_scheduled();
   void delivery_done();
-  double mrai_for(AsId from);
+  double mrai_for(std::uint32_t fi);
   double link_delay() { return rng_.uniform(cfg_.link_delay_min, cfg_.link_delay_max); }
 
   const topo::AsGraph* graph_;
@@ -267,14 +292,17 @@ class BgpEngine {
   std::vector<BgpSpeaker> speakers_;
 
   // Per-(session, prefix) MRAI state, stored as one flat vector per prefix
-  // indexed by the dense directed-session index (session_index). At
-  // Internet scale this replaces millions of hash-map nodes with a handful
-  // of contiguous tables: O(1) access after one prefix lookup, no rehash,
-  // 24 bytes/session. Directed sessions are laid out per sending AS via
-  // sess_base_ (prefix sums of degrees) over sess_nbr_ (each AS's sorted
-  // neighbor ids, concatenated).
-  std::vector<std::uint32_t> sess_base_;  // size n+1
-  std::vector<AsId> sess_nbr_;            // size sess_base_.back()
+  // indexed by the dense directed-session index. At Internet scale this
+  // replaces millions of hash-map nodes with a handful of contiguous tables:
+  // O(1) access after one prefix lookup, no rehash, 24 bytes/session.
+  // Directed sessions are laid out per sending AS via sess_base_ (prefix
+  // sums of degrees) over sess_nbr_ (each AS's sorted neighbor ids,
+  // concatenated), so session sess_base_[i] + s is AS i's neighbor slot s.
+  // export_slot_ lists each AS's slots in AsGraph::neighbors() order: the
+  // order a fan-out walks them.
+  std::vector<std::uint32_t> sess_base_;    // size n+1
+  std::vector<AsId> sess_nbr_;              // size sess_base_.back()
+  std::vector<std::uint32_t> export_slot_;  // size sess_base_.back()
   std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
   std::vector<RouteObserver*> observers_;
 

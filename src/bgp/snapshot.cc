@@ -254,8 +254,9 @@ void BgpEngine::layout(Ar& ar, Self& self) {
                              "(different topology?)");
   }
 
-  // MRAI tables: one entry per directed session (mrai_state indexes them by
-  // session_index). last_due is left out: in a quiesced engine it is past.
+  // MRAI tables: one entry per directed session, at sess_base_[sender] plus
+  // the neighbor's slot. last_due is left out: in a quiesced engine it is
+  // past.
   const std::size_t n_sessions = self.sess_nbr_.size();
   util::sorted_map(ar, self.mrai_, 13, [&](auto& p, auto& table) {
     prefix(ar, p);

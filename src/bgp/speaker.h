@@ -35,6 +35,7 @@
 
 namespace lg::bgp {
 
+class BgpEngine;
 struct SnapshotPools;
 
 struct SpeakerConfig {
@@ -146,6 +147,8 @@ class BgpSpeaker {
   // For re-exported routes the self-prepended path is computed once per
   // Loc-RIB change and shared by every neighbor (Adj-RIB-Out delta
   // encoding: per-neighbor state is a tag plus refs into the shared unit).
+  // This and the Adj-RIB-Out calls below are (prefix, neighbor) wrappers
+  // over the slot-level forms the engine's export fan-out uses.
   std::optional<ExportUnit> export_path(const Prefix& prefix,
                                         AsId neighbor) const;
 
@@ -229,6 +232,10 @@ class BgpSpeaker {
   static void layout(Ar& ar, Self& self, SnapshotPools& pools);
 
  private:
+  // The engine's export fan-out and import path resolve a prefix state once
+  // and then work by neighbor slot through the private slot-level calls.
+  friend class BgpEngine;
+
   struct DampingState {
     double penalty = 0.0;
     double last_update = 0.0;
@@ -287,6 +294,21 @@ class BgpSpeaker {
   bool import_acceptable(const UpdateMessage& msg);
   PrefixState& state_for(const Prefix& prefix);
   const PrefixState* find_state(const Prefix& prefix) const;
+  PrefixState* find_state(const Prefix& prefix);
+
+  // ---- Slot-level forms of the public (prefix, neighbor) calls: `st` is
+  // this speaker's state for msg.prefix / the exported prefix, `slot` a
+  // neighbor slot (kNoSlot: not a neighbor).
+  bool process_update(PrefixState& st, const UpdateMessage& msg, double now);
+  std::optional<ExportUnit> export_unit(const PrefixState& st,
+                                        std::uint32_t slot) const;
+  AdjOutState adj_out_state(const PrefixState& st, std::uint32_t slot) const;
+  // adj_out_unit() == unit at this slot, without building the advertised
+  // unit.
+  bool adj_out_equals(const PrefixState& st, std::uint32_t slot,
+                      const std::optional<ExportUnit>& unit) const;
+  void record_advertised(PrefixState& st, std::uint32_t slot,
+                         const std::optional<ExportUnit>& unit);
 
   AsId id_;
   const topo::AsGraph* graph_;
