@@ -19,9 +19,10 @@
 //      overall, 83% of those lasting >= 1 h.
 //
 // Determinism contract: stdout and BENCH_internet_scale.json are
-// byte-identical across runs; wall time and RSS — the nondeterministic
-// readings — go to stderr only. LG_RSS_CEILING_MB=<n> turns the peak-RSS
-// reading into an exit-code gate for CI.
+// byte-identical across runs; wall time (per cell: converge, poison,
+// oracle) and RSS — the nondeterministic readings — go to stderr only.
+// LG_RSS_CEILING_MB=<n> turns the peak-RSS reading into an exit-code gate
+// for CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -204,28 +205,31 @@ int main() {
 
   // ---- cell 3: §2.2 alternate-path sweep at scale ----
   bench::section("sec2.2 policy-compliant alternates (oracle sweep)");
-  const topo::ValleyFreeOracle oracle(topo.graph);
   util::Rng rng(2211, 0x70307030ULL);
   const std::size_t kSamples = 400;
   std::size_t outages = 0, with_alternate = 0;
   std::vector<AsId> vantage_pool = topo.stubs;
-  for (std::size_t i = 0; i < kSamples * 4 && outages < kSamples; ++i) {
-    const AsId src = rng.pick(vantage_pool);
-    if (src == origin) continue;
-    const bgp::Route* best = engine.best_route(src, prefix);
-    if (best == nullptr || best->path.empty()) continue;
-    // The culprit is a transit hop on src's current best path (§2.2's
-    // "AS where the failed traceroute terminated").
-    std::vector<AsId> hops;
-    for (const AsId hop : best->path.get()) {
-      if (hop != src && hop != origin) hops.push_back(hop);
-    }
-    if (hops.empty()) continue;
-    const AsId culprit =
-        hops[rng.uniform_u32(static_cast<std::uint32_t>(hops.size()))];
-    ++outages;
-    if (oracle.reachable(src, origin, topo::Avoidance::of_as(culprit))) {
-      ++with_alternate;
+  {
+    bench::WallClock wc("internet_scale/oracle", 1, 1);
+    const topo::ValleyFreeOracle oracle(topo.graph);
+    for (std::size_t i = 0; i < kSamples * 4 && outages < kSamples; ++i) {
+      const AsId src = rng.pick(vantage_pool);
+      if (src == origin) continue;
+      const bgp::Route* best = engine.best_route(src, prefix);
+      if (best == nullptr || best->path.empty()) continue;
+      // The culprit is a transit hop on src's current best path (§2.2's
+      // "AS where the failed traceroute terminated").
+      std::vector<AsId> hops;
+      for (const AsId hop : best->path.get()) {
+        if (hop != src && hop != origin) hops.push_back(hop);
+      }
+      if (hops.empty()) continue;
+      const AsId culprit =
+          hops[rng.uniform_u32(static_cast<std::uint32_t>(hops.size()))];
+      ++outages;
+      if (oracle.reachable(src, origin, topo::Avoidance::of_as(culprit))) {
+        ++with_alternate;
+      }
     }
   }
   const double frac =

@@ -19,7 +19,9 @@
 #include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "topology/generator.h"
 #include "topology/valley_free.h"
+#include "util/rng.h"
 #include "workload/outages.h"
 #include "workload/sim_world.h"
 
@@ -188,6 +190,40 @@ void BM_ValleyFreeReachability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValleyFreeReachability);
+
+// The same question at Internet scale, where the whole-graph BFS dominates:
+// a 10k-AS internet-scale graph and a fixed cycle of (stub, origin, culprit
+// on the stub's unconstrained path) queries, as the §2.2 sweep and the §5.1
+// poison decision ask them. Reported per query.
+void BM_ValleyFreeReachabilityAtScale(benchmark::State& state) {
+  topo::InternetScaleParams params;
+  params.total_ases = 10000;
+  params.seed = 17;
+  const auto topo = topo::generate_internet_scale(params);
+  const topo::ValleyFreeOracle oracle(topo.graph);
+  struct Query {
+    AsId src;
+    AsId origin;
+    topo::Avoidance avoid;
+  };
+  std::vector<Query> queries;
+  util::Rng rng(2211, 0x7363616c65ULL);  // "scale"
+  while (queries.size() < 64) {
+    const AsId src = rng.pick(topo.stubs);
+    const AsId origin = rng.pick(topo.stubs);
+    const auto path = oracle.shortest_path(src, origin);
+    if (path.size() < 3) continue;
+    const AsId culprit =
+        path[1 + rng.uniform_u32(static_cast<std::uint32_t>(path.size() - 2))];
+    queries.push_back({src, origin, topo::Avoidance::of_as(culprit)});
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Query& q = queries[next++ % queries.size()];
+    benchmark::DoNotOptimize(oracle.reachable(q.src, q.origin, q.avoid));
+  }
+}
+BENCHMARK(BM_ValleyFreeReachabilityAtScale)->Unit(benchmark::kMicrosecond);
 
 // Single-speaker hot paths, isolated from the scheduler: one transit AS
 // with two customer neighbors alternately announcing the same prefix. The

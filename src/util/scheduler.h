@@ -11,9 +11,11 @@
 // schedules one tick per delivery quantum.
 //
 // Cancelled events leave tombstones in the heap; when tombstones outnumber
-// live events the heap is compacted in place, so heavy cancel churn (fleet
-// watchdogs, damping re-checks racing withdrawals) cannot grow the queue
-// beyond a constant factor of the live event count.
+// live events the heap is compacted in place, so heavy cancel churn cannot
+// grow the queue beyond a constant factor of the live event count. No code
+// under src/ cancels today: the fleet stall watchdog is a check inside each
+// monitoring round, and a damping re-check whose session is no longer
+// suppressed fires and does nothing.
 #pragma once
 
 #include <cstdint>
