@@ -162,7 +162,7 @@ int main() {
     using O = fleet::EpisodeOutcome;
     for (const O o : {O::kResolvedSelf, O::kNoBlame, O::kDeclined,
                       O::kRemediated, O::kVerifyTimeout}) {
-      bench::kv(fleet::episode_outcome_name(o),
+      bench::kv(core::episode_outcome_name(o),
                 std::to_string(big.result.outcome_count(o)));
     }
     bench::kv("flap re-entries", std::to_string(big.result.flap_reentries()));
@@ -210,13 +210,13 @@ int main() {
     std::printf("\n  ERROR: announcement utilization outside [0, 1]\n");
     return 1;
   }
-  // Stall-watchdog verdict across every cell (lg.fleet.stalled aggregates in
+  // Stall-watchdog verdict across every cell (lg.episode.stalled aggregates in
   // the global registry as shards merge). Expected 0 on a healthy plane; a
   // nonzero value names episodes parked past LG_FLEET_STALL_SECONDS.
   jr->headline(
       "episodes_stalled",
       static_cast<double>(
-          obs::MetricsRegistry::global().counter("lg.fleet.stalled").value()));
+          obs::MetricsRegistry::global().counter("lg.episode.stalled").value()));
   if (!all_respected) {
     std::printf("\n  ERROR: a shard exceeded its announcement budget cap\n");
     return 1;

@@ -83,7 +83,7 @@ void print_result(const fleet::ServiceResult& result) {
             util::fixed(result.episodes_per_sim_hour(), 1));
   for (const O o : {O::kResolvedSelf, O::kNoBlame, O::kDeclined,
                     O::kRemediated, O::kVerifyTimeout}) {
-    bench::kv(std::string("  outcome: ") + fleet::episode_outcome_name(o),
+    bench::kv(std::string("  outcome: ") + core::episode_outcome_name(o),
               std::to_string(result.outcome_count(o)));
   }
   bench::kv("slot leases", std::to_string([&] {

@@ -144,8 +144,8 @@ TrialResult run_trial(double intensity, std::uint64_t fault_seed_base,
   // Long enough for detection + isolation + (degraded: deferred) decision.
   world.advance(2400.0);
 
-  if (!guard.outages().empty()) {
-    const auto& rec = guard.outages().front();
+  if (!guard.episodes().empty()) {
+    const auto& rec = guard.episodes().front();
     r.direction_correct =
         rec.isolation.direction == FailureDirection::kReverse;
     r.blame_correct = rec.isolation.blamed_as == scenario->culprit_as;
@@ -161,7 +161,7 @@ TrialResult run_trial(double intensity, std::uint64_t fault_seed_base,
   gen.repair(*scenario);
   world.advance(600.0);
   r.repaired =
-      !guard.outages().empty() && guard.outages().front().repaired_at > 0.0;
+      !guard.episodes().empty() && guard.episodes().front().repaired_at > 0.0;
 
   r.deferrals =
       ctx.metrics->counter("lg.lifeguard.decisions_deferred").value();

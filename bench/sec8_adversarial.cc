@@ -161,8 +161,8 @@ TrialResult run_trial(double prevalence, std::uint64_t adv_seed_base,
   // (three sentinel failures per rung, three rungs past the original).
   world.advance(3000.0);
 
-  if (!guard.outages().empty()) {
-    const auto& rec = guard.outages().front();
+  if (!guard.episodes().empty()) {
+    const auto& rec = guard.episodes().front();
     r.blame_correct = rec.isolation.blamed_as == scenario->culprit_as;
     r.remediated = rec.action != core::RepairAction::kNone;
     r.misfire = r.remediated && !r.blame_correct;
@@ -172,10 +172,10 @@ TrialResult run_trial(double prevalence, std::uint64_t adv_seed_base,
   // revert within a few checks?
   gen.repair(*scenario);
   world.advance(600.0);
-  if (!guard.outages().empty()) {
-    const auto& rec = guard.outages().front();
+  if (!guard.episodes().empty()) {
+    const auto& rec = guard.episodes().front();
     r.repaired = rec.repaired_at > 0.0;
-    r.captive = rec.captive;
+    r.captive = rec.outcome == core::EpisodeOutcome::kCaptive;
     r.control_plane_repaired = rec.control_plane_repaired;
     r.escalations = rec.escalations;
   }

@@ -86,13 +86,13 @@ int main() {
 
   world.advance(1500.0);
 
-  if (guard.outages().empty()) {
+  if (guard.episodes().empty()) {
     std::printf("LIFEGUARD recorded no outage (unexpected)\n");
     return 1;
   }
-  const auto& rec = guard.outages().front();
+  const auto& rec = guard.episodes().front();
   std::printf("\n--- LIFEGUARD timeline ---\n");
-  std::printf("[t=%7.0fs] first failed ping round\n", rec.began_at);
+  std::printf("[t=%7.0fs] first failed ping round\n", rec.opened_at);
   std::printf("[t=%7.0fs] outage confirmed (4 consecutive failed rounds)\n",
               rec.detected_at);
   std::printf("[t=%7.0fs] isolation complete: direction=%s, blamed AS %u "
@@ -121,14 +121,14 @@ int main() {
   gen.repair(*scenario);
   world.advance(400.0);
 
-  const auto& final_rec = guard.outages().front();
+  const auto& final_rec = guard.episodes().front();
   std::printf("[t=%7.0fs] sentinel saw the original path heal\n",
               final_rec.repaired_at);
   std::printf("[t=%7.0fs] poison removed; baseline announcement restored\n",
-              final_rec.reverted_at);
+              final_rec.closed_at);
   std::printf("\nTotal user-visible outage: ~%.0f s of a failure that "
               "persisted %.0f s\n",
-              final_rec.remediated_at - final_rec.began_at,
+              final_rec.remediated_at - final_rec.opened_at,
               final_rec.repaired_at - failure_time);
   return 0;
 }

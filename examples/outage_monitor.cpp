@@ -85,19 +85,23 @@ int main() {
   std::printf("%-4s %-9s %-8s %-13s %-6s %-16s %-9s %-9s\n", "#", "target",
               "began", "direction", "blamed", "action", "fixed@", "note");
   std::size_t i = 0;
-  for (const auto& rec : guard.outages()) {
+  using O = core::EpisodeOutcome;
+  for (const auto& rec : guard.episodes()) {
+    // A remediated or captive close is the moment the baseline came back.
+    const bool reverted =
+        rec.outcome == O::kRemediated || rec.outcome == O::kCaptive;
     std::printf("%-4zu AS %-6u %-8.0f %-13s %-6u %-16s %-9.0f %s\n", ++i,
-                rec.target_as, rec.began_at,
+                rec.target_as, rec.opened_at,
                 core::direction_name(rec.isolation.direction),
                 rec.isolation.blamed_as.value_or(0),
                 core::repair_action_name(rec.action),
-                rec.reverted_at > 0 ? rec.reverted_at : rec.repaired_at,
-                rec.resolved_without_action ? "self-resolved"
-                                            : rec.note.c_str());
+                reverted ? rec.closed_at : rec.repaired_at,
+                rec.outcome == O::kResolvedSelf ? "self-resolved"
+                                                : rec.note.c_str());
   }
   std::printf("\ninjected failures: %zu, outage records: %zu, "
               "atlas refreshes: %llu, probes spent: %llu\n",
-              injected, guard.outages().size(),
+              injected, guard.episodes().size(),
               static_cast<unsigned long long>(guard.atlas().refreshes()),
               static_cast<unsigned long long>(
                   world.prober().budget().total()));

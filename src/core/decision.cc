@@ -66,4 +66,16 @@ PoisonVerdict PoisonDecider::decide(
   return verdict;
 }
 
+std::optional<AsId> PoisonDecider::alternate_egress(AsId origin, AsId blamed,
+                                                    AsId target_as) const {
+  for (const AsId provider : graph_->providers(origin)) {
+    if (provider == blamed) continue;
+    if (oracle_.reachable(provider, target_as,
+                          topo::Avoidance::of_as(blamed))) {
+      return provider;
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace lg::core

@@ -54,6 +54,12 @@ class PoisonDecider {
   double alternate_path_fraction(AsId origin, AsId blamed,
                                  std::span<const AsId> sources) const;
 
+  // Where a forward failure's egress shift sends traffic: the first of
+  // `origin`'s providers, in graph order, other than `blamed` with a policy
+  // path to `target_as` avoiding `blamed`. nullopt when none has one.
+  std::optional<AsId> alternate_egress(AsId origin, AsId blamed,
+                                       AsId target_as) const;
+
   // The shared policy-compliance oracle (exposed for harness reuse).
   const topo::ValleyFreeOracle& oracle() const noexcept { return oracle_; }
 

@@ -4,6 +4,17 @@
 
 namespace lg::core {
 
+bool original_egress_repaired(bgp::BgpEngine& engine, measure::Prober& prober,
+                              const measure::VantagePoint& vp,
+                              topo::Ipv4 target) {
+  auto& speaker = engine.speaker(vp.as);
+  const auto forced = speaker.forced_egress();
+  speaker.set_forced_egress(std::nullopt);
+  const bool replied = prober.ping(vp.as, target, vp.addr).replied;
+  speaker.set_forced_egress(forced);
+  return replied;
+}
+
 Remediator::Remediator(bgp::BgpEngine& engine, AsId origin,
                        RemediatorConfig cfg)
     : engine_(&engine),

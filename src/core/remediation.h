@@ -19,12 +19,21 @@
 #include <vector>
 
 #include "bgp/engine.h"
+#include "measure/probes.h"
+#include "measure/vantage.h"
 #include "topology/addressing.h"
 
 namespace lg::core {
 
 using topo::AsId;
 using topo::Prefix;
+
+// The sentinel check of an egress shift: ping `target` from `vp` with the
+// forced egress of vp's AS cleared for that one probe, so it takes the
+// original forward path (clear-and-restore is race-free in the simulator).
+bool original_egress_repaired(bgp::BgpEngine& engine, measure::Prober& prober,
+                              const measure::VantagePoint& vp,
+                              topo::Ipv4 target);
 
 struct RemediatorConfig {
   // Length of the steady-state prepended baseline (O-O-O).

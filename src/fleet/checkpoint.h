@@ -187,7 +187,10 @@ void serialize(Ar& ar, T& ring) {
   ar.u64(recorded);
   ar.vec(events, 33, [&](auto& e) {
     ar.f64(e.t);
-    ar.u8(e.kind);
+    ar.enum8(e.kind,
+             static_cast<obs::TraceKind>(
+                 static_cast<int>(obs::TraceKind::kCount) - 1),
+             "trace kind");
     ar.u64(e.a);
     ar.u64(e.b);
     ar.f64(e.value);

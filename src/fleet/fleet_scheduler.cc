@@ -253,7 +253,7 @@ std::string FleetResult::fingerprint() const {
     os << "\n";
     for (const auto& e : s.episodes) {
       os << "  " << topo::format_ipv4(e.target) << " as" << e.target_as
-         << " " << episode_outcome_name(e.outcome) << " blamed"
+         << " " << core::episode_outcome_name(e.outcome) << " blamed"
          << (e.blamed == topo::kInvalidAs ? 0 : e.blamed) << " flap"
          << e.flap_generation << " defers " << e.probe_deferrals << "/"
          << e.budget_deferrals << " reiso " << e.reisolations << " t=[";

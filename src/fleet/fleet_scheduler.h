@@ -73,7 +73,7 @@ struct ShardReport {
   AsId origin = topo::kInvalidAs;
   std::size_t targets = 0;
   std::size_t outages_injected = 0;
-  std::vector<EpisodeRecord> episodes;
+  std::vector<core::EpisodeRecord> episodes;
   // Budget accounting at end of run.
   double announce_spent = 0.0;
   double announce_capacity = 0.0;  // burst + rate * horizon: the hard cap

@@ -14,7 +14,7 @@ namespace {
 
 // Timestamp sanity for one closed episode. Returns an empty string when the
 // record is consistent, else a short description of the first issue.
-std::string record_issue(const EpisodeRecord& e) {
+std::string record_issue(const core::EpisodeRecord& e) {
   if (e.outcome == EpisodeOutcome::kOpen) return "episode still open";
   if (e.closed_at < 0.0) return "closed outcome without closed_at";
   if (e.opened_at < 0.0 || e.detected_at < e.opened_at)

@@ -24,10 +24,6 @@ const char* trace_kind_name(TraceKind k) noexcept {
       return "probe_answered";
     case TraceKind::kProbeLost:
       return "probe_lost";
-    case TraceKind::kOutageDetected:
-      return "outage_detected";
-    case TraceKind::kTargetStateChange:
-      return "target_state_change";
     case TraceKind::kPoisonApplied:
       return "poison_applied";
     case TraceKind::kSelectivePoisonApplied:

@@ -1,7 +1,7 @@
 // lg::obs — bounded event tracer. A fixed-capacity ring of typed events with
 // simulated timestamps: BGP UPDATE send/delivery, MRAI deferrals, best-path
-// changes, probe issue/answer, LIFEGUARD target state transitions, and the
-// repair lifecycle (detect -> poison -> verify -> unpoison). When the ring
+// changes, probe issue/answer, episode transitions, and the repair
+// lifecycle (detect -> poison -> verify -> unpoison). When the ring
 // fills, the oldest events are overwritten and counted as dropped — tracing
 // never grows memory with the run.
 //
@@ -27,10 +27,7 @@ enum class TraceKind : std::uint8_t {
   kProbeIssued,
   kProbeAnswered,
   kProbeLost,
-  // LIFEGUARD lifecycle. a = target address or blamed AS (per kind),
-  // b = auxiliary (state code, target AS).
-  kOutageDetected,
-  kTargetStateChange,
+  // Remediation. a = blamed AS, b = target address (repairs: a = target).
   kPoisonApplied,
   kSelectivePoisonApplied,
   kEgressShifted,
@@ -55,15 +52,17 @@ enum class TraceKind : std::uint8_t {
   // on its (session, prefix) to keep order.
   kUpdateLost,
   kUpdateHeld,
-  // Fleet service plane (lg::fleet). a = target address, b = kind-specific
-  // (episode state code, blamed AS); value = deferral age / token level.
+  // Episode lifecycle (core::EpisodeMachine). a = target address, b =
+  // kind-specific: new EpisodeState, target AS (opened, admission deferral),
+  // EpisodeOutcome (closed), blamed AS (announce deferral); value = the
+  // deferral's age since the first failed round / detection.
   kEpisodeStateChange,
   kEpisodeOpened,
   kEpisodeClosed,
   kAdmissionDeferred,
   kAnnounceDeferred,
-  // Fleet stall watchdog: episode stuck in one state past the configured
-  // threshold. a = target address, b = state code, value = age in state.
+  // Stall watchdog: an episode stuck in one state past the threshold.
+  // a = target address, b = state code, value = age in state.
   kEpisodeStalled,
   // Adversarial plane (lg::adversary). Escalation ladder rung applied
   // (a = blamed AS, b = target address, value = rung) and a repair given up

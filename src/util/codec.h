@@ -70,6 +70,12 @@ class BinWriter {
     buf_.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
   }
   void b(bool v) { u8(v ? 1 : 0); }
+  // An enum stored as one byte; the reader rejects values past `last`.
+  template <class E>
+    requires std::is_enum_v<E>
+  void enum8(E v, E /*last*/, const char* /*what*/) {
+    u8(v);
+  }
   template <WireInt T>
   void u32(T v) {
     put(static_cast<std::uint32_t>(v), 4);
@@ -188,6 +194,18 @@ class BinReader {
     v = static_cast<T>(u8());
   }
   void b(bool& v) { v = b(); }
+  // A byte cast into an enum is only as good as its range check: a
+  // corrupt byte must fail the load, not become a state no switch handles.
+  template <class E>
+    requires std::is_enum_v<E>
+  void enum8(E& v, E last, const char* what) {
+    const std::uint8_t raw = u8();
+    if (raw > static_cast<std::uint8_t>(last)) {
+      throw std::runtime_error(std::string("snapshot: ") + what + " byte " +
+                               std::to_string(raw) + " is out of range");
+    }
+    v = static_cast<E>(raw);
+  }
   template <WireInt T>
   void u32(T& v) {
     v = static_cast<T>(u32());

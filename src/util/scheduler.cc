@@ -1,10 +1,19 @@
 #include "util/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace lg::util {
+
+void require_period(const char* field, double seconds) {
+  if (!(seconds > 0.0) || !std::isfinite(seconds)) {
+    throw std::invalid_argument(std::string(field) +
+                                ": must be a positive period in seconds, got " +
+                                std::to_string(seconds));
+  }
+}
 
 std::uint64_t Scheduler::at(SimTime when, Callback cb) {
   if (when < now_) when = now_;

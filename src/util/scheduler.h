@@ -13,8 +13,8 @@
 // Cancelled events leave tombstones in the heap; when tombstones outnumber
 // live events the heap is compacted in place, so heavy cancel churn cannot
 // grow the queue beyond a constant factor of the live event count. No code
-// under src/ cancels today: the fleet stall watchdog is a check inside each
-// monitoring round, and a damping re-check whose session is no longer
+// under src/ cancels today: the episode stall watchdog is a check inside
+// each monitoring round, and a damping re-check whose session is no longer
 // suppressed fires and does nothing.
 #pragma once
 
@@ -26,6 +26,12 @@
 namespace lg::util {
 
 using SimTime = double;
+
+// Throws std::invalid_argument naming `field` unless `seconds` is a
+// positive, finite period. An event that re-schedules itself every zero
+// seconds fires at the same instant forever, so every config field that
+// drives such a loop is checked before the loop starts.
+void require_period(const char* field, double seconds);
 
 class Scheduler {
  public:

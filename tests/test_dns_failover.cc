@@ -135,8 +135,8 @@ TEST(LifeguardSelectiveTest, LinkBlameTriggersSelectivePoisoning) {
                               .toward_as = topo.o});
   sched.run(sched.now() + 1500.0);
 
-  ASSERT_FALSE(guard.outages().empty());
-  const auto& record = guard.outages().front();
+  ASSERT_FALSE(guard.episodes().empty());
+  const auto& record = guard.episodes().front();
   EXPECT_EQ(record.isolation.direction, core::FailureDirection::kReverse);
   ASSERT_TRUE(record.isolation.blamed_link.has_value());
   EXPECT_EQ(*record.isolation.blamed_link, topo::AsLinkKey(topo.a, topo.b2));

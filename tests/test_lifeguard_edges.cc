@@ -81,8 +81,8 @@ TEST_F(LifeguardEdgeTest, DeclinesWhenNoAlternateExists) {
       .at_as = scenario->culprit_as, .toward_as = origin_}));
   world_.advance(1500.0);
 
-  ASSERT_FALSE(guard.outages().empty());
-  const auto& record = guard.outages().front();
+  ASSERT_FALSE(guard.episodes().empty());
+  const auto& record = guard.episodes().front();
   // Isolation ran, but no remediation was applied.
   EXPECT_EQ(record.action, core::RepairAction::kNone);
   EXPECT_FALSE(guard.remediator().is_poisoned());
@@ -133,10 +133,10 @@ TEST_F(LifeguardEdgeTest, SecondOutageStandsDownWhileRemediating) {
   world_.advance(1500.0);
 
   // One remediation in flight; the other outage stood down.
-  ASSERT_GE(guard.outages().size(), 2u);
+  ASSERT_GE(guard.episodes().size(), 2u);
   std::size_t applied = 0;
   std::size_t stood_down = 0;
-  for (const auto& record : guard.outages()) {
+  for (const auto& record : guard.episodes()) {
     if (record.action != core::RepairAction::kNone) ++applied;
     if (record.note.find("in flight") != std::string::npos) ++stood_down;
   }
@@ -179,14 +179,14 @@ TEST_F(LifeguardEdgeTest, OutageDuringIsolationThatHealsIsClosedCleanly) {
   gen.repair(*scenario);
   world_.advance(900.0);
 
-  ASSERT_FALSE(guard.outages().empty());
-  const auto& record = guard.outages().front();
-  EXPECT_TRUE(record.resolved_without_action);
+  ASSERT_FALSE(guard.episodes().empty());
+  const auto& record = guard.episodes().front();
+  EXPECT_EQ(record.outcome, core::EpisodeOutcome::kResolvedSelf);
   EXPECT_FALSE(guard.remediator().is_poisoned());
   // Monitoring resumed: no further records without new failures.
-  const auto records_now = guard.outages().size();
+  const auto records_now = guard.episodes().size();
   world_.advance(1200.0);
-  EXPECT_EQ(guard.outages().size(), records_now);
+  EXPECT_EQ(guard.episodes().size(), records_now);
 }
 
 }  // namespace

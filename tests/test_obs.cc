@@ -467,16 +467,16 @@ TEST(ObsIntegration, PoisonRepairCycleLeavesMetricFootprint) {
   gen.repair(*scenario);
   world.advance(400.0);
 
-  ASSERT_EQ(guard.outages().size(), 1u);
-  EXPECT_GT(guard.outages().front().repaired_at, 0.0);
+  ASSERT_EQ(guard.episodes().size(), 1u);
+  EXPECT_GT(guard.episodes().front().repaired_at, 0.0);
 
   // Counter footprint.
   EXPECT_GT(reg.counter("lg.bgp.updates_sent").value(), 0u);
   EXPECT_GT(reg.counter("lg.scheduler.events_executed").value(), 0u);
   EXPECT_GT(reg.counter("lg.measure.pings").value(), 0u);
-  EXPECT_EQ(reg.counter("lg.lifeguard.outages_detected").value(), 1u);
-  EXPECT_EQ(reg.counter("lg.lifeguard.repairs_completed").value(), 1u);
-  EXPECT_EQ(reg.distribution("lg.lifeguard.time_to_repair").summary().count(),
+  EXPECT_EQ(reg.counter("lg.episode.opened").value(), 1u);
+  EXPECT_EQ(reg.counter("lg.episode.remediated").value(), 1u);
+  EXPECT_EQ(reg.distribution("lg.episode.time_to_repair").summary().count(),
             1u);
 
   // Trace footprint: detection, poison, repair lifecycle all present, with

@@ -242,8 +242,8 @@ TEST(LifeguardForwardTest, ForwardFailureRepairsViaEgressShift) {
       .at_as = scenario->culprit_as, .toward_as = scenario->target_as}));
   world.advance(1500.0);
 
-  ASSERT_FALSE(guard.outages().empty());
-  const auto& record = guard.outages().front();
+  ASSERT_FALSE(guard.episodes().empty());
+  const auto& record = guard.episodes().front();
   EXPECT_EQ(record.isolation.direction, core::FailureDirection::kForward);
   EXPECT_EQ(record.action, core::RepairAction::kEgressShift);
   EXPECT_TRUE(world.engine().speaker(origin).forced_egress().has_value());
@@ -255,7 +255,7 @@ TEST(LifeguardForwardTest, ForwardFailureRepairsViaEgressShift) {
   gen.repair(*scenario);
   world.advance(400.0);
   EXPECT_FALSE(world.engine().speaker(origin).forced_egress().has_value());
-  EXPECT_GT(guard.outages().front().reverted_at, 0.0);
+  EXPECT_GT(guard.episodes().front().closed_at, 0.0);
 }
 
 }  // namespace

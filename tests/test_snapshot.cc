@@ -377,7 +377,7 @@ TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
 // FNV-1a digests of checkpoint blobs as the format stands. Tags, versions
 // and field order are all part of the canon: existing checkpoints must keep
 // loading, so a change here is a format change.
-constexpr std::uint64_t kShardBlobDigest = 0x8cc2dea209ce3eb7ULL;
+constexpr std::uint64_t kShardBlobDigest = 0x8831d41e5e7d33d3ULL;
 constexpr std::uint64_t kEngineBlobDigest = 0x5fc5ef7a607bf977ULL;
 
 TEST(GoldenCheckpointTest, ServiceShardBlobIsPinned) {
