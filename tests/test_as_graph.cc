@@ -66,6 +66,31 @@ TEST(AsGraphTest, IdsAndLinksAreSortedDeterministically) {
   EXPECT_EQ(links[0].b, 2u);
 }
 
+// Ids added in any order come back ascending, and each AS keeps its
+// neighbors in link-insertion order (the engine's draw order depends on it).
+TEST(AsGraphTest, OutOfOrderAddsKeepAscendingIds) {
+  AsGraph g;
+  for (const AsId id : {40u, 7u, 4200000000u, 13u, 1u, 64512u}) g.add_as(id);
+  EXPECT_EQ(g.as_ids(),
+            (std::vector<AsId>{1, 7, 13, 40, 64512, 4200000000u}));
+  g.add_link(13, 4200000000u, Rel::kProvider);
+  g.add_link(13, 1, Rel::kPeer);
+  g.add_link(13, 40, Rel::kCustomer);
+  g.add_as(20);  // lands between 13 and 40
+  g.add_link(13, 20, Rel::kCustomer);
+  EXPECT_EQ(g.as_ids(),
+            (std::vector<AsId>{1, 7, 13, 20, 40, 64512, 4200000000u}));
+  std::vector<AsId> order;
+  for (const Neighbor& n : g.neighbors(13)) order.push_back(n.id);
+  EXPECT_EQ(order, (std::vector<AsId>{4200000000u, 1, 40, 20}));
+  EXPECT_EQ(g.relationship(4200000000u, 13), Rel::kCustomer);
+  EXPECT_EQ(g.relationship(20, 13), Rel::kProvider);
+  EXPECT_TRUE(g.has_as(64512));
+  EXPECT_FALSE(g.has_as(64513));
+  EXPECT_TRUE(g.neighbors(4199999999u).empty());
+  EXPECT_EQ(g.degree(7), 0u);
+}
+
 TEST(AsGraphTest, ValidatePassesOnCleanHierarchy) {
   EXPECT_FALSE(triangle().validate().has_value());
 }

@@ -4,15 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bgp/collector.h"
 #include "bgp/engine.h"
 #include "check/audit.h"
 #include "check/invariants.h"
+#include "check/reference_bgp.h"
 #include "obs/metrics.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
+#include "topology/io.h"
+#include "util/hashing.h"
 #include "util/scheduler.h"
 
 namespace lg {
@@ -300,6 +305,83 @@ TEST(DeliveryOrderTest, SubLinkDelayMraiKeepsAdjOutConsistent) {
                     << v.detail;
     }
   }
+}
+
+// Real ASNs span far more ids than the graph has ASes (4200000001 - 174
+// against 12 ASes), so id -> index lookups take the hashed path rather than
+// the direct-mapped one generated topologies use. The relationship lines are
+// deliberately out of order. Two stubs originate (one poisoning a transit);
+// the converged state must match the reference fixpoint, pass every
+// invariant, and hash to the pinned digest of ids, adjacency and RIBs.
+TEST(BgpEngineTest, SparseAsnGraphMatchesReference) {
+  const topo::AsGraph graph = topo::from_caida(
+      "4200000000|4200000001|-1\n"
+      "6939|64512|-1\n"
+      "174|3356|0\n"
+      "1299|13335|-1\n"
+      "64512|396982|-1\n"
+      "3356|2914|-1\n"
+      "174|1299|-1\n"
+      "4200000000|4259840000|-1\n"
+      "3356|6939|0\n"
+      "64512|4200000000|-1\n"
+      "174|65010|-1\n"
+      "1299|64512|0\n"
+      "3356|1299|-1\n"
+      "6939|4259840000|-1\n"
+      "174|6939|0\n"
+      "64512|65010|-1\n"
+      "1299|4200000000|-1\n");
+  ASSERT_EQ(graph.num_ases(), 12u);
+  ASSERT_FALSE(graph.validate().has_value());
+
+  util::Scheduler sched;
+  bgp::BgpEngine engine(graph, sched);
+  check::ReferenceBgp ref(graph);
+  const topo::Prefix p1(0xC6336400u, 24);  // 198.51.100.0/24
+  const topo::Prefix p2(0xCB007100u, 24);  // 203.0.113.0/24
+  bgp::OriginPolicy poisoned;
+  poisoned.default_path = bgp::poisoned_path(4200000001u, {64512}, 3);
+  bgp::OriginPolicy plain;
+  plain.default_path = AsPath{13335};
+  engine.originate(4200000001u, p1, poisoned);
+  ref.originate(4200000001u, p1, poisoned);
+  engine.originate(13335, p2, plain);
+  ref.originate(13335, p2, plain);
+  sched.run();
+  ASSERT_TRUE(sched.empty());
+  ASSERT_TRUE(ref.solve());
+
+  std::ostringstream out;
+  for (const AsId as : graph.as_ids()) {
+    out << as << ":";
+    for (const topo::Neighbor& n : graph.neighbors(as)) {
+      out << " " << n.id << topo::rel_name(n.rel);
+    }
+    out << "\n";
+    for (const topo::Prefix& p : {p1, p2}) {
+      const bgp::Route* got = engine.best_route(as, p);
+      const check::RefRoute* want = ref.best_route(as, p);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "presence mismatch at AS " << as << " for " << p.str();
+      if (got != nullptr) {
+        EXPECT_EQ(got->path, want->path) << "path mismatch at AS " << as;
+        EXPECT_EQ(got->neighbor, want->neighbor)
+            << "neighbor mismatch at AS " << as;
+      }
+      for (const bgp::Route& r : engine.speaker(as).rib_in(p)) {
+        out << "  " << p.str() << " via " << r.neighbor << " ["
+            << bgp::path_str(r.path) << "]\n";
+      }
+    }
+  }
+  const auto violations = check::InvariantChecker(engine).check_all();
+  for (const auto& v : violations) {
+    ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
+  }
+  // The poison reaches its target: 64512 holds no route to p1.
+  EXPECT_EQ(engine.best_route(64512, p1), nullptr);
+  EXPECT_EQ(util::fnv1a(out.str()), 0xc82f407c2b7df70eULL) << out.str();
 }
 
 }  // namespace
