@@ -225,7 +225,8 @@ void BM_ValleyFreeReachabilityAtScale(benchmark::State& state) {
 }
 BENCHMARK(BM_ValleyFreeReachabilityAtScale)->Unit(benchmark::kMicrosecond);
 
-// Single-speaker hot paths, isolated from the scheduler: one transit AS
+// Single-speaker hot paths, isolated from the scheduler (the engine only
+// supplies the speaker and its adjacency): one transit AS
 // with two customer neighbors alternately announcing the same prefix. The
 // Arg is the topology's stub count (neighbor fan-out grows with it), at the
 // usual small scale and the 600-stub scale of the scaling experiments.
@@ -271,7 +272,9 @@ struct SpeakerFixture {
 
 void BM_ProcessUpdate(benchmark::State& state) {
   const SpeakerFixture fx(static_cast<std::uint32_t>(state.range(0)));
-  bgp::BgpSpeaker speaker(fx.as, fx.topo.graph);
+  util::Scheduler sched;
+  bgp::BgpEngine engine(fx.topo.graph, sched);
+  bgp::BgpSpeaker& speaker = engine.speaker(fx.as);
   const auto m1 = fx.announce(fx.cust1, {fx.cust1, fx.origin});
   const auto m2 = fx.announce(fx.cust2, {fx.cust2, fx.origin, fx.origin});
   bool flip = false;
@@ -286,7 +289,9 @@ BENCHMARK(BM_ProcessUpdate)->Arg(200)->Arg(600);
 
 void BM_ExportPath(benchmark::State& state) {
   const SpeakerFixture fx(static_cast<std::uint32_t>(state.range(0)));
-  bgp::BgpSpeaker speaker(fx.as, fx.topo.graph);
+  util::Scheduler sched;
+  bgp::BgpEngine engine(fx.topo.graph, sched);
+  bgp::BgpSpeaker& speaker = engine.speaker(fx.as);
   // Customer-learned best route: exportable to every neighbor, and cust2 is
   // not the next hop, so split horizon does not bite.
   speaker.process_update(fx.announce(fx.cust1, {fx.cust1, fx.origin}), 0.0);

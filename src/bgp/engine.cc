@@ -38,43 +38,22 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
     c_updates_held_ = &reg.counter("lg.bgp.updates_held");
   }
 
-  as_ids_ = graph.as_ids();  // sorted: index order == AS-id order
-  const std::size_t n = as_ids_.size();
-  speakers_.reserve(n);
-  for (const AsId id : as_ids_) {
-    speakers_.emplace_back(id, graph, SpeakerConfig{});
-  }
-  if (n != 0) {
-    min_id_ = as_ids_.front();
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(as_ids_.back()) - min_id_ + 1;
-    // Generated topologies use contiguous ids, so the offset table is
-    // direct-mapped; fall back to a hash map only for pathological id spans
-    // (hand-built graphs with, say, real sparse ASNs).
-    if (span <= 4 * static_cast<std::uint64_t>(n) + 1024) {
-      id_to_index_.assign(static_cast<std::size_t>(span), kNoIndex);
-      for (std::size_t i = 0; i < n; ++i) {
-        id_to_index_[as_ids_[i] - min_id_] = static_cast<std::uint32_t>(i);
-      }
-    } else {
-      sparse_index_.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        sparse_index_.emplace(as_ids_[i], static_cast<std::uint32_t>(i));
-      }
-    }
-  }
-  // Dense directed-session layout for the flat MRAI tables: each AS's
-  // sorted neighbor ids, concatenated, with prefix-sum offsets; and the
-  // graph-order -> slot permutation the export fan-out walks. Every link
-  // is two directed sessions.
+  // The session layout: each AS's neighbors sorted by id (slot order) with
+  // their relationships, concatenated with prefix-sum offsets, and the
+  // graph-order -> slot permutation the export fan-out walks. Every link is
+  // two directed sessions. Speakers get spans over their rows, so these
+  // vectors are never resized after this block.
+  const std::vector<AsId>& ids = graph.as_ids();
+  const std::size_t n = ids.size();
   const std::size_t sessions = 2 * graph.num_links();
   sess_base_.reserve(n + 1);
   sess_base_.push_back(0);
   sess_nbr_.reserve(sessions);
+  sess_rel_.reserve(sessions);
   export_slot_.resize(sessions);
   std::vector<std::pair<AsId, std::uint32_t>> by_id;  // (neighbor, position)
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& ns = graph.neighbors(as_ids_[i]);
+    const auto& ns = graph.neighbors(ids[i]);
     by_id.clear();
     for (std::uint32_t k = 0; k < ns.size(); ++k) {
       by_id.emplace_back(ns[k].id, k);
@@ -82,10 +61,20 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
     std::sort(by_id.begin(), by_id.end());
     const std::uint32_t base = sess_base_.back();
     for (std::uint32_t slot = 0; slot < by_id.size(); ++slot) {
-      sess_nbr_.push_back(by_id[slot].first);
-      export_slot_[base + by_id[slot].second] = slot;
+      const std::uint32_t k = by_id[slot].second;
+      sess_nbr_.push_back(ns[k].id);
+      sess_rel_.push_back(ns[k].rel);
+      export_slot_[base + k] = slot;
     }
     sess_base_.push_back(static_cast<std::uint32_t>(sess_nbr_.size()));
+  }
+  speakers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t base = sess_base_[i];
+    const std::size_t deg = sess_base_[i + 1] - base;
+    speakers_.push_back(
+        BgpSpeaker(ids[i], graph, {sess_nbr_.data() + base, deg},
+                   {sess_rel_.data() + base, deg}));
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
@@ -129,29 +118,12 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
 
 BgpEngine::~BgpEngine() = default;
 
-std::uint32_t BgpEngine::index_of(AsId id) const noexcept {
-  if (!sparse_index_.empty()) {
-    const auto it = sparse_index_.find(id);
-    return it == sparse_index_.end() ? kNoIndex : it->second;
-  }
-  if (id < min_id_) return kNoIndex;
-  const std::uint64_t off = static_cast<std::uint64_t>(id) - min_id_;
-  if (off >= id_to_index_.size()) return kNoIndex;
-  return id_to_index_[static_cast<std::size_t>(off)];
+BgpSpeaker& BgpEngine::speaker(AsId id) {
+  return speakers_[graph_->checked_index(id)];
 }
-
-std::uint32_t BgpEngine::checked_index(AsId id) const {
-  const std::uint32_t idx = index_of(id);
-  if (idx == kNoIndex) {
-    throw std::out_of_range("unknown AS " + std::to_string(id));
-  }
-  return idx;
-}
-
-BgpSpeaker& BgpEngine::speaker(AsId id) { return speakers_[checked_index(id)]; }
 
 const BgpSpeaker& BgpEngine::speaker(AsId id) const {
-  return speakers_[checked_index(id)];
+  return speakers_[graph_->checked_index(id)];
 }
 
 void BgpEngine::remove_observer(RouteObserver* observer) {
@@ -160,13 +132,13 @@ void BgpEngine::remove_observer(RouteObserver* observer) {
 }
 
 void BgpEngine::originate(AsId as, const Prefix& prefix, OriginPolicy policy) {
-  const std::uint32_t i = checked_index(as);
+  const std::uint32_t i = graph_->checked_index(as);
   speakers_[i].set_origin_policy(prefix, std::move(policy));
   schedule_exports(i, prefix, speakers_[i].find_state(prefix));
 }
 
 void BgpEngine::withdraw(AsId as, const Prefix& prefix) {
-  const std::uint32_t i = checked_index(as);
+  const std::uint32_t i = graph_->checked_index(as);
   speakers_[i].clear_origin_policy(prefix);
   schedule_exports(i, prefix, speakers_[i].find_state(prefix));
 }
@@ -220,7 +192,7 @@ void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
   if (!mrai.flush_scheduled) {
     mrai.flush_scheduled = true;
     c_mrai_deferrals_->inc();
-    trace_->record(now, obs::TraceKind::kMraiDefer, as_ids_[fi],
+    trace_->record(now, obs::TraceKind::kMraiDefer, graph_->as_ids()[fi],
                    sess_nbr_[sess_base_[fi] + slot], mrai.ready_at - now);
     sched_->at(mrai.ready_at, [this, fi, slot, prefix] {
       MraiState& m = mrai_entry(fi, slot, prefix);
@@ -233,7 +205,7 @@ void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
 void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
                          const Prefix& prefix, BgpSpeaker::PrefixState* st,
                          MraiState& mrai) {
-  const AsId from = as_ids_[fi];
+  const AsId from = graph_->as_ids()[fi];
   const AsId to = sess_nbr_[sess_base_[fi] + slot];
   const double now = sched_->now();
   // Fault plane: a reset session sends nothing. Retry once it is back up —
@@ -407,8 +379,8 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
             ++best_changes_[r];
             c_best_path_changes_->inc();
             trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
-                           as_ids_[r]);
-            notify(as_ids_[r], prefix);
+                           graph_->as_ids()[r]);
+            notify(graph_->as_ids()[r], prefix);
             schedule_exports(r, prefix, spk.find_state(prefix));
           }
         });
@@ -420,7 +392,7 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
   // spurious route event and no export churn.
   for (const PrefixTouch& t : touches_) {
     if (!t.changed || (!single && t.state->best == t.before)) continue;
-    notify(as_ids_[r], t.prefix);
+    notify(graph_->as_ids()[r], t.prefix);
     schedule_exports(r, t.prefix, t.state);
   }
 }
@@ -438,8 +410,8 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   // reorder anything this frontier still has to deliver.
   pump_order_.clear();
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
-    pump_order_.push_back(
-        (static_cast<std::uint64_t>(checked_index(msgs[i].to)) << 32) | i);
+    const std::uint64_t r = graph_->checked_index(msgs[i].to);
+    pump_order_.push_back(r << 32 | i);
   }
   std::sort(pump_order_.begin(), pump_order_.end());
 
@@ -508,10 +480,11 @@ BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
     t.adj_out_slots += m.adj_out_slots;
     t.prefix_states += m.prefixes;
   }
-  // Engine-side per-session state: flat MRAI tables and the session layout,
-  // fan-out permutation included.
+  // Engine-side per-session state: flat MRAI tables and the session layout
+  // the speakers share, fan-out permutation included.
   t.bytes += sess_base_.capacity() * sizeof(std::uint32_t) +
              sess_nbr_.capacity() * sizeof(AsId) +
+             sess_rel_.capacity() * sizeof(topo::Rel) +
              export_slot_.capacity() * sizeof(std::uint32_t);
   for (const auto& [p, table] : mrai_) {
     t.bytes += sizeof(p) + table.capacity() * sizeof(MraiState) + 32;
@@ -521,13 +494,13 @@ BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
 }
 
 std::uint64_t BgpEngine::messages_sent_by(AsId as) const {
-  const std::uint32_t idx = index_of(as);
-  return idx == kNoIndex ? 0 : sent_by_[idx];
+  const std::uint32_t idx = graph_->index_of(as);
+  return idx == topo::AsGraph::kNoIndex ? 0 : sent_by_[idx];
 }
 
 std::uint64_t BgpEngine::best_changes_of(AsId as) const {
-  const std::uint32_t idx = index_of(as);
-  return idx == kNoIndex ? 0 : best_changes_[idx];
+  const std::uint32_t idx = graph_->index_of(as);
+  return idx == topo::AsGraph::kNoIndex ? 0 : best_changes_[idx];
 }
 
 std::uint64_t BgpEngine::pathlen_rejections() const {

@@ -6,12 +6,15 @@
 // and bookkeeping for the convergence/update-count measurements of §5.2 and
 // the load model of Table 2.
 //
+// Per-AS state is indexed by the graph's dense AS index (AsGraph::index_of,
+// ascending AS id). The engine builds one *session layout* at construction:
+// each AS's neighbors sorted by id, with their relationships. A neighbor's
+// rank there is its *slot*, which indexes the MRAI table and the speaker's
+// RIBs; speakers read their row of the layout rather than keeping a copy.
 // An export fan-out (one sender, one prefix) resolves the sender's prefix
 // state and the prefix's MRAI table once, then offers the prefix to each
-// session by neighbor slot: the neighbor's rank in the sender's sorted
-// adjacency, which indexes both the MRAI table and the speaker's
-// Adj-RIB-Out. Sessions are visited in AsGraph::neighbors() order through a
-// permutation built at construction, because every send draws link delay
+// session by slot. Sessions are visited in AsGraph::neighbors() order through
+// a permutation built with the layout, because every send draws link delay
 // and MRAI jitter from the engine RNG; that order is part of the canon.
 //
 // Each update's delivery time is fixed once, when it is sent: the link
@@ -216,10 +219,6 @@ class BgpEngine {
   template <class Ar, class Self>
   static void layout(Ar& ar, Self& self);
 
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
-  std::uint32_t index_of(AsId id) const noexcept;
-  std::uint32_t checked_index(AsId id) const;  // throws std::out_of_range
-
   // Export fan-out of the speaker at index `fi` for `prefix`; `st` is that
   // speaker's state for the prefix (nullptr: none). The prefix's MRAI table
   // is resolved once, then every session is offered the prefix by neighbor
@@ -281,28 +280,24 @@ class BgpEngine {
   adversary::AdversaryPlane* adversary_;
   std::vector<AsId> locked_ases_;
 
-  // Dense per-AS state: speakers and counters are vectors indexed by the
-  // rank of the AS id in sorted order (ids are contiguous in generated
-  // topologies, so the offset table below is direct-mapped). Removes hash
-  // cost from the hot pump and makes frontier partitioning cache friendly.
-  std::vector<AsId> as_ids_;  // sorted
-  AsId min_id_ = 0;
-  std::vector<std::uint32_t> id_to_index_;  // offset table over the id span
-  std::unordered_map<AsId, std::uint32_t> sparse_index_;  // huge-span fallback
+  // The session layout: directed sessions laid out per sending AS via
+  // sess_base_ (prefix sums of degrees) over sess_nbr_ / sess_rel_ (each
+  // AS's neighbor ids ascending and their relationships, concatenated), so
+  // session sess_base_[i] + s is AS i's neighbor slot s. Speaker i holds
+  // spans over its row. export_slot_ lists each AS's slots in
+  // AsGraph::neighbors() order: the order a fan-out walks them.
+  std::vector<std::uint32_t> sess_base_;    // size n+1
+  std::vector<AsId> sess_nbr_;              // size sess_base_.back()
+  std::vector<topo::Rel> sess_rel_;         // size sess_base_.back()
+  std::vector<std::uint32_t> export_slot_;  // size sess_base_.back()
+  // Speakers and counters are vectors indexed by the graph's AS index, which
+  // keeps hashing off the hot pump and frontier partitioning cache friendly.
   std::vector<BgpSpeaker> speakers_;
 
   // Per-(session, prefix) MRAI state, stored as one flat vector per prefix
-  // indexed by the dense directed-session index. At Internet scale this
-  // replaces millions of hash-map nodes with a handful of contiguous tables:
-  // O(1) access after one prefix lookup, no rehash, 24 bytes/session.
-  // Directed sessions are laid out per sending AS via sess_base_ (prefix
-  // sums of degrees) over sess_nbr_ (each AS's sorted neighbor ids,
-  // concatenated), so session sess_base_[i] + s is AS i's neighbor slot s.
-  // export_slot_ lists each AS's slots in AsGraph::neighbors() order: the
-  // order a fan-out walks them.
-  std::vector<std::uint32_t> sess_base_;    // size n+1
-  std::vector<AsId> sess_nbr_;              // size sess_base_.back()
-  std::vector<std::uint32_t> export_slot_;  // size sess_base_.back()
+  // indexed by the directed-session index. At Internet scale this replaces
+  // millions of hash-map nodes with a handful of contiguous tables: O(1)
+  // access after one prefix lookup, no rehash, 24 bytes/session.
   std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
   std::vector<RouteObserver*> observers_;
 

@@ -147,7 +147,7 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   }
   // Per-slot RIB arrays are empty until first use, then sized to the
   // neighbour count; any other length would index past the slot table.
-  const std::size_t n_slots = self.graph_->neighbors(self.id_).size();
+  const std::size_t n_slots = self.nbr_ids_.size();
   const auto check_slots = [&](std::size_t n, const char* table) {
     if (n != 0 && n != n_slots) {
       throw std::runtime_error(

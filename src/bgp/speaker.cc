@@ -19,28 +19,12 @@ LearnedFrom learned_from_rel(topo::Rel rel) {
 }
 }  // namespace
 
-BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg)
-    : id_(id), graph_(&graph), cfg_(cfg) {}
-
-void BgpSpeaker::ensure_neighbors() const {
-  if (nbrs_built_) return;
-  const auto& ns = graph_->neighbors(id_);
-  std::vector<std::pair<AsId, topo::Rel>> sorted;
-  sorted.reserve(ns.size());
-  for (const auto& n : ns) sorted.emplace_back(n.id, n.rel);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  nbr_ids_.reserve(sorted.size());
-  nbr_rel_.reserve(sorted.size());
-  for (const auto& [nid, rel] : sorted) {
-    nbr_ids_.push_back(nid);
-    nbr_rel_.push_back(rel);
-  }
-  nbrs_built_ = true;
-}
+BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph,
+                       std::span<const AsId> nbr_ids,
+                       std::span<const topo::Rel> nbr_rel)
+    : id_(id), graph_(&graph), nbr_ids_(nbr_ids), nbr_rel_(nbr_rel) {}
 
 std::uint32_t BgpSpeaker::slot_of(AsId neighbor) const {
-  ensure_neighbors();
   const auto it =
       std::lower_bound(nbr_ids_.begin(), nbr_ids_.end(), neighbor);
   if (it == nbr_ids_.end() || *it != neighbor) return kNoSlot;
@@ -322,7 +306,6 @@ const Route* BgpSpeaker::best_route(const Prefix& prefix) const {
 std::vector<Route> BgpSpeaker::rib_in(const Prefix& prefix) const {
   std::vector<Route> out;
   if (const auto* st = find_state(prefix)) {
-    ensure_neighbors();
     for (std::uint32_t s = 0; s < st->in_path.size(); ++s) {
       if (st->in_present[s] == 0) continue;
       Route r;
@@ -384,7 +367,6 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_unit(
     const PrefixState& st, std::uint32_t slot) const {
-  ensure_neighbors();
   if (slot >= nbr_ids_.size()) return std::nullopt;
   const AsId neighbor = nbr_ids_[slot];
 
@@ -473,7 +455,6 @@ void BgpSpeaker::record_advertised(const Prefix& prefix, AsId neighbor,
 
 void BgpSpeaker::record_advertised(PrefixState& st, std::uint32_t slot,
                                    const std::optional<ExportUnit>& unit) {
-  ensure_neighbors();
   ensure_out(st, nbr_ids_.size());
   if (unit) {
     st.out_tag[slot] = kOutUnit;
@@ -532,7 +513,6 @@ bool BgpSpeaker::is_suppressed(const Prefix& prefix, AsId neighbor) const {
 }
 
 std::optional<AsId> BgpSpeaker::default_gateway() const {
-  ensure_neighbors();
   // Slots ascend by neighbor id, so the first provider is the lowest ASN.
   for (std::size_t s = 0; s < nbr_ids_.size(); ++s) {
     if (nbr_rel_[s] == topo::Rel::kProvider) return nbr_ids_[s];
@@ -547,8 +527,6 @@ BgpSpeaker::RibMemory BgpSpeaker::rib_memory() const {
   constexpr std::size_t kMapNodeOverhead = 32;
   RibMemory m;
   m.bytes += sizeof(*this);
-  m.bytes += nbr_ids_.capacity() * sizeof(AsId) +
-             nbr_rel_.capacity() * sizeof(topo::Rel);
   for (const auto& [p, st] : prefixes_) {
     ++m.prefixes;
     m.bytes += sizeof(p) + sizeof(st) + kMapNodeOverhead;

@@ -9,14 +9,15 @@
 //
 // Storage layout (Internet-scale refactor): per-prefix state is a
 // struct-of-arrays RIB keyed by a dense per-speaker *neighbor slot* — the
-// rank of the neighbor's AS id in this speaker's sorted adjacency list. The
-// graph is immutable once routing starts, so the slot table is built once
-// and every RIB table (Adj-RIB-In paths, interned communities, learned-from
-// tags, presence bits, Adj-RIB-Out tags) becomes a flat vector indexed by
-// slot. Compared with the former unordered_map<AsId, Route> layout this
-// removes per-entry node allocations and hashing, shrinks a resident route
-// to ~34 bytes of holder state (PathRef + CommunitiesRef + two tag bytes)
-// plus buffers shared across all holders, and makes iteration order the
+// rank of the neighbor's AS id in this speaker's sorted adjacency. That
+// adjacency (ids and relationships) is the speaker's row of the engine's
+// session layout, built once when the engine is constructed; every RIB
+// table (Adj-RIB-In paths, interned communities, learned-from tags,
+// presence bits, Adj-RIB-Out tags) is a flat vector indexed by slot.
+// Compared with the former unordered_map<AsId, Route> layout this removes
+// per-entry node allocations and hashing, shrinks a resident route to ~34
+// bytes of holder state (PathRef + CommunitiesRef + two tag bytes) plus
+// buffers shared across all holders, and makes iteration order the
 // deterministic ascending-neighbor-id order the decision process already
 // ties on. Avoid hints are rare, so they live in small sorted sparse
 // side-tables instead of widening every slot. See docs/TOPOLOGIES.md for
@@ -25,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -94,10 +96,10 @@ struct FibResult {
   Prefix matched;                     // matched prefix (unset for default)
 };
 
+// Speakers are made by a BgpEngine, which owns their adjacency; reach one
+// with BgpEngine::speaker().
 class BgpSpeaker {
  public:
-  BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg = {});
-
   AsId id() const noexcept { return id_; }
   const SpeakerConfig& config() const noexcept { return cfg_; }
   SpeakerConfig& mutable_config() noexcept { return cfg_; }
@@ -277,8 +279,12 @@ class BgpSpeaker {
   };
   enum AdjOutTag : std::uint8_t { kOutUnset = 0, kOutNone = 1, kOutUnit = 2 };
 
-  // Dense neighbor slot table (built lazily from the immutable graph).
-  void ensure_neighbors() const;
+  // `nbr_ids` / `nbr_rel`: this AS's row of the engine's session layout
+  // (neighbor ids ascending, and what each is to this AS).
+  BgpSpeaker(AsId id, const topo::AsGraph& graph,
+             std::span<const AsId> nbr_ids,
+             std::span<const topo::Rel> nbr_rel);
+
   // Slot of `neighbor` in the sorted adjacency, or kNoSlot.
   std::uint32_t slot_of(AsId neighbor) const;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -311,15 +317,11 @@ class BgpSpeaker {
                          const std::optional<ExportUnit>& unit);
 
   AsId id_;
-  const topo::AsGraph* graph_;
+  const topo::AsGraph* graph_;  // Peerlock's relationship queries
   SpeakerConfig cfg_;
-  // Sorted neighbor ids + parallel relationship array; the slot index into
-  // every per-prefix RIB table. Lazily built (mutable) because speakers may
-  // be constructed while the graph is still being assembled; the graph is
-  // immutable once the first update flows.
-  mutable std::vector<AsId> nbr_ids_;
-  mutable std::vector<topo::Rel> nbr_rel_;
-  mutable bool nbrs_built_ = false;
+  // Slot -> neighbor id / relationship, owned by the engine.
+  std::span<const AsId> nbr_ids_;
+  std::span<const topo::Rel> nbr_rel_;
   std::unordered_map<Prefix, PrefixState, topo::PrefixHash> prefixes_;
   std::optional<AsId> forced_egress_;
   bool len_present_[33] = {};

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "topology/io.h"
 
@@ -287,23 +288,30 @@ GeneratedTopology generate_internet_scale(const InternetScaleParams& params) {
     topo.stubs.push_back(id);
   }
 
-  // Role split for feed/vantage selection: top decile of transits by degree
-  // are "large" (deterministic tie-break on id).
-  std::sort(transits.begin(), transits.end(), [&](AsId a, AsId b) {
-    const auto da = topo.graph.degree(a);
-    const auto db = topo.graph.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  const std::size_t n_large = std::max<std::size_t>(1, transits.size() / 10);
-  topo.large_transit.assign(transits.begin(), transits.begin() + n_large);
-  topo.small_transit.assign(transits.begin() + n_large, transits.end());
-  std::sort(topo.large_transit.begin(), topo.large_transit.end());
-  std::sort(topo.small_transit.begin(), topo.small_transit.end());
+  // Role split for feed/vantage selection.
+  std::tie(topo.large_transit, topo.small_transit) =
+      split_transits(topo.graph, std::move(transits));
 
   if (const auto err = topo.graph.validate()) {
     throw std::runtime_error("generated topology invalid: " + *err);
   }
   return topo;
+}
+
+std::pair<std::vector<AsId>, std::vector<AsId>> split_transits(
+    const AsGraph& graph, std::vector<AsId> transits) {
+  std::sort(transits.begin(), transits.end(), [&](AsId a, AsId b) {
+    const auto da = graph.degree(a);
+    const auto db = graph.degree(b);
+    return da != db ? da > db : a < b;
+  });
+  const auto n_large = static_cast<std::ptrdiff_t>(
+      transits.empty() ? 0 : std::max<std::size_t>(1, transits.size() / 10));
+  std::vector<AsId> large(transits.begin(), transits.begin() + n_large);
+  std::vector<AsId> small(transits.begin() + n_large, transits.end());
+  std::sort(large.begin(), large.end());
+  std::sort(small.begin(), small.end());
+  return {std::move(large), std::move(small)};
 }
 
 GeneratedTopology classify_topology(AsGraph graph) {
@@ -314,18 +322,8 @@ GeneratedTopology classify_topology(AsGraph graph) {
   GeneratedTopology topo;
   topo.tier1 = graph.as_ids_with_tier(AsTier::kTier1);
   topo.stubs = graph.as_ids_with_tier(AsTier::kStub);
-  std::vector<AsId> transits = graph.as_ids_with_tier(AsTier::kTransit);
-  std::sort(transits.begin(), transits.end(), [&](AsId a, AsId b) {
-    const auto da = graph.degree(a);
-    const auto db = graph.degree(b);
-    return da != db ? da > db : a < b;
-  });
-  const std::size_t n_large =
-      transits.empty() ? 0 : std::max<std::size_t>(1, transits.size() / 10);
-  topo.large_transit.assign(transits.begin(), transits.begin() + n_large);
-  topo.small_transit.assign(transits.begin() + n_large, transits.end());
-  std::sort(topo.large_transit.begin(), topo.large_transit.end());
-  std::sort(topo.small_transit.begin(), topo.small_transit.end());
+  std::tie(topo.large_transit, topo.small_transit) =
+      split_transits(graph, graph.as_ids_with_tier(AsTier::kTransit));
   topo.graph = std::move(graph);
   return topo;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "topology/as_graph.h"
@@ -91,10 +92,17 @@ struct InternetScaleParams {
 };
 GeneratedTopology generate_internet_scale(const InternetScaleParams& params);
 
+// The large-transit cut: the top tenth of `transits` by degree (degree
+// descending, ties by lower id; at least one when any exist) is large, the
+// rest small. Returns {large, small}, each ascending. generate_internet_scale,
+// classify_topology and adversary::RoleTable all cut here.
+std::pair<std::vector<AsId>, std::vector<AsId>> split_transits(
+    const AsGraph& graph, std::vector<AsId> transits);
+
 // Wrap an externally loaded graph (e.g. a CAIDA relationship file) in the
 // role structure experiments expect: tiers are reclassified from the
-// relationship structure, transits are split into large/small by degree
-// (top decile = large). Throws if the graph fails validate().
+// relationship structure, transits are split by split_transits. Throws if
+// the graph fails validate().
 GeneratedTopology classify_topology(AsGraph graph);
 
 // Resolve the world topology from the environment:

@@ -1,5 +1,6 @@
 #include "topology/io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -88,7 +89,13 @@ AsId parse_as(const std::string& field, std::size_t line_no,
 }  // namespace
 
 AsGraph read_caida(std::istream& in) {
-  AsGraph graph;
+  struct Link {
+    AsId a, b;
+    Rel rel_of_b_to_a;
+    std::size_t line_no;
+  };
+  std::vector<Link> links;
+  std::vector<AsId> ids;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -126,14 +133,23 @@ AsGraph read_caida(std::istream& in) {
                                   ": unknown relationship '" + fields[2] +
                                   "'");
     }
-    if (!graph.has_as(a)) graph.add_as(a);
-    if (!graph.has_as(b)) graph.add_as(b);
-    if (graph.has_link(a, b)) {
-      throw std::invalid_argument("line " + std::to_string(line_no) +
-                                  ": duplicate link " + std::to_string(a) +
-                                  "-" + std::to_string(b));
+    links.push_back({a, b, rel_of_b_to_a, line_no});
+    ids.push_back(a);
+    ids.push_back(b);
+  }
+  // ASes first, in ascending order, so every add_as appends; then the links
+  // in file order, which fixes each AS's neighbor order.
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  AsGraph graph;
+  for (const AsId id : ids) graph.add_as(id);
+  for (const Link& l : links) {
+    if (graph.has_link(l.a, l.b)) {
+      throw std::invalid_argument("line " + std::to_string(l.line_no) +
+                                  ": duplicate link " + std::to_string(l.a) +
+                                  "-" + std::to_string(l.b));
     }
-    graph.add_link(a, b, rel_of_b_to_a);
+    graph.add_link(l.a, l.b, l.rel_of_b_to_a);
   }
   graph.reclassify_tiers();
   return graph;

@@ -21,23 +21,16 @@ constexpr std::uint32_t kBlocked = 0xfffffffeu;
 ValleyFreeOracle::ValleyFreeOracle(const AsGraph& graph)
     : graph_(&graph),
       num_ases_(graph.num_ases()),
-      num_links_(graph.num_links()),
-      ids_(graph.as_ids()) {
-  first_.reserve(ids_.size() + 1);
+      num_links_(graph.num_links()) {
+  first_.reserve(num_ases_ + 1);
   arcs_.reserve(2 * num_links_);
   first_.push_back(0);
-  for (const AsId id : ids_) {
+  for (const AsId id : graph.as_ids()) {
     for (const Neighbor& n : graph.neighbors(id)) {
-      arcs_.push_back({index_of(n.id), n.rel});
+      arcs_.push_back({graph.index_of(n.id), n.rel});
     }
     first_.push_back(static_cast<std::uint32_t>(arcs_.size()));
   }
-}
-
-std::uint32_t ValleyFreeOracle::index_of(AsId id) const {
-  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  if (it == ids_.end() || *it != id) return kNoIndex;
-  return static_cast<std::uint32_t>(it - ids_.begin());
 }
 
 bool ValleyFreeOracle::reachable(AsId src, AsId dst,
@@ -51,18 +44,20 @@ std::vector<AsId> ValleyFreeOracle::shortest_path(
     throw std::logic_error(
         "ValleyFreeOracle: the graph changed after the oracle was built");
   }
-  const std::uint32_t s = index_of(src);
-  const std::uint32_t d = index_of(dst);
-  if (s == kNoIndex || d == kNoIndex) return {};
+  const AsGraph& g = *graph_;
+  const std::uint32_t s = g.index_of(src);
+  const std::uint32_t d = g.index_of(dst);
+  if (s == AsGraph::kNoIndex || d == AsGraph::kNoIndex) return {};
   if (avoid.blocks_as(src) || avoid.blocks_as(dst)) return {};
   if (src == dst) return {src};
 
   // parent[state] is the state it was reached from (the start is its own
   // parent). Avoided ASes are pre-marked in both phases, so they are never
   // entered.
-  std::vector<std::uint32_t> parent(2 * ids_.size(), kUnseen);
+  const std::vector<AsId>& ids = g.as_ids();
+  std::vector<std::uint32_t> parent(2 * ids.size(), kUnseen);
   for (const AsId id : avoid.ases) {
-    if (const std::uint32_t i = index_of(id); i != kNoIndex) {
+    if (const std::uint32_t i = g.index_of(id); i != AsGraph::kNoIndex) {
       parent[i << 1 | kUp] = parent[i << 1 | kDown] = kBlocked;
     }
   }
@@ -78,7 +73,7 @@ std::vector<AsId> ValleyFreeOracle::shortest_path(
     for (std::uint32_t e = first_[at]; e < first_[at + 1]; ++e) {
       const Arc arc = arcs_[e];
       if (!up && arc.rel != Rel::kCustomer) continue;  // downhill after apex
-      if (avoid_links && avoid.blocks_link(ids_[at], ids_[arc.to])) continue;
+      if (avoid_links && avoid.blocks_link(ids[at], ids[arc.to])) continue;
       // Climbing continues only over a provider edge; a peer or customer
       // edge is the apex.
       const std::uint32_t next =
@@ -91,7 +86,7 @@ std::vector<AsId> ValleyFreeOracle::shortest_path(
       }
       std::vector<AsId> path;
       for (std::uint32_t st = next;; st = parent[st]) {
-        path.push_back(ids_[st >> 1]);
+        path.push_back(ids[st >> 1]);
         if (parent[st] == st) break;
       }
       std::reverse(path.begin(), path.end());

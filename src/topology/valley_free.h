@@ -43,12 +43,13 @@ struct Avoidance {
   }
 };
 
-// The oracle snapshots the graph at construction into a CSR adjacency over
-// dense AS indices (ascending AS id; each AS's arcs in AsGraph::neighbors()
-// order, so BFS ties break in graph order) and searches flat arrays. A graph
-// changed after construction makes every query throw std::logic_error rather
-// than answer from the stale snapshot. Queries are const and allocate their
-// own scratch, so one oracle may serve many threads.
+// The oracle snapshots the graph's links at construction into a CSR
+// adjacency over the graph's AS indices (AsGraph::index_of; each AS's arcs
+// in AsGraph::neighbors() order, so BFS ties break in graph order) and
+// searches flat arrays. A graph changed after construction makes every
+// query throw std::logic_error rather than answer from the stale snapshot.
+// Queries are const, only read the graph, and allocate their own scratch,
+// so one oracle (and its graph) may serve many threads.
 class ValleyFreeOracle {
  public:
   explicit ValleyFreeOracle(const AsGraph& graph);
@@ -64,17 +65,14 @@ class ValleyFreeOracle {
 
  private:
   struct Arc {
-    std::uint32_t to;  // dense index of the neighbor
+    std::uint32_t to;  // AS index of the neighbor
     Rel rel;           // what the neighbor is to the arc's tail
   };
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
-  std::uint32_t index_of(AsId id) const;  // kNoIndex for unknown ASes
 
   const AsGraph* graph_;
   std::size_t num_ases_;   // graph size at construction: the staleness check
   std::size_t num_links_;
-  std::vector<AsId> ids_;  // dense index -> AS id, ascending
-  // Arcs of dense index i are arcs_[first_[i] .. first_[i + 1]).
+  // Arcs of AS index i are arcs_[first_[i] .. first_[i + 1]).
   std::vector<std::uint32_t> first_;
   std::vector<Arc> arcs_;
 };

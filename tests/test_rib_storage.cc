@@ -58,15 +58,20 @@ TEST(CommunitiesRefTest, ContentEqualityAcrossDistinctBuffers) {
 
 // ---- Adj-RIB-Out tag encoding ------------------------------------------
 
+// Speakers come from an engine, which owns their adjacency; nothing here
+// runs the scheduler, so each test drives one speaker directly.
 class AdjOutTest : public ::testing::Test {
  protected:
-  AdjOutTest() : topo_(topo::make_fig2_topology()) {}
+  AdjOutTest()
+      : topo_(topo::make_fig2_topology()), engine_(topo_.graph, sched_) {}
 
   topo::Fig2Topology topo_;
+  util::Scheduler sched_;
+  bgp::BgpEngine engine_;
 };
 
 TEST_F(AdjOutTest, FreshSpeakerIsNeverAdvertised) {
-  BgpSpeaker sp(topo_.b, topo_.graph);
+  BgpSpeaker& sp = engine_.speaker(topo_.b);
   const Prefix p = topo::AddressPlan::production_prefix(topo_.o);
   EXPECT_EQ(sp.adj_out_state(p, topo_.a),
             BgpSpeaker::AdjOutState::kNeverAdvertised);
@@ -74,7 +79,7 @@ TEST_F(AdjOutTest, FreshSpeakerIsNeverAdvertised) {
 }
 
 TEST_F(AdjOutTest, RecordAdvertisedRoundTrips) {
-  BgpSpeaker sp(topo_.b, topo_.graph);
+  BgpSpeaker& sp = engine_.speaker(topo_.b);
   const Prefix p = topo::AddressPlan::production_prefix(topo_.o);
   BgpSpeaker::ExportUnit unit{AsPath{topo_.b, topo_.o},
                               Communities{42},
@@ -90,7 +95,7 @@ TEST_F(AdjOutTest, RecordAdvertisedRoundTrips) {
 }
 
 TEST_F(AdjOutTest, RecordingNulloptMeansWithdrawn) {
-  BgpSpeaker sp(topo_.b, topo_.graph);
+  BgpSpeaker& sp = engine_.speaker(topo_.b);
   const Prefix p = topo::AddressPlan::production_prefix(topo_.o);
   sp.record_advertised(p, topo_.a,
                        BgpSpeaker::ExportUnit{AsPath{topo_.b, topo_.o}, {}, {}});
