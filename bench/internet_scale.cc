@@ -35,6 +35,7 @@
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "topology/valley_free.h"
+#include "util/env_knobs.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
@@ -248,9 +249,8 @@ int main() {
   const double peak_mb =
       static_cast<double>(mem::peak_rss_bytes()) / (1024.0 * 1024.0);
   std::fprintf(stderr, "[internet_scale] peak RSS %.1f MB\n", peak_mb);
-  if (const char* ceiling = std::getenv("LG_RSS_CEILING_MB");
-      ceiling != nullptr && ceiling[0] != '\0') {
-    const double limit = std::atof(ceiling);
+  if (std::getenv("LG_RSS_CEILING_MB") != nullptr) {
+    const double limit = util::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
     if (limit > 0.0 && peak_mb > limit) {
       std::fprintf(stderr,
                    "[internet_scale] FAIL: peak RSS %.1f MB exceeds "

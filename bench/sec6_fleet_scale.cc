@@ -26,6 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "fleet/fleet_scheduler.h"
+#include "util/env_knobs.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -67,10 +68,8 @@ int main() {
   obs::TraceRing::global().set_capacity(1 << 16);
 
   std::vector<std::size_t> sizes = {100, 500, 1000, 2500, 5000};
-  if (const char* v = std::getenv("LG_FLEET_TARGETS")) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end != v && n > 0) sizes = {static_cast<std::size_t>(n)};
+  if (std::getenv("LG_FLEET_TARGETS") != nullptr) {
+    sizes = {util::env_size_knob("LG_FLEET_TARGETS", 0)};
   }
   const std::vector<double> rates = {12.0, 48.0};
 

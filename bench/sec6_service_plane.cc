@@ -34,9 +34,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "fleet/env_knobs.h"
 #include "fleet/service_plane.h"
 #include "mem/rss.h"
+#include "util/env_knobs.h"
 #include "util/hashing.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -152,9 +152,9 @@ int main() {
 
   // Checkpoint/restore plumbing (all three knobs are operator input:
   // garbage throws a named diagnostic instead of silently running the
-  // default — see fleet/env_knobs.h).
+  // default — see util/env_knobs.h).
   const double checkpoint_at =
-      fleet::env_double_knob("LG_SERVICE_CHECKPOINT_AT", 0.0, 0.0);
+      util::env_double_knob("LG_SERVICE_CHECKPOINT_AT", 0.0, 0.0);
   const char* checkpoint_path_env = std::getenv("LG_SERVICE_CHECKPOINT_PATH");
   const std::string checkpoint_path =
       checkpoint_path_env != nullptr && checkpoint_path_env[0] != '\0'
@@ -227,7 +227,7 @@ int main() {
                "(process, %zu thread%s)\n",
                rss, mem_threads, mem_threads == 1 ? "" : "s");
   const double rss_ceiling =
-      fleet::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
+      util::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
   bool rss_ok = true;
   if (rss_ceiling > 0.0 && rss > rss_ceiling) {
     std::fprintf(stderr,

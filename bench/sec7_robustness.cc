@@ -25,6 +25,7 @@
 #include "core/lifeguard.h"
 #include "faults/fault_plane.h"
 #include "run/trial_runner.h"
+#include "util/env_knobs.h"
 #include "workload/churn.h"
 #include "workload/scenarios.h"
 #include "workload/sim_world.h"
@@ -181,13 +182,11 @@ int main() {
   std::vector<double> intensities = {0.0, 0.25, 0.5, 0.75, 1.0};
   if (const char* v = std::getenv("LG_FAULTS")) {
     if (std::strcmp(v, "off") != 0) {
-      intensities = {std::strtod(v, nullptr)};
+      intensities = {util::env_fraction_knob("LG_FAULTS", 0.0)};
     }
   }
-  std::uint64_t fault_seed_base = 0x666c7453ULL;  // "fltS"
-  if (const char* v = std::getenv("LG_FAULTS_SEED")) {
-    fault_seed_base = std::strtoull(v, nullptr, 10);
-  }
+  const std::uint64_t fault_seed_base =
+      util::env_u64_knob("LG_FAULTS_SEED", 0x666c7453ULL);  // "fltS"
   jr->set_config("intensities", static_cast<double>(intensities.size()));
   jr->set_config("trials_per_intensity",
                  static_cast<double>(kTrialsPerIntensity));

@@ -30,6 +30,7 @@
 #include "bench/bench_util.h"
 #include "core/lifeguard.h"
 #include "run/trial_runner.h"
+#include "util/env_knobs.h"
 #include "workload/destabilizer.h"
 #include "workload/scenarios.h"
 #include "workload/sim_world.h"
@@ -197,13 +198,11 @@ int main() {
   std::vector<double> prevalences = {0.0, 0.05, 0.25, 0.5, 1.0};
   if (const char* v = std::getenv("LG_ADVERSARY")) {
     if (std::strcmp(v, "off") != 0) {
-      prevalences = {std::strtod(v, nullptr)};
+      prevalences = {util::env_fraction_knob("LG_ADVERSARY", 0.0)};
     }
   }
-  std::uint64_t adv_seed_base = 0x61647653ULL;  // "advS"
-  if (const char* v = std::getenv("LG_ADVERSARY_SEED")) {
-    adv_seed_base = std::strtoull(v, nullptr, 10);
-  }
+  const std::uint64_t adv_seed_base =
+      util::env_u64_knob("LG_ADVERSARY_SEED", 0x61647653ULL);  // "advS"
   jr->set_config("prevalences", static_cast<double>(prevalences.size()));
   jr->set_config("trials_per_prevalence",
                  static_cast<double>(kTrialsPerPrevalence));

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
+#include "util/env_knobs.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -378,7 +379,7 @@ SweepSummary run_sweep(std::uint64_t first_seed, std::size_t count,
 std::optional<std::uint64_t> replay_seed_from_env() {
   const char* v = std::getenv("LG_CHECK_SEED");
   if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::strtoull(v, nullptr, 10);
+  return util::env_u64_knob("LG_CHECK_SEED", 0);
 }
 
 }  // namespace lg::check

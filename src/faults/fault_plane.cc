@@ -7,6 +7,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env_knobs.h"
 
 namespace lg::faults {
 
@@ -49,12 +50,10 @@ FaultConfig FaultConfig::from_env() {
   FaultConfig cfg;  // disabled default
   if (const char* v = std::getenv("LG_FAULTS")) {
     if (std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0) {
-      cfg = at_intensity(std::strtod(v, nullptr));
+      cfg = at_intensity(util::env_fraction_knob("LG_FAULTS", 0.0));
     }
   }
-  if (const char* v = std::getenv("LG_FAULTS_SEED")) {
-    cfg.seed = std::strtoull(v, nullptr, 10);
-  }
+  cfg.seed = util::env_u64_knob("LG_FAULTS_SEED", cfg.seed);
   return cfg;
 }
 

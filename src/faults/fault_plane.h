@@ -81,6 +81,8 @@ struct FaultConfig {
   static FaultConfig at_intensity(double intensity);
   // Honor LG_FAULTS ("off"/"0" = disabled, else an intensity in [0, 1])
   // and LG_FAULTS_SEED (decimal seed override). Unset = disabled default.
+  // Parsing is strict (util/env_knobs.h): a malformed or out-of-range value
+  // throws std::invalid_argument naming the knob.
   static FaultConfig from_env();
 };
 

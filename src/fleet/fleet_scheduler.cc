@@ -5,8 +5,8 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "fleet/env_knobs.h"
 #include "run/trial_runner.h"
+#include "util/env_knobs.h"
 #include "util/rng.h"
 #include "workload/outages.h"
 
@@ -24,12 +24,12 @@ void append_num(std::ostringstream& os, double v) {
 }  // namespace
 
 FleetConfig FleetConfig::from_env(FleetConfig base) {
-  base.targets = env_size_knob("LG_FLEET_TARGETS", base.targets);
-  base.announce_per_hour =
-      env_double_knob("LG_FLEET_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
-  base.probe_rate_per_second =
-      env_double_knob("LG_FLEET_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
-  base.episode.stall_threshold_seconds = env_double_knob(
+  base.targets = util::env_size_knob("LG_FLEET_TARGETS", base.targets);
+  base.announce_per_hour = util::env_double_knob(
+      "LG_FLEET_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
+  base.probe_rate_per_second = util::env_double_knob(
+      "LG_FLEET_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
+  base.episode.stall_threshold_seconds = util::env_double_knob(
       "LG_FLEET_STALL_SECONDS", base.episode.stall_threshold_seconds, 0.0);
   return base;
 }

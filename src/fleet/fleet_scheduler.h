@@ -61,7 +61,7 @@ struct FleetConfig {
   // hour) / LG_FLEET_PROBE_BUDGET (probes per second per shard) /
   // LG_FLEET_STALL_SECONDS (stall watchdog threshold, 0 disables) on top of
   // `base`. Malformed or out-of-range values throw std::invalid_argument
-  // with a diagnostic naming the knob (see fleet/env_knobs.h) — a capacity
+  // with a diagnostic naming the knob (see util/env_knobs.h) — a capacity
   // run must not silently proceed with a config the operator did not set.
   static FleetConfig from_env(FleetConfig base);
   static FleetConfig from_env() { return from_env(FleetConfig{}); }

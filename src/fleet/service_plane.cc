@@ -9,10 +9,10 @@
 #include "bgp/types.h"
 #include "core/remediation.h"
 #include "fleet/checkpoint.h"
-#include "fleet/env_knobs.h"
 #include "obs/trace.h"
 #include "run/trial_runner.h"
 #include "util/codec.h"
+#include "util/env_knobs.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
@@ -680,17 +680,17 @@ void container_layout(Ar& ar, Shards& shards, std::size_t expect_shards,
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
-  base.prefixes = env_size_knob("LG_SERVICE_PREFIXES", base.prefixes);
-  base.clients = env_size_knob("LG_SERVICE_CLIENTS", base.clients);
+  base.prefixes = util::env_size_knob("LG_SERVICE_PREFIXES", base.prefixes);
+  base.clients = util::env_size_knob("LG_SERVICE_CLIENTS", base.clients);
   base.horizon_seconds =
-      env_double_knob("LG_SERVICE_HORIZON", base.horizon_seconds, 1.0);
+      util::env_double_knob("LG_SERVICE_HORIZON", base.horizon_seconds, 1.0);
   base.tick_seconds =
-      env_double_knob("LG_SERVICE_TICK", base.tick_seconds, 1.0);
-  base.outages_per_hour =
-      env_double_knob("LG_SERVICE_OUTAGE_RATE", base.outages_per_hour, 0.0);
-  base.announce_per_hour = env_double_knob("LG_SERVICE_ANNOUNCE_BUDGET",
-                                           base.announce_per_hour, 0.0);
-  base.probe_rate_per_second = env_double_knob(
+      util::env_double_knob("LG_SERVICE_TICK", base.tick_seconds, 1.0);
+  base.outages_per_hour = util::env_double_knob(
+      "LG_SERVICE_OUTAGE_RATE", base.outages_per_hour, 0.0);
+  base.announce_per_hour = util::env_double_knob(
+      "LG_SERVICE_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
+  base.probe_rate_per_second = util::env_double_knob(
       "LG_SERVICE_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
   return base;
 }

@@ -98,7 +98,7 @@ struct ServiceConfig {
   // hour) / LG_SERVICE_ANNOUNCE_BUDGET (per hour) / LG_SERVICE_PROBE_BUDGET
   // (probes per second per shard) on top of `base`. Malformed or
   // out-of-range values throw std::invalid_argument with a diagnostic
-  // naming the knob (fleet/env_knobs.h).
+  // naming the knob (util/env_knobs.h).
   static ServiceConfig from_env(ServiceConfig base);
   static ServiceConfig from_env() { return from_env(ServiceConfig{}); }
 };

@@ -1,17 +1,12 @@
 #include "util/thread_pool.h"
 
-#include <cstdlib>
+#include "util/env_knobs.h"
 
 namespace lg::util {
 
 std::size_t default_thread_count() {
-  if (const char* v = std::getenv("LG_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end != v && parsed >= 1) return static_cast<std::size_t>(parsed);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return env_size_knob("LG_THREADS", hw == 0 ? 1 : hw);
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {

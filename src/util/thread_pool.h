@@ -18,8 +18,9 @@
 namespace lg::util {
 
 // Worker count for "use all the machine allows": the LG_THREADS environment
-// variable when set (>= 1), otherwise std::thread::hardware_concurrency()
-// (minimum 1).
+// variable when set (a positive integer; anything else throws
+// std::invalid_argument, see util/env_knobs.h), otherwise
+// std::thread::hardware_concurrency() (minimum 1).
 std::size_t default_thread_count();
 
 class ThreadPool {

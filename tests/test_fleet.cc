@@ -563,7 +563,7 @@ TEST(FleetConfigTest, FromEnvAppliesValidOverrides) {
 // Regression: from_env used to silently keep the default when a knob held
 // garbage — a capacity run would "succeed" with a config the operator never
 // asked for. Malformed operator input must throw a diagnostic naming the
-// knob (the topology loader's convention, fleet/env_knobs.h).
+// knob (the topology loader's convention, util/env_knobs.h).
 TEST(FleetConfigTest, FromEnvThrowsOnGarbage) {
   const auto expect_throw = [](const char* name, const char* value) {
     ::setenv(name, value, 1);

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace lg::util {
@@ -37,14 +39,14 @@ TEST(DefaultThreadCountTest, HonorsLgThreadsEnv) {
   EXPECT_EQ(default_thread_count(), 1u);
 }
 
-TEST(DefaultThreadCountTest, IgnoresInvalidEnvValues) {
+// LG_THREADS parses strictly (util/env_knobs.h): a value that is not a
+// positive integer throws instead of quietly using every hardware thread.
+TEST(DefaultThreadCountTest, RejectsInvalidEnvValues) {
   const ThreadsEnvGuard guard;
-  ::setenv("LG_THREADS", "0", 1);
-  EXPECT_GE(default_thread_count(), 1u);
-  ::setenv("LG_THREADS", "-4", 1);
-  EXPECT_GE(default_thread_count(), 1u);
-  ::setenv("LG_THREADS", "banana", 1);
-  EXPECT_GE(default_thread_count(), 1u);
+  for (const char* bad : {"0", "-4", "banana", "4x", ""}) {
+    ::setenv("LG_THREADS", bad, 1);
+    EXPECT_THROW(default_thread_count(), std::invalid_argument) << bad;
+  }
   ::unsetenv("LG_THREADS");
   EXPECT_GE(default_thread_count(), 1u);
 }
