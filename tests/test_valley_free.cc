@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "run/trial_runner.h"
 #include "topology/generator.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -183,6 +185,41 @@ TEST(ValleyFreeOracleTest, RejectsGraphChangedAfterConstruction) {
   g.add_link(3, 4, Rel::kProvider);
   EXPECT_THROW(oracle.shortest_path(3, 1), std::logic_error);
   EXPECT_THROW(oracle.reachable(5, 1), std::logic_error);
+}
+
+// One graph and one oracle serve every trial thread, as in
+// bench/sec5_1_efficacy: each query reads AS indices, arcs and ids the
+// graph and the oracle own, and nothing else. Answers at 4 threads must
+// equal a serial pass; under ThreadSanitizer (the CI tsan job) this is
+// also the data-race check on those shared reads.
+TEST(ValleyFreeOracleTest, SharedAcrossTrialThreads) {
+  const auto topo = generate_internet_scale({.total_ases = 5000, .seed = 5});
+  const AsGraph& g = topo.graph;
+  const ValleyFreeOracle oracle(g);
+  // A trial's digest of 40 queries drawn from its own seed: every path,
+  // plus the endpoints' indices and degrees read straight from the graph.
+  const auto trial = [&](std::uint64_t seed) {
+    util::Rng rng(seed, 0x74736e);
+    util::Fnv1a digest;
+    for (int q = 0; q < 40; ++q) {
+      const AsId src = rng.pick(g.as_ids());
+      const AsId dst = rng.pick(g.as_ids());
+      const Avoidance avoid = Avoidance::of_as(rng.pick(g.as_ids()));
+      digest.u64(g.index_of(src));
+      digest.u64(g.degree(dst));
+      for (const AsId hop : oracle.shortest_path(src, dst, avoid)) {
+        digest.u64(hop);
+      }
+    }
+    return digest.state;
+  };
+  run::TrialRunner runner({.threads = 4});
+  const std::vector<std::uint64_t> parallel = runner.run(
+      16, [&](const run::TrialContext& ctx) { return trial(ctx.seed); });
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
+    EXPECT_EQ(parallel[i], trial(run::trial_seed(runner.base_seed(), i)))
+        << "trial " << i;
+  }
 }
 
 TEST(ObservedTripleSetTest, ContainsRecordedTriplesBothDirections) {
