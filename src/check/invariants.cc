@@ -183,7 +183,7 @@ void InvariantChecker::check_valley_free(std::vector<Violation>& out) const {
 void InvariantChecker::check_poison_absence(
     std::vector<Violation>& out) const {
   const auto prefixes = all_prefixes();
-  const auto ids = engine_->graph().as_ids();
+  const auto& ids = engine_->graph().as_ids();
   for (const Prefix& p : prefixes) {
     std::vector<AsId> origins;
     for (const AsId id : ids) {
@@ -414,7 +414,7 @@ void InvariantChecker::check_fib_lpm(std::vector<Violation>& out) const {
 void InvariantChecker::check_sentinel_coverage(
     std::vector<Violation>& out) const {
   const auto prefixes = all_prefixes();
-  const auto ids = engine_->graph().as_ids();
+  const auto& ids = engine_->graph().as_ids();
   for (const Prefix& p : prefixes) {
     const Prefix sentinel = p.parent();
     if (sentinel == p ||

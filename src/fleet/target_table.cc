@@ -48,7 +48,7 @@ std::vector<MonitoredTarget> TargetTable::enumerate(workload::SimWorld& world,
   std::vector<MonitoredTarget> out;
   if (count == 0) return out;
   out.reserve(count);
-  const auto ases = world.graph().as_ids();
+  const auto& ases = world.graph().as_ids();
   std::uint8_t max_routers = 0;
   for (const AsId as : ases) {
     max_routers = std::max(max_routers, world.net().num_routers(as));
