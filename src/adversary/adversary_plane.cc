@@ -110,64 +110,42 @@ AdversaryPlane::AdversaryPlane(AdversaryConfig cfg) : cfg_(cfg) {
   }
 }
 
-namespace {
-// Process-wide fallback: permanently disabled, shared by every thread that
-// never installed a plane.
-AdversaryPlane& disabled_plane() {
+// Shared by every thread that never installed a plane.
+AdversaryPlane& AdversaryPlane::fallback() {
   static AdversaryPlane plane{AdversaryConfig{}};
   return plane;
-}
-thread_local AdversaryPlane* tls_current_plane = nullptr;
-}  // namespace
-
-AdversaryPlane& AdversaryPlane::current() noexcept {
-  return tls_current_plane != nullptr ? *tls_current_plane : disabled_plane();
-}
-
-AdversaryPlane* AdversaryPlane::exchange_current(
-    AdversaryPlane* plane) noexcept {
-  AdversaryPlane* prev = tls_current_plane;
-  tls_current_plane = plane;
-  return prev;
-}
-
-double AdversaryPlane::hash_draw(std::uint64_t kind, std::uint64_t key,
-                                 std::uint64_t n) const noexcept {
-  // SplitMix64 over a mix of the four inputs; each call is an independent
-  // uniform draw, with no shared stream to perturb (lg::faults idiom).
-  std::uint64_t state = cfg_.seed ^ kind;
-  state = util::split_mix64(state) ^ key;
-  state = util::split_mix64(state) ^ n;
-  return static_cast<double>(util::split_mix64(state) >> 11) * 0x1.0p-53;
 }
 
 Profile AdversaryPlane::profile_for(AsId as, Role role) const {
   Profile p;
   if (!cfg_.enabled) return p;
-  const std::uint64_t key = as;
+  // Each behavior is one draw per AS, under its own tag.
+  const auto draw = [&](std::uint64_t tag) {
+    return util::hash_unit(cfg_.seed, tag, as, 0);
+  };
   if (cfg_.pathlen_prevalence > 0.0 &&
-      hash_draw(kTagPathlenSelect, key, 0) < cfg_.pathlen_prevalence) {
+      draw(kTagPathlenSelect) < cfg_.pathlen_prevalence) {
     const std::size_t lo =
         std::min(cfg_.pathlen_min_limit, cfg_.pathlen_max_limit);
     const std::size_t hi =
         std::max(cfg_.pathlen_min_limit, cfg_.pathlen_max_limit);
     const std::size_t span = hi - lo + 1;
     p.path_length_limit =
-        lo + static_cast<std::size_t>(hash_draw(kTagPathlenLimit, key, 0) *
+        lo + static_cast<std::size_t>(draw(kTagPathlenLimit) *
                                       static_cast<double>(span));
     p.path_length_limit = std::min(p.path_length_limit, hi);
   }
   if (role == Role::kStub && cfg_.default_route_prevalence > 0.0 &&
-      hash_draw(kTagDefaultRoute, key, 0) < cfg_.default_route_prevalence) {
+      draw(kTagDefaultRoute) < cfg_.default_route_prevalence) {
     p.default_route = true;
   }
   if ((role == Role::kTier1 || role == Role::kLargeTransit) &&
       cfg_.peerlock_prevalence > 0.0 &&
-      hash_draw(kTagPeerlock, key, 0) < cfg_.peerlock_prevalence) {
+      draw(kTagPeerlock) < cfg_.peerlock_prevalence) {
     p.peerlock = true;
   }
   if (role == Role::kStub && cfg_.destabilizer_prevalence > 0.0 &&
-      hash_draw(kTagDestabilizer, key, 0) < cfg_.destabilizer_prevalence) {
+      draw(kTagDestabilizer) < cfg_.destabilizer_prevalence) {
     p.destabilizer = true;
   }
   return p;

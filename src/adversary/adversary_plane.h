@@ -15,17 +15,18 @@
 // its schedule generator lives in adversary/destabilizer.h.
 //
 // Per-AS behavior profiles are *pure functions* of (seed, AS id, role,
-// prevalence knobs) — stateless SplitMix64 hashing, the same determinism
+// prevalence knobs) — stateless util::hash_unit draws, the same determinism
 // design as lg::faults. The consequence is that bgp::BgpEngine, the
 // check::ReferenceBgp oracle, and the fuzzer can each derive the profile
 // assignment independently and agree exactly, with no shared RNG stream to
 // perturb and no thread-count sensitivity.
 //
-// Wiring follows the lg::faults idiom verbatim: consumers resolve
-// AdversaryPlane::current() at construction; harnesses install a plane with
-// ScopedAdversaryPlane *before* building their SimWorld. The default plane
-// is disabled and reduces every hook to a single cached branch, which keeps
-// adversary-free bench outputs byte-identical to a build without this layer.
+// Wiring is util/thread_current.h's idiom, shared with lg::faults: consumers
+// resolve AdversaryPlane::current() at construction; harnesses install a
+// plane with ScopedAdversaryPlane *before* building their SimWorld. The
+// fallback plane is disabled and reduces every hook to a single cached
+// branch, which keeps adversary-free bench outputs byte-identical to a build
+// without this layer.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "topology/as_graph.h"
+#include "util/thread_current.h"
 
 namespace lg::obs {
 class Counter;
@@ -122,19 +124,16 @@ class RoleTable {
 // Engine and oracle each compute this independently from the same graph.
 std::vector<AsId> locked_ases(const topo::AsGraph& graph);
 
-class AdversaryPlane {
+// current() is the plane instrumented code consults: the one installed on
+// this thread by ScopedAdversaryPlane, else fallback().
+class AdversaryPlane : public util::ThreadCurrent<AdversaryPlane> {
  public:
   explicit AdversaryPlane(AdversaryConfig cfg = {});
   AdversaryPlane(const AdversaryPlane&) = delete;
   AdversaryPlane& operator=(const AdversaryPlane&) = delete;
 
-  // The plane instrumented code consults: the one installed on this thread
-  // by ScopedAdversaryPlane, else a process-wide *disabled* plane.
-  // Consumers resolve this once at construction (mirrors lg::faults).
-  static AdversaryPlane& current() noexcept;
-  // Install `plane` as this thread's current plane (nullptr restores the
-  // disabled default). Returns the previous override for restoration.
-  static AdversaryPlane* exchange_current(AdversaryPlane* plane) noexcept;
+  // A process-wide, permanently disabled plane.
+  static AdversaryPlane& fallback();
 
   bool enabled() const noexcept { return cfg_.enabled; }
   const AdversaryConfig& config() const noexcept { return cfg_; }
@@ -151,10 +150,6 @@ class AdversaryPlane {
                     std::size_t peerlock_filters, std::size_t destabilizers);
 
  private:
-  // One uniform [0,1) draw fully determined by (seed, kind tag, key, n).
-  double hash_draw(std::uint64_t kind, std::uint64_t key,
-                   std::uint64_t n) const noexcept;
-
   AdversaryConfig cfg_;
 
   // Observability handles, resolved at construction — only for an enabled
@@ -165,19 +160,9 @@ class AdversaryPlane {
   obs::Counter* c_destabilizers_ = nullptr;
 };
 
-// RAII scope that makes `plane` the thread-current adversary plane, so
-// every consumer constructed inside the scope (BgpEngine, ReferenceBgp,
-// Lifeguard, a whole SimWorld) wires itself to it.
-class ScopedAdversaryPlane {
- public:
-  explicit ScopedAdversaryPlane(AdversaryPlane& plane)
-      : prev_(AdversaryPlane::exchange_current(&plane)) {}
-  ~ScopedAdversaryPlane() { AdversaryPlane::exchange_current(prev_); }
-  ScopedAdversaryPlane(const ScopedAdversaryPlane&) = delete;
-  ScopedAdversaryPlane& operator=(const ScopedAdversaryPlane&) = delete;
-
- private:
-  AdversaryPlane* prev_;
-};
+// Makes a plane thread-current, so every consumer constructed inside the
+// scope (BgpEngine, ReferenceBgp, Lifeguard, a whole SimWorld) wires itself
+// to it.
+using ScopedAdversaryPlane = util::Scoped<AdversaryPlane>;
 
 }  // namespace lg::adversary

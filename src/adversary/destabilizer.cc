@@ -6,19 +6,7 @@
 
 namespace lg::adversary {
 
-namespace {
-
 constexpr std::uint64_t kTagGap = 0x4453544247415001ULL;
-
-double hash_unit(std::uint64_t seed, std::uint64_t kind, std::uint64_t key,
-                 std::uint64_t n) noexcept {
-  std::uint64_t state = seed ^ kind;
-  state = util::split_mix64(state) ^ key;
-  state = util::split_mix64(state) ^ n;
-  return static_cast<double>(util::split_mix64(state) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 std::vector<Step> destabilizer_schedule(std::uint64_t seed, topo::AsId as,
                                         const DestabilizerConfig& cfg) {
@@ -32,9 +20,9 @@ std::vector<Step> destabilizer_schedule(std::uint64_t seed, topo::AsId as,
   double t = 0.0;
   for (std::size_t cycle = 0; cycle < cfg.max_cycles; ++cycle) {
     const std::uint64_t key = as;
-    t += lo + (hi - lo) * hash_unit(seed, kTagGap, key, 2 * cycle);
+    t += lo + (hi - lo) * util::hash_unit(seed, kTagGap, key, 2 * cycle);
     steps.push_back(Step{t, StepKind::kAnnounce, cycle % variants});
-    t += lo + (hi - lo) * hash_unit(seed, kTagGap, key, 2 * cycle + 1);
+    t += lo + (hi - lo) * util::hash_unit(seed, kTagGap, key, 2 * cycle + 1);
     steps.push_back(Step{t, StepKind::kWithdraw, 0});
   }
   return steps;

@@ -8,11 +8,11 @@
 // Only the *schedule* lives here, as a pure function of (seed, AS id,
 // knobs): the adversary layer sits below lg_bgp and lg_workload, so the
 // driver that maps steps onto a live engine is workload::DestabilizerWorkload
-// (src/workload/destabilizer.h). Two properties keep trials quiescent:
-// every schedule is finite (max_cycles), and receivers with route-flap
-// damping enabled suppress the flapping session once its penalty crosses
-// the threshold — the engine's existing damping is the backstop the bench
-// and tests rely on.
+// (src/workload/destabilizer.h). Every schedule is finite (max_cycles),
+// which is what keeps trials quiescent: the benches run with route-flap
+// damping off. Receivers that do enable damping (tests/test_adversary.cc)
+// also suppress the flapping session once its penalty crosses the
+// threshold.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "adversary/adversary_plane.h"
 #include "faults/fault_plane.h"
@@ -11,14 +12,42 @@
 
 namespace lg::bgp {
 
-BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
-                     EngineConfig cfg)
-    : graph_(&graph), sched_(&sched), cfg_(cfg), rng_(cfg.seed, 0x62677065ULL) {
+namespace {
+
+// Rejects the configs the pump cannot model, naming the field. A zero
+// quantum makes bucket_of() convert +inf to an integer; a zero link delay
+// lets an export land in the frontier being pumped.
+void validate(const EngineConfig& cfg) {
+  util::require_period("EngineConfig::pump_quantum", cfg.pump_quantum);
+  util::require_period("EngineConfig::link_delay_min", cfg.link_delay_min);
+  const auto reject = [](const char* field, const char* want, double v) {
+    throw std::invalid_argument(std::string("EngineConfig::") + field +
+                                ": " + want + ", got " + std::to_string(v));
+  };
+  if (!(cfg.link_delay_max >= cfg.link_delay_min) ||
+      !std::isfinite(cfg.link_delay_max)) {
+    reject("link_delay_max", "must be finite and >= link_delay_min",
+           cfg.link_delay_max);
+  }
+  if (!(cfg.mrai_jitter_frac >= 0.0 && cfg.mrai_jitter_frac <= 1.0)) {
+    reject("mrai_jitter_frac", "must be in [0, 1]", cfg.mrai_jitter_frac);
+  }
+  if (!(cfg.default_mrai >= 0.0) || !std::isfinite(cfg.default_mrai)) {
+    reject("default_mrai", "must be finite and >= 0", cfg.default_mrai);
+  }
   if (cfg.world_threads > 1) {
     throw std::invalid_argument(
         "EngineConfig::world_threads must be 0 or 1: the frontier pump is "
         "single-threaded");
   }
+}
+
+}  // namespace
+
+BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
+                     EngineConfig cfg)
+    : graph_(&graph), sched_(&sched), cfg_(cfg), rng_(cfg.seed, 0x62677065ULL) {
+  validate(cfg);
   auto& reg = obs::MetricsRegistry::current();
   c_updates_sent_ = &reg.counter("lg.bgp.updates_sent");
   c_announces_sent_ = &reg.counter("lg.bgp.announces_sent");

@@ -70,6 +70,10 @@ class BinReader;
 
 namespace lg::bgp {
 
+// The BgpEngine constructor throws std::invalid_argument naming the field
+// for a config it cannot model: a non-positive or non-finite pump_quantum or
+// link_delay_min, link_delay_max below link_delay_min, mrai_jitter_frac
+// outside [0, 1], or a negative or non-finite default_mrai.
 struct EngineConfig {
   double link_delay_min = 0.01;   // seconds, one-way per BGP session
   double link_delay_max = 0.05;

@@ -76,20 +76,6 @@ int local_pref(LearnedFrom lf) noexcept {
   return 0;
 }
 
-const char* learned_from_name(LearnedFrom lf) noexcept {
-  switch (lf) {
-    case LearnedFrom::kLocal:
-      return "local";
-    case LearnedFrom::kCustomer:
-      return "customer";
-    case LearnedFrom::kPeer:
-      return "peer";
-    case LearnedFrom::kProvider:
-      return "provider";
-  }
-  return "?";
-}
-
 bool better_route(const Route& a, const Route& b) noexcept {
   const int pa = local_pref(a.learned);
   const int pb = local_pref(b.learned);

@@ -69,7 +69,6 @@ bool path_hits_avoid_hint(const AsPath& path, const AvoidHint& hint);
 enum class LearnedFrom : std::uint8_t { kCustomer, kPeer, kProvider, kLocal };
 
 int local_pref(LearnedFrom lf) noexcept;
-const char* learned_from_name(LearnedFrom lf) noexcept;
 
 struct Route {
   Prefix prefix;
@@ -80,8 +79,6 @@ struct Route {
   // update message it arrived in and every re-export of this route.
   CommunitiesRef communities;
   std::optional<AvoidHint> avoid_hint;  // as received
-
-  std::size_t path_length() const noexcept { return path.size(); }
 
   friend bool operator==(const Route&, const Route&) = default;
 };

@@ -2,18 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "check/invariants.h"
+#include "util/env_knobs.h"
 
 namespace lg::check {
 
 bool audit_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("LG_CHECK");
-    return v != nullptr &&
-           (std::strcmp(v, "1") == 0 || std::strcmp(v, "on") == 0);
-  }();
+  static const bool enabled = util::env_switch("LG_CHECK", false);
   return enabled;
 }
 

@@ -20,8 +20,8 @@ class BgpEngine;
 
 namespace lg::check {
 
-// True when LG_CHECK is set to a truthy value ("1" / "on"). Cached after
-// the first call.
+// The LG_CHECK switch (util::env_switch), default off. Cached after the
+// first call.
 bool audit_enabled();
 
 // Audits a quiesced engine when LG_CHECK is enabled; no-op otherwise.

@@ -49,8 +49,6 @@ class FailureInjector {
  public:
   FailureId inject(Failure failure);
   bool clear(FailureId id);
-  void clear_all() { active_.clear(); }
-  std::size_t active_count() const noexcept { return active_.size(); }
 
   // Should a packet currently held by `as`, destined to an address owned by
   // `dst_owner` (kInvalidAs if unowned), be dropped instead of forwarded?

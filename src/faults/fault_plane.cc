@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/env_knobs.h"
+#include "util/rng.h"
 
 namespace lg::faults {
 
@@ -72,35 +73,12 @@ FaultPlane::FaultPlane(FaultConfig cfg) : cfg_(cfg) {
   trace_ = &obs::TraceRing::current();
 }
 
-namespace {
-// Process-wide fallback: permanently disabled, shared by every thread that
-// never installed a plane. Its obs handles resolve against whatever registry
-// is current at first use, but a disabled plane never touches them.
-FaultPlane& disabled_plane() {
+// Shared by every thread that never installed a plane. Its obs handles
+// resolve against whatever registry is current at first use, but a
+// disabled plane never touches them.
+FaultPlane& FaultPlane::fallback() {
   static FaultPlane plane{FaultConfig{}};
   return plane;
-}
-thread_local FaultPlane* tls_current_plane = nullptr;
-}  // namespace
-
-FaultPlane& FaultPlane::current() noexcept {
-  return tls_current_plane != nullptr ? *tls_current_plane : disabled_plane();
-}
-
-FaultPlane* FaultPlane::exchange_current(FaultPlane* plane) noexcept {
-  FaultPlane* prev = tls_current_plane;
-  tls_current_plane = plane;
-  return prev;
-}
-
-double FaultPlane::hash_draw(std::uint64_t kind, std::uint64_t key,
-                             std::uint64_t n) const noexcept {
-  // SplitMix64 over a mix of the four inputs; each call is an independent
-  // uniform draw, with no shared stream to perturb.
-  std::uint64_t state = cfg_.seed ^ kind;
-  state = util::split_mix64(state) ^ key;
-  state = util::split_mix64(state) ^ n;
-  return static_cast<double>(util::split_mix64(state) >> 11) * 0x1.0p-53;
 }
 
 bool FaultPlane::down_in_window(std::uint64_t kind, std::uint64_t key,
@@ -108,12 +86,13 @@ bool FaultPlane::down_in_window(std::uint64_t kind, std::uint64_t key,
                                 double down_seconds) const {
   if (!cfg_.enabled || period <= 0.0 || prob <= 0.0 || now < 0.0) return false;
   const auto epoch = static_cast<std::uint64_t>(now / period);
-  if (hash_draw(kind, key, epoch) >= prob) return false;
+  if (util::hash_unit(cfg_.seed, kind, key, epoch) >= prob) return false;
   // The fault occupies the start of the epoch; offset the start slightly by
   // a second hash so faults across subjects do not align on epoch edges.
   const double slack = period - std::min(down_seconds, period);
-  const double start = static_cast<double>(epoch) * period +
-                       slack * hash_draw(kind ^ 0x5aULL, key, epoch);
+  const double start =
+      static_cast<double>(epoch) * period +
+      slack * util::hash_unit(cfg_.seed, kind ^ 0x5aULL, key, epoch);
   return now >= start && now < start + std::min(down_seconds, period);
 }
 
@@ -123,8 +102,9 @@ double FaultPlane::restored_at(std::uint64_t kind, std::uint64_t key,
   if (!down_in_window(kind, key, now, period, prob, down_seconds)) return now;
   const auto epoch = static_cast<std::uint64_t>(now / period);
   const double slack = period - std::min(down_seconds, period);
-  const double start = static_cast<double>(epoch) * period +
-                       slack * hash_draw(kind ^ 0x5aULL, key, epoch);
+  const double start =
+      static_cast<double>(epoch) * period +
+      slack * util::hash_unit(cfg_.seed, kind ^ 0x5aULL, key, epoch);
   return start + std::min(down_seconds, period);
 }
 
@@ -145,7 +125,8 @@ double FaultPlane::session_restored_at(AsId from, AsId to, double now) const {
 bool FaultPlane::lose_update(AsId from, AsId to, double now) {
   if (!cfg_.enabled || cfg_.update_loss_prob <= 0.0) return false;
   const std::uint64_t key = session_key(from, to);
-  if (hash_draw(kTagUpdateLoss, key, next_seq(key)) >= cfg_.update_loss_prob) {
+  if (util::hash_unit(cfg_.seed, kTagUpdateLoss, key, next_seq(key)) >=
+      cfg_.update_loss_prob) {
     return false;
   }
   ++injected_;
@@ -161,11 +142,12 @@ double FaultPlane::update_delay(AsId from, AsId to, double now) {
   }
   const std::uint64_t key = session_key(from, to);
   const std::uint64_t n = next_seq(key ^ kTagUpdateDelayP);
-  if (hash_draw(kTagUpdateDelayP, key, n) >= cfg_.update_delay_prob) {
+  if (util::hash_unit(cfg_.seed, kTagUpdateDelayP, key, n) >=
+      cfg_.update_delay_prob) {
     return 0.0;
   }
-  const double delay =
-      cfg_.update_delay_max_seconds * hash_draw(kTagUpdateDelayV, key, n);
+  const double delay = cfg_.update_delay_max_seconds *
+                       util::hash_unit(cfg_.seed, kTagUpdateDelayV, key, n);
   ++injected_;
   c_updates_delayed_->inc();
   trace_->record(now, obs::TraceKind::kFaultUpdateDelayed, from, to, delay);
@@ -175,7 +157,8 @@ double FaultPlane::update_delay(AsId from, AsId to, double now) {
 bool FaultPlane::lose_probe(AsId src_as, double now) {
   if (!cfg_.enabled || cfg_.probe_loss_prob <= 0.0) return false;
   const std::uint64_t key = src_as;
-  if (hash_draw(kTagProbeLoss, key, next_seq(key ^ kTagProbeLoss)) >=
+  const std::uint64_t n = next_seq(key ^ kTagProbeLoss);
+  if (util::hash_unit(cfg_.seed, kTagProbeLoss, key, n) >=
       cfg_.probe_loss_prob) {
     return false;
   }

@@ -21,17 +21,17 @@
 // LG_THREADS value (each trial owns its plane), and a disabled plane makes
 // every hook a single branch — existing benches are byte-for-byte unchanged.
 //
-// Wiring follows the lg::obs scoping idiom: consumers (BgpEngine, Prober,
-// Lifeguard) resolve FaultPlane::current() at construction; harnesses
-// install a plane with ScopedFaultPlane for the lifetime of the world they
-// build. The default current() plane is disabled.
+// Wiring is util/thread_current.h's idiom, shared with lg::obs: consumers
+// (BgpEngine, Prober, Lifeguard) resolve FaultPlane::current() at
+// construction; harnesses install a plane with ScopedFaultPlane for the
+// lifetime of the world they build. The fallback plane is disabled.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
 
 #include "topology/as_graph.h"
-#include "util/rng.h"
+#include "util/thread_current.h"
 
 namespace lg::obs {
 class Counter;
@@ -86,19 +86,16 @@ struct FaultConfig {
   static FaultConfig from_env();
 };
 
-class FaultPlane {
+// current() is the plane instrumented code consults: the one installed on
+// this thread by ScopedFaultPlane, else fallback().
+class FaultPlane : public util::ThreadCurrent<FaultPlane> {
  public:
   explicit FaultPlane(FaultConfig cfg = {});
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
 
-  // The plane instrumented code consults: the one installed on this thread
-  // by ScopedFaultPlane, else a process-wide *disabled* plane. Consumers
-  // resolve this once at construction (mirrors obs::MetricsRegistry).
-  static FaultPlane& current() noexcept;
-  // Install `plane` as this thread's current plane (nullptr restores the
-  // disabled default). Returns the previous override for restoration.
-  static FaultPlane* exchange_current(FaultPlane* plane) noexcept;
+  // A process-wide, permanently disabled plane.
+  static FaultPlane& fallback();
 
   bool enabled() const noexcept { return cfg_.enabled; }
   const FaultConfig& config() const noexcept { return cfg_; }
@@ -134,9 +131,6 @@ class FaultPlane {
   std::uint64_t injected() const noexcept { return injected_; }
 
  private:
-  // One uniform [0,1) draw fully determined by (seed, kind tag, key, n).
-  double hash_draw(std::uint64_t kind, std::uint64_t key,
-                   std::uint64_t n) const noexcept;
   // Epoch-windowed downtime test shared by sessions and vantage points.
   bool down_in_window(std::uint64_t kind, std::uint64_t key, double now,
                       double period, double prob, double down_seconds) const;
@@ -160,19 +154,8 @@ class FaultPlane {
   obs::TraceRing* trace_ = nullptr;
 };
 
-// RAII scope that makes `plane` the thread-current fault plane, so every
-// consumer constructed inside the scope (BgpEngine, Prober, Lifeguard, a
-// whole SimWorld) wires itself to it.
-class ScopedFaultPlane {
- public:
-  explicit ScopedFaultPlane(FaultPlane& plane)
-      : prev_(FaultPlane::exchange_current(&plane)) {}
-  ~ScopedFaultPlane() { FaultPlane::exchange_current(prev_); }
-  ScopedFaultPlane(const ScopedFaultPlane&) = delete;
-  ScopedFaultPlane& operator=(const ScopedFaultPlane&) = delete;
-
- private:
-  FaultPlane* prev_;
-};
+// Makes a plane thread-current, so every consumer constructed inside the
+// scope (BgpEngine, Prober, Lifeguard, a whole SimWorld) wires itself to it.
+using ScopedFaultPlane = util::Scoped<FaultPlane>;
 
 }  // namespace lg::faults

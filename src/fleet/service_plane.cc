@@ -30,7 +30,8 @@ constexpr std::uint32_t kPlaneTag = 0x4c505653;  // "SVPL"
 constexpr std::uint32_t kFileTag = 0x46435653;   // "SVCF"
 // v2: outcome array grew a kCaptive slot (lg::adversary).
 // v3: per-prefix lifecycle state moved into the core::EpisodeMachine section.
-constexpr std::uint32_t kVersion = 3;
+// v4: the scheduler section lost its cancellation counters.
+constexpr std::uint32_t kVersion = 4;
 
 constexpr std::uint8_t kNoSlot = 0xff;
 constexpr std::uint32_t kFreeSlot = 0xffffffffu;
@@ -622,8 +623,6 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
   util::Scheduler::State ss = world.scheduler().save_state();
   ar.f64(ss.now);
   ar.u64(ss.executed);
-  ar.u64(ss.cancelled);
-  ar.u64(ss.compactions);
   ar.u64(ss.max_pending);
   if constexpr (Ar::kLoading) world.scheduler().restore_state(ss);
   world.engine().serialize(ar);

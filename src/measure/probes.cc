@@ -75,8 +75,7 @@ bool Prober::target_responds(Ipv4 addr) const {
   return true;  // hosts in production/sentinel space always answer
 }
 
-PingResult Prober::ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
-                             std::optional<AsId> first_hop) {
+PingResult Prober::ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to) {
   PingResult result;
   if (faults_->enabled()) {
     // A dropped-out vantage point sources nothing; a probe lost on the wire
@@ -87,7 +86,7 @@ PingResult Prober::ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
     }
     if (faults_->lose_probe(src_as, sim_now())) return result;
   }
-  result.forward = dp_->forward(src_as, dst, std::nullopt, first_hop);
+  result.forward = dp_->forward(src_as, dst);
   result.forward_delivered = result.forward.delivered();
   if (!result.forward_delivered) return result;
 
@@ -150,16 +149,6 @@ PingResult Prober::spoofed_ping(AsId src_as, Ipv4 dst, Ipv4 receiver_addr) {
   c_spoofed_pings_->inc();
   trace_->record(sim_now(), obs::TraceKind::kProbeIssued, src_as, dst);
   const PingResult result = ping_impl(src_as, dst, receiver_addr);
-  trace_ping_outcome(src_as, dst, result);
-  return result;
-}
-
-PingResult Prober::ping_via(AsId src_as, AsId first_hop, Ipv4 dst,
-                            Ipv4 reply_to) {
-  ++budget_.pings;
-  c_pings_->inc();
-  trace_->record(sim_now(), obs::TraceKind::kProbeIssued, src_as, dst);
-  const PingResult result = ping_impl(src_as, dst, reply_to, first_hop);
   trace_ping_outcome(src_as, dst, result);
   return result;
 }

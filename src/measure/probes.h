@@ -123,11 +123,6 @@ class Prober {
   RetriedPing ping_with_retry(AsId src_as, Ipv4 dst, Ipv4 reply_to,
                               const RetryPolicy& policy = {});
 
-  // Ping with the echo request forced out via a specific neighbor of
-  // src_as (egress selection; used to re-test a failed forward path after
-  // traffic was shifted to another provider).
-  PingResult ping_via(AsId src_as, AsId first_hop, Ipv4 dst, Ipv4 reply_to);
-
   TracerouteResult traceroute(AsId src_as, Ipv4 dst, Ipv4 reply_to);
   TracerouteResult spoofed_traceroute(AsId src_as, Ipv4 dst,
                                       Ipv4 receiver_addr);
@@ -147,8 +142,7 @@ class Prober {
  private:
   // Identify the responding router for an address delivered into an AS.
   RouterId responder_for(Ipv4 dst, AsId final_as) const;
-  PingResult ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
-                       std::optional<AsId> first_hop = std::nullopt);
+  PingResult ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to);
   TracerouteResult traceroute_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
                                    bool spoofed);
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "topology/addressing.h"
 #include "topology/as_graph.h"
@@ -23,13 +22,5 @@ struct VantagePoint {
                                      : std::move(name)};
   }
 };
-
-inline std::vector<VantagePoint> vantage_points_in(
-    const std::vector<topo::AsId>& ases) {
-  std::vector<VantagePoint> out;
-  out.reserve(ases.size());
-  for (const auto as : ases) out.push_back(VantagePoint::in_as(as));
-  return out;
-}
 
 }  // namespace lg::measure

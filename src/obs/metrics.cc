@@ -1,29 +1,14 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+
+#include "util/env_knobs.h"
 
 namespace lg::obs {
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
-}
-
-namespace {
-thread_local MetricsRegistry* tls_current_registry = nullptr;
-}  // namespace
-
-MetricsRegistry& MetricsRegistry::current() noexcept {
-  return tls_current_registry != nullptr ? *tls_current_registry : global();
-}
-
-MetricsRegistry* MetricsRegistry::exchange_current(
-    MetricsRegistry* reg) noexcept {
-  MetricsRegistry* prev = tls_current_registry;
-  tls_current_registry = reg;
-  return prev;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -43,13 +28,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
 }
 
 void MetricsRegistry::configure_from_env() {
-  const char* v = std::getenv("LG_METRICS");
-  if (v == nullptr) return;
-  if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-    enabled_ = false;
-  } else {
-    enabled_ = true;
-  }
+  enabled_ = util::env_switch("LG_METRICS", enabled_);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

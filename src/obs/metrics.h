@@ -14,9 +14,10 @@
 // SimWorld per worker thread. Parallel safety comes from *scoping*, not
 // locking — every thread reports into its thread-current registry
 // (MetricsRegistry::current(), installed via ScopedMetricsRegistry and
-// defaulting to the global one), and per-trial registries are merge()d into
-// the global registry sequentially, in trial-index order, so merged results
-// are byte-identical for any thread count.
+// defaulting to the global one; see util/thread_current.h), and per-trial
+// registries are merge()d into the global registry sequentially, in
+// trial-index order, so merged results are byte-identical for any thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "util/stats.h"
+#include "util/thread_current.h"
 
 namespace lg::obs {
 
@@ -121,7 +123,9 @@ class Distribution {
   util::EmpiricalCdf cdf_;
 };
 
-class MetricsRegistry {
+// current() is the registry instrumented code resolves handles against:
+// the one installed on this thread by ScopedMetricsRegistry, else global().
+class MetricsRegistry : public util::ThreadCurrent<MetricsRegistry> {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -129,13 +133,7 @@ class MetricsRegistry {
 
   // Process-wide registry merged results and single-threaded runs land in.
   static MetricsRegistry& global();
-
-  // The registry instrumented code should resolve handles against: the one
-  // installed on this thread by ScopedMetricsRegistry, else global().
-  static MetricsRegistry& current() noexcept;
-  // Install `reg` as this thread's current registry (nullptr restores the
-  // global default). Returns the previous override for restoration.
-  static MetricsRegistry* exchange_current(MetricsRegistry* reg) noexcept;
+  static MetricsRegistry& fallback() { return global(); }
 
   // Fold `other` into this registry: counters add, gauges keep the merged
   // value and the max high-water mark, distributions concatenate. Callers
@@ -146,7 +144,7 @@ class MetricsRegistry {
   // predictable branch, so instrumentation can stay compiled-in everywhere.
   void set_enabled(bool on) noexcept { enabled_ = on; }
   bool enabled() const noexcept { return enabled_; }
-  // Honor the LG_METRICS environment variable ("off"/"0" disables).
+  // Honor the LG_METRICS switch (util::env_switch).
   void configure_from_env();
 
   // Find-or-create by name. Repeated calls with the same name return the
@@ -175,19 +173,9 @@ class MetricsRegistry {
   std::unordered_map<std::string, Distribution*> distribution_by_name_;
 };
 
-// RAII scope that makes `reg` the thread-current registry, so everything the
-// enclosed code instruments (SimWorld, BgpEngine, Prober, ...) reports into
-// it instead of the global singleton.
-class ScopedMetricsRegistry {
- public:
-  explicit ScopedMetricsRegistry(MetricsRegistry& reg)
-      : prev_(MetricsRegistry::exchange_current(&reg)) {}
-  ~ScopedMetricsRegistry() { MetricsRegistry::exchange_current(prev_); }
-  ScopedMetricsRegistry(const ScopedMetricsRegistry&) = delete;
-  ScopedMetricsRegistry& operator=(const ScopedMetricsRegistry&) = delete;
-
- private:
-  MetricsRegistry* prev_;
-};
+// Makes a registry thread-current, so everything the enclosed code
+// instruments (SimWorld, BgpEngine, Prober, ...) reports into it instead of
+// the global singleton.
+using ScopedMetricsRegistry = util::Scoped<MetricsRegistry>;
 
 }  // namespace lg::obs

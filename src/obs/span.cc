@@ -2,10 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
+#include "util/env_knobs.h"
 #include "util/rng.h"
 
 namespace lg::obs {
@@ -15,26 +15,9 @@ SpanRegistry& SpanRegistry::global() {
   return reg;
 }
 
-namespace {
-thread_local SpanRegistry* tls_current_spans = nullptr;
-}  // namespace
-
-SpanRegistry& SpanRegistry::current() noexcept {
-  return tls_current_spans != nullptr ? *tls_current_spans : global();
-}
-
-SpanRegistry* SpanRegistry::exchange_current(SpanRegistry* reg) noexcept {
-  SpanRegistry* prev = tls_current_spans;
-  tls_current_spans = reg;
-  return prev;
-}
-
 void SpanRegistry::configure_from_env() {
-  if (const char* v = std::getenv("LG_SPANS"); v != nullptr) {
-    enabled_ = std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0;
-    return;
-  }
-  if (std::getenv("LG_TRACE_OUT") != nullptr) enabled_ = true;
+  enabled_ = util::env_switch(
+      "LG_SPANS", enabled_ || std::getenv("LG_TRACE_OUT") != nullptr);
 }
 
 SpanId SpanRegistry::begin(double t, const char* name, SpanId parent,

@@ -18,7 +18,7 @@
 //
 // Spans are OFF by default (like the TraceRing): recording allocates, and
 // the hot paths must stay a branch-plus-nothing when nobody is looking.
-// LG_SPANS=on/1 enables them; setting LG_TRACE_OUT=<path> (the Perfetto
+// LG_SPANS enables them; setting LG_TRACE_OUT=<path> (the Perfetto
 // exporter, see obs/perfetto.h) implies LG_SPANS for bench harnesses.
 #pragma once
 
@@ -28,6 +28,8 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "util/thread_current.h"
 
 namespace lg::obs {
 
@@ -55,7 +57,9 @@ struct SpanRecord {
   double duration() const noexcept { return open() ? 0.0 : end - begin; }
 };
 
-class SpanRegistry {
+// current() is the registry instrumented code records into: the one
+// installed on this thread by ScopedSpanRegistry, else global().
+class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
  public:
   SpanRegistry() = default;
   SpanRegistry(const SpanRegistry&) = delete;
@@ -63,16 +67,13 @@ class SpanRegistry {
 
   // Process-wide registry merged results and single-threaded runs land in.
   static SpanRegistry& global();
-  // The registry instrumented code records into: the one installed on this
-  // thread by ScopedSpanRegistry, else global(). Mirrors
-  // MetricsRegistry::current(); see the scoping notes in metrics.h.
-  static SpanRegistry& current() noexcept;
-  static SpanRegistry* exchange_current(SpanRegistry* reg) noexcept;
+  static SpanRegistry& fallback() { return global(); }
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
   bool enabled() const noexcept { return enabled_; }
-  // Honor LG_SPANS ("on"/"1" enables); LG_TRACE_OUT also enables, since the
-  // Perfetto exporter has nothing to render without spans.
+  // Honor the LG_SPANS switch (util::env_switch). A set LG_TRACE_OUT makes
+  // its default "on", since the Perfetto exporter has nothing to render
+  // without spans.
   void configure_from_env();
 
   // Id-stream base (a trial seed) and Perfetto track. Set by TrialRunner
@@ -160,17 +161,7 @@ class SpanRegistry {
   std::vector<SpanId> scope_;
 };
 
-// RAII scope that makes `reg` the thread-current span registry.
-class ScopedSpanRegistry {
- public:
-  explicit ScopedSpanRegistry(SpanRegistry& reg)
-      : prev_(SpanRegistry::exchange_current(&reg)) {}
-  ~ScopedSpanRegistry() { SpanRegistry::exchange_current(prev_); }
-  ScopedSpanRegistry(const ScopedSpanRegistry&) = delete;
-  ScopedSpanRegistry& operator=(const ScopedSpanRegistry&) = delete;
-
- private:
-  SpanRegistry* prev_;
-};
+// Makes a registry the thread-current span registry.
+using ScopedSpanRegistry = util::Scoped<SpanRegistry>;
 
 }  // namespace lg::obs

@@ -1,8 +1,8 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+
+#include "util/env_knobs.h"
 
 namespace lg::obs {
 
@@ -88,20 +88,6 @@ TraceRing& TraceRing::global() {
   return ring;
 }
 
-namespace {
-thread_local TraceRing* tls_current_ring = nullptr;
-}  // namespace
-
-TraceRing& TraceRing::current() noexcept {
-  return tls_current_ring != nullptr ? *tls_current_ring : global();
-}
-
-TraceRing* TraceRing::exchange_current(TraceRing* ring) noexcept {
-  TraceRing* prev = tls_current_ring;
-  tls_current_ring = ring;
-  return prev;
-}
-
 void TraceRing::merge(const TraceRing& other) {
   if (enabled_) merge_dropped_ += other.dropped();
   for (const TraceEvent& ev : other.events()) {
@@ -110,9 +96,7 @@ void TraceRing::merge(const TraceRing& other) {
 }
 
 void TraceRing::configure_from_env() {
-  const char* v = std::getenv("LG_TRACE");
-  if (v == nullptr) return;
-  enabled_ = std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0;
+  enabled_ = util::env_switch("LG_TRACE", enabled_);
 }
 
 void TraceRing::set_capacity(std::size_t capacity) {

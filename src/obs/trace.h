@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/thread_current.h"
+
 namespace lg::obs {
 
 enum class TraceKind : std::uint8_t {
@@ -89,7 +91,9 @@ struct TraceEvent {
   double value = 0.0;  // kind-specific magnitude (e.g. elapsed seconds)
 };
 
-class TraceRing {
+// current() is the ring instrumented code records into: the one installed
+// on this thread by ScopedTraceRing, else global().
+class TraceRing : public util::ThreadCurrent<TraceRing> {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
@@ -97,12 +101,7 @@ class TraceRing {
 
   // Process-wide ring merged results and single-threaded runs land in.
   static TraceRing& global();
-
-  // The ring instrumented code should record into: the one installed on this
-  // thread by ScopedTraceRing, else global(). Mirrors
-  // MetricsRegistry::current(); see the scoping notes in metrics.h.
-  static TraceRing& current() noexcept;
-  static TraceRing* exchange_current(TraceRing* ring) noexcept;
+  static TraceRing& fallback() { return global(); }
 
   // Append the events currently held by `other`, oldest first, as if they
   // had been record()ed here (so a disabled destination ring stays empty and
@@ -114,7 +113,7 @@ class TraceRing {
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
   bool enabled() const noexcept { return enabled_; }
-  // Honor the LG_TRACE environment variable ("on"/"1" enables).
+  // Honor the LG_TRACE switch (util::env_switch).
   void configure_from_env();
 
   void record(double t, TraceKind kind, std::uint64_t a = 0,
@@ -165,17 +164,7 @@ class TraceRing {
   std::vector<TraceEvent> ring_;
 };
 
-// RAII scope that makes `ring` the thread-current trace ring.
-class ScopedTraceRing {
- public:
-  explicit ScopedTraceRing(TraceRing& ring)
-      : prev_(TraceRing::exchange_current(&ring)) {}
-  ~ScopedTraceRing() { TraceRing::exchange_current(prev_); }
-  ScopedTraceRing(const ScopedTraceRing&) = delete;
-  ScopedTraceRing& operator=(const ScopedTraceRing&) = delete;
-
- private:
-  TraceRing* prev_;
-};
+// Makes a ring the thread-current trace ring.
+using ScopedTraceRing = util::Scoped<TraceRing>;
 
 }  // namespace lg::obs

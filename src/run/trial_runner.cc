@@ -87,12 +87,10 @@ void TrialRunner::run_erased(std::size_t n,
     if (err) std::rethrow_exception(err);
   }
 
-  if (cfg_.merge_observability) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst_metrics.merge(*registries[i]);
-      dst_trace.merge(*rings[i]);
-      dst_spans.merge(*span_regs[i]);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    dst_metrics.merge(*registries[i]);
+    dst_trace.merge(*rings[i]);
+    dst_spans.merge(*span_regs[i]);
   }
 }
 

@@ -16,8 +16,9 @@
 //  * every trial gets fresh obs::MetricsRegistry / obs::TraceRing /
 //    obs::SpanRegistry instances installed as the thread-current sinks for
 //    its duration, so the global singletons are never touched concurrently;
-//  * results, metrics, and traces are merged in trial-index order on the
-//    calling thread once every trial has finished.
+//  * results, metrics, traces and spans are merged in trial-index order on
+//    the calling thread once every trial has finished, into the sinks that
+//    were current where run() was called (the global ones in a bench main()).
 //
 // Consequence: output (ASCII tables, BENCH_*.json payloads, merged metrics)
 // is byte-identical for any thread count, while wall-clock scales with
@@ -61,9 +62,6 @@ struct TrialRunnerConfig {
   // 0 picks util::default_thread_count() (LG_THREADS env, else hardware).
   std::size_t threads = 0;
   std::uint64_t base_seed = 0x4c464721ULL;  // "LFG!"
-  // Merge per-trial metrics/traces into the registry/ring that were current
-  // where run() was called (the global ones in a bench main()).
-  bool merge_observability = true;
 };
 
 class TrialRunner {

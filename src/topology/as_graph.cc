@@ -29,18 +29,6 @@ const char* rel_name(Rel r) noexcept {
   return "?";
 }
 
-const char* tier_name(AsTier t) noexcept {
-  switch (t) {
-    case AsTier::kTier1:
-      return "tier1";
-    case AsTier::kTransit:
-      return "transit";
-    case AsTier::kStub:
-      return "stub";
-  }
-  return "?";
-}
-
 void AsGraph::add_as(AsId id, AsTier tier) {
   if (id == kInvalidAs) throw std::invalid_argument("AS id 0 is reserved");
   if (has_as(id)) throw std::invalid_argument("duplicate AS " + std::to_string(id));
@@ -138,10 +126,6 @@ std::uint32_t AsGraph::checked_index(AsId id) const {
 }
 
 AsTier AsGraph::tier(AsId id) const { return nodes_[checked_index(id)].tier; }
-
-void AsGraph::set_tier(AsId id, AsTier tier) {
-  nodes_[checked_index(id)].tier = tier;
-}
 
 std::vector<AsId> AsGraph::as_ids_with_tier(AsTier t) const {
   std::vector<AsId> out;

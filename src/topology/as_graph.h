@@ -28,7 +28,6 @@ const char* rel_name(Rel r) noexcept;
 // Coarse role in the hierarchy, assigned by the generator and recomputable
 // from the graph (no providers => tier-1, no customers => stub).
 enum class AsTier : std::uint8_t { kTier1, kTransit, kStub };
-const char* tier_name(AsTier t) noexcept;
 
 struct Neighbor {
   AsId id = kInvalidAs;
@@ -103,7 +102,6 @@ class AsGraph {
   std::size_t degree(AsId id) const { return neighbors(id).size(); }
 
   AsTier tier(AsId id) const;
-  void set_tier(AsId id, AsTier tier);
 
   const std::vector<AsId>& as_ids() const noexcept { return ids_; }
   std::vector<AsId> as_ids_with_tier(AsTier t) const;  // ascending

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace lg::util {
 
@@ -65,6 +66,15 @@ std::uint64_t env_u64_knob(const char* name, std::uint64_t base) {
   std::uint64_t n = 0;
   if (!parse_u64(v, n)) reject(name, "expected a decimal integer", v);
   return n;
+}
+
+bool env_switch(const char* name, bool fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  const std::string_view s(v);
+  if (s == "on" || s == "1") return true;
+  if (s == "off" || s == "0") return false;
+  return fallback;
 }
 
 }  // namespace lg::util

@@ -70,7 +70,6 @@ class LogLine {
   } else                                                     \
     ::lg::util::detail::LogLine(level)
 
-#define LG_TRACE LG_LOG(::lg::util::LogLevel::kTrace)
 #define LG_DEBUG LG_LOG(::lg::util::LogLevel::kDebug)
 #define LG_INFO LG_LOG(::lg::util::LogLevel::kInfo)
 #define LG_WARN LG_LOG(::lg::util::LogLevel::kWarn)

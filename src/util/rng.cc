@@ -55,10 +55,6 @@ double Rng::normal(double mu, double sigma) noexcept {
   return mu + sigma * r * std::cos(theta);
 }
 
-double Rng::lognormal(double mu, double sigma) noexcept {
-  return std::exp(normal(mu, sigma));
-}
-
 double Rng::pareto(double x_min, double alpha) noexcept {
   double u = uniform01();
   while (u <= 0.0) u = uniform01();

@@ -22,6 +22,19 @@ constexpr std::uint64_t split_mix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+// One uniform [0, 1) draw fully determined by (seed, kind, key, n): the
+// stateless draw behind the fault plane, the adversary plane and the
+// destabilizer schedule. No shared stream exists, so query order, query
+// count and the asking thread cannot change a verdict; distinct `kind` tags
+// keep draws for the same key independent.
+constexpr double hash_unit(std::uint64_t seed, std::uint64_t kind,
+                           std::uint64_t key, std::uint64_t n) noexcept {
+  std::uint64_t state = seed ^ kind;
+  state = split_mix64(state) ^ key;
+  state = split_mix64(state) ^ n;
+  return static_cast<double>(split_mix64(state) >> 11) * 0x1.0p-53;
+}
+
 // PCG32 generator with an explicit stream id, UniformRandomBitGenerator
 // compatible so it can also drive <random> distributions if ever needed.
 class Rng {
@@ -76,9 +89,6 @@ class Rng {
 
   // Exponential with given mean (mean = 1/lambda).
   double exponential(double mean) noexcept;
-
-  // Log-normal: underlying normal has parameters (mu, sigma).
-  double lognormal(double mu, double sigma) noexcept;
 
   // Standard normal via Box-Muller (caches the second variate).
   double normal(double mu = 0.0, double sigma = 1.0) noexcept;

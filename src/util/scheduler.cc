@@ -15,78 +15,41 @@ void require_period(const char* field, double seconds) {
   }
 }
 
-std::uint64_t Scheduler::at(SimTime when, Callback cb) {
+void Scheduler::at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
-  const std::uint64_t id = next_id_++;
-  heap_.push_back(Event{when, next_seq_++, id});
+  const std::uint64_t seq = next_seq_++;
+  heap_.push_back(Event{when, seq});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  callbacks_.emplace(id, std::move(cb));
-  ++live_events_;
-  if (live_events_ > max_pending_) max_pending_ = live_events_;
-  return id;
-}
-
-bool Scheduler::cancel(std::uint64_t id) {
-  const auto erased = callbacks_.erase(id);
-  if (erased != 0) {
-    --live_events_;
-    ++cancelled_;
-    maybe_compact();
-  }
-  return erased != 0;
-}
-
-void Scheduler::maybe_compact() {
-  // Compact once tombstones outnumber live events (and there are enough of
-  // them to matter): O(n) rebuild amortized against the >= n/2 cancels that
-  // created the tombstones, so the heap never holds more than ~2x the live
-  // events plus a constant.
-  const std::size_t tombstones = heap_.size() - live_events_;
-  if (tombstones <= 64 || tombstones <= live_events_) return;
-  std::erase_if(heap_,
-                [this](const Event& ev) { return !callbacks_.contains(ev.id); });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  ++compactions_;
-}
-
-void Scheduler::prune_top() {
-  while (!heap_.empty() && !callbacks_.contains(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
+  callbacks_.emplace(seq, std::move(cb));
+  if (heap_.size() > max_pending_) max_pending_ = heap_.size();
 }
 
 void Scheduler::execute_top() {
   const Event ev = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
-  const auto it = callbacks_.find(ev.id);
+  const auto it = callbacks_.find(ev.seq);
   Callback cb = std::move(it->second);
   callbacks_.erase(it);
-  --live_events_;
   now_ = std::max(now_, ev.when);
   ++executed_;
   cb();
 }
 
 bool Scheduler::step(SimTime until) {
-  prune_top();
   if (heap_.empty() || heap_.front().when > until) return false;
   execute_top();
   return true;
 }
 
 std::size_t Scheduler::step_batch(SimTime until) {
-  prune_top();
   if (heap_.empty() || heap_.front().when > until) return 0;
   const SimTime due = heap_.front().when;
   std::size_t n = 0;
   // Events scheduled *during* the batch at the same instant join it (they
   // sort after everything already pending at `due`), matching the one-at-a-
   // time loop exactly.
-  while (true) {
-    prune_top();
-    if (heap_.empty() || heap_.front().when != due) break;
+  while (!heap_.empty() && heap_.front().when == due) {
     execute_top();
     ++n;
   }
@@ -105,17 +68,13 @@ std::size_t Scheduler::run(SimTime until) {
 }
 
 void Scheduler::restore_state(const State& s) {
-  if (live_events_ != 0) {
+  if (!heap_.empty()) {
     throw std::runtime_error(
         "Scheduler::restore_state: queue not drained (" +
-        std::to_string(live_events_) + " pending events)");
+        std::to_string(heap_.size()) + " pending events)");
   }
-  heap_.clear();
-  callbacks_.clear();
   now_ = s.now;
   executed_ = s.executed;
-  cancelled_ = s.cancelled;
-  compactions_ = s.compactions;
   max_pending_ = s.max_pending;
 }
 

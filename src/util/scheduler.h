@@ -10,12 +10,9 @@
 // instead of per event, which is what the BGP frontier pump leans on when it
 // schedules one tick per delivery quantum.
 //
-// Cancelled events leave tombstones in the heap; when tombstones outnumber
-// live events the heap is compacted in place, so heavy cancel churn cannot
-// grow the queue beyond a constant factor of the live event count. No code
-// under src/ cancels today: the episode stall watchdog is a check inside
-// each monitoring round, and a damping re-check whose session is no longer
-// suppressed fires and does nothing.
+// Events cannot be cancelled. Nothing needs to: the episode stall watchdog
+// is a check inside each monitoring round, and a damping re-check whose
+// session is no longer suppressed fires and does nothing.
 #pragma once
 
 #include <cstdint>
@@ -44,16 +41,10 @@ class Scheduler {
   SimTime now() const noexcept { return now_; }
 
   // Schedule `cb` to run at absolute time `when` (clamped to now()).
-  // Returns an id usable with cancel().
-  std::uint64_t at(SimTime when, Callback cb);
+  void at(SimTime when, Callback cb);
 
   // Schedule `cb` to run `delay` seconds from now.
-  std::uint64_t after(SimTime delay, Callback cb) {
-    return at(now_ + delay, std::move(cb));
-  }
-
-  // Cancel a pending event. Returns false if already fired or unknown.
-  bool cancel(std::uint64_t id);
+  void after(SimTime delay, Callback cb) { at(now_ + delay, std::move(cb)); }
 
   // Run until the queue drains or `until` is reached (whichever first).
   // Returns the number of events executed.
@@ -68,16 +59,11 @@ class Scheduler {
   // nothing is due before `until`).
   std::size_t step_batch(SimTime until = kForever);
 
-  bool empty() const noexcept { return live_events_ == 0; }
-  std::size_t pending() const noexcept { return live_events_; }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t pending() const noexcept { return heap_.size(); }
   std::uint64_t executed() const noexcept { return executed_; }
   // High-water mark of pending events (queue depth) over the run.
   std::size_t max_pending() const noexcept { return max_pending_; }
-  std::uint64_t cancelled() const noexcept { return cancelled_; }
-  // Internal heap depth including tombstones, and how often compaction ran —
-  // the regression surface for the tombstone-buildup bound.
-  std::size_t queue_depth() const noexcept { return heap_.size(); }
-  std::uint64_t compactions() const noexcept { return compactions_; }
 
   static constexpr SimTime kForever = 1e300;
 
@@ -90,20 +76,17 @@ class Scheduler {
   struct State {
     SimTime now = 0.0;
     std::uint64_t executed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t compactions = 0;
     std::size_t max_pending = 0;
   };
   State save_state() const noexcept {
-    return State{now_, executed_, cancelled_, compactions_, max_pending_};
+    return State{now_, executed_, max_pending_};
   }
   void restore_state(const State& s);
 
  private:
   struct Event {
     SimTime when;
-    std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-    std::uint64_t id;
+    std::uint64_t seq;  // tie-break: FIFO among equal timestamps; callback key
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -112,26 +95,17 @@ class Scheduler {
     }
   };
 
-  // Drop tombstones off the heap top so heap_.front() (if any) is live.
-  void prune_top();
-  // Rebuild the heap without tombstones once they outnumber live events.
-  void maybe_compact();
-  // Pop the top event (assumed live) and run its callback.
+  // Pop the top event and run its callback.
   void execute_top();
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::uint64_t cancelled_ = 0;
-  std::uint64_t compactions_ = 0;
-  std::size_t live_events_ = 0;
   std::size_t max_pending_ = 0;
-  // Binary heap (std::push_heap/pop_heap with Later) rather than
-  // std::priority_queue: compaction needs to filter the container in place.
+  // Binary heap (std::push_heap/pop_heap with Later) of plain events, so a
+  // sift moves 16 bytes; the closures stay put in callbacks_.
   std::vector<Event> heap_;
-  // id -> callback; erased on fire/cancel. Cancelled events stay in the
-  // heap as tombstones until popped or compacted away.
+  // seq -> callback; erased when the event fires.
   std::unordered_map<std::uint64_t, Callback> callbacks_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace lg::util {
 
@@ -137,48 +136,6 @@ const std::vector<double>& EmpiricalCdf::sorted_samples() const {
   return samples_;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto nbins = static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) * nbins);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-double Histogram::bin_low(std::size_t i) const noexcept {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const noexcept {
-  return bin_low(i + 1);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream os;
-  std::size_t max_count = 1;
-  for (const auto c : counts_) max_count = std::max(max_count, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / max_count;
-    os << "[" << bin_low(i) << ", " << bin_high(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  if (underflow_ != 0) os << "underflow: " << underflow_ << "\n";
-  if (overflow_ != 0) os << "overflow: " << overflow_ << "\n";
-  return os.str();
-}
-
 LogHistogram::LogHistogram(double min_value, double growth,
                            std::size_t max_buckets)
     : min_value_(min_value > 0.0 ? min_value : 1e-9),
@@ -266,22 +223,6 @@ double LogHistogram::quantile(double q) const noexcept {
 
 double LogHistogram::mean() const noexcept {
   return total_ == 0 ? 0.0 : sum_ / static_cast<double>(total_);
-}
-
-std::uint64_t Tally::get(const std::string& key) const {
-  const auto it = counts_.find(key);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t Tally::total() const {
-  std::uint64_t t = 0;
-  for (const auto& [k, v] : counts_) t += v;
-  return t;
-}
-
-double Tally::fraction(const std::string& key) const {
-  const auto t = total();
-  return t == 0 ? 0.0 : static_cast<double>(get(key)) / static_cast<double>(t);
 }
 
 }  // namespace lg::util

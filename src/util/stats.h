@@ -1,12 +1,9 @@
 // Descriptive statistics used by the experiment harnesses: streaming moment
 // accumulation, empirical CDFs (the paper reports nearly everything as a CDF
-// or a quantile), and fixed-bin histograms.
+// or a quantile), and log-bucketed histograms.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace lg::util {
@@ -99,31 +96,6 @@ class EmpiricalCdf {
   mutable bool sorted_ = true;
 };
 
-// Fixed-width binned histogram for rendering ASCII distributions in bench
-// output.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_low(std::size_t i) const noexcept;
-  double bin_high(std::size_t i) const noexcept;
-
-  // Multi-line ASCII rendering, one row per bin.
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
-
 // Log-bucketed (geometric) histogram for latency-style distributions whose
 // interesting range spans orders of magnitude — per-phase episode latencies
 // run from sub-second probe rounds to multi-hour holddowns, where fixed-width
@@ -172,19 +144,6 @@ class LogHistogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Counter keyed by string, for tallying categorical outcomes in experiments.
-class Tally {
- public:
-  void add(const std::string& key, std::uint64_t n = 1) { counts_[key] += n; }
-  std::uint64_t get(const std::string& key) const;
-  std::uint64_t total() const;
-  double fraction(const std::string& key) const;
-  const std::map<std::string, std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::map<std::string, std::uint64_t> counts_;
 };
 
 }  // namespace lg::util

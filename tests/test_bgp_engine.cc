@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -382,6 +384,63 @@ TEST(BgpEngineTest, SparseAsnGraphMatchesReference) {
   // The poison reaches its target: 64512 holds no route to p1.
   EXPECT_EQ(engine.best_route(64512, p1), nullptr);
   EXPECT_EQ(util::fnv1a(out.str()), 0xc82f407c2b7df70eULL) << out.str();
+}
+
+// The constructor rejects what the pump cannot model: a zero quantum would
+// put every update in one bucket (undefined behaviour on the way), a zero
+// link delay lets an export land in the frontier being pumped. Coarse
+// quanta and every MRAI the benches and the fuzzer use still construct.
+TEST(BgpEngineTest, RejectsConfigItCannotModel) {
+  const topo::Fig2Topology topo = topo::make_fig2_topology();
+  util::Scheduler sched;
+  const auto builds = [&](const bgp::EngineConfig& ec) {
+    bgp::BgpEngine engine(topo.graph, sched, ec);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    double bgp::EngineConfig::*field;
+    std::vector<double> bad;
+  } cases[] = {
+      {"pump_quantum", &bgp::EngineConfig::pump_quantum,
+       {0.0, -0.005, kInf, kNaN}},
+      {"link_delay_min", &bgp::EngineConfig::link_delay_min,
+       {0.0, -0.01, kInf, kNaN}},
+      {"link_delay_max", &bgp::EngineConfig::link_delay_max,
+       {0.005, 0.0, kInf, kNaN}},
+      {"mrai_jitter_frac", &bgp::EngineConfig::mrai_jitter_frac,
+       {-0.01, 1.5, kNaN}},
+      {"default_mrai", &bgp::EngineConfig::default_mrai, {-1.0, kInf, kNaN}},
+  };
+  for (const auto& c : cases) {
+    for (const double v : c.bad) {
+      bgp::EngineConfig ec;
+      ec.*c.field = v;
+      try {
+        builds(ec);
+        ADD_FAILURE() << c.name << " = " << v << " constructed";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  EXPECT_NO_THROW(builds(bgp::EngineConfig{}));
+  // The fuzzer's MRAI draws, then fig6's.
+  for (const double mrai : {0.0, 0.001, 2.0, 10.0, 30.0, 5.0, 60.0}) {
+    bgp::EngineConfig ec;
+    ec.default_mrai = mrai;
+    EXPECT_NO_THROW(builds(ec)) << "default_mrai = " << mrai;
+  }
+  bgp::EngineConfig edges;
+  edges.pump_quantum = 1.0;  // coarser than any link delay, on purpose
+  edges.link_delay_max = edges.link_delay_min;
+  edges.mrai_jitter_frac = 1.0;
+  EXPECT_NO_THROW(builds(edges));
+  edges.mrai_jitter_frac = 0.0;
+  EXPECT_NO_THROW(builds(edges));
 }
 
 }  // namespace

@@ -459,10 +459,12 @@ TEST(FaultPlane, FaultyTrialsAreBitDeterministicAcrossThreadCounts) {
     bool operator==(const TrialOut&) const = default;
   };
   const auto sweep = [](std::size_t threads) {
+    // The trials' metrics merge into a throwaway registry, not the global.
+    obs::MetricsRegistry dst;
+    const obs::ScopedMetricsRegistry metrics_scope(dst);
     run::TrialRunnerConfig rc;
     rc.threads = threads;
     rc.base_seed = 0xfeedULL;
-    rc.merge_observability = false;
     run::TrialRunner runner(rc);
     return runner.run(4, [](run::TrialContext& ctx) {
       faults::FaultConfig fcfg = faults::FaultConfig::at_intensity(0.6);

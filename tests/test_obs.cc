@@ -1,11 +1,13 @@
-// lg::obs — metrics registry semantics, trace-ring wraparound, JSON
-// emission, run-report golden output, and an end-to-end check that a full
-// poison-repair cycle leaves the expected metric/trace footprint.
+// lg::obs — metrics registry semantics, trace-ring wraparound, the on/off
+// switches, JSON emission, run-report golden output, and an end-to-end check
+// that a full poison-repair cycle leaves the expected metric/trace footprint.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "util/env_knobs.h"
 #include "util/json.h"
 #include "util/scheduler.h"
 #include "workload/scenarios.h"
@@ -161,6 +164,81 @@ TEST(Trace, EveryKindHasAUniqueName) {
         << "duplicate trace kind name: " << name;
   }
   EXPECT_STREQ(obs::trace_kind_name(TraceKind::kCount), "?");
+}
+
+// --------------------------------------------------------------- switches
+
+// Sets (value) or unsets (nullptr) one environment variable for a scope and
+// restores its prior state afterwards.
+class EnvGuard {
+ public:
+  EnvGuard(const char* name, const char* value) : name_(name) {
+    if (const char* prior = std::getenv(name)) prior_ = prior;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~EnvGuard() {
+    if (prior_) {
+      ::setenv(name_, prior_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  EnvGuard(const EnvGuard&) = delete;
+  EnvGuard& operator=(const EnvGuard&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> prior_;
+};
+
+// One rule for LG_METRICS, LG_TRACE, LG_SPANS and LG_CHECK: on/1 enables,
+// off/0 disables, anything else (unset included) keeps the fallback.
+TEST(EnvKnobsTest, SwitchRule) {
+  struct Row {
+    const char* value;
+    bool from_off;  // result with fallback false
+    bool from_on;   // result with fallback true
+  };
+  const Row rows[] = {
+      {nullptr, false, true}, {"1", true, true},   {"on", true, true},
+      {"0", false, false},    {"off", false, false}, {"yes", false, true},
+      {"", false, true},
+  };
+  for (const Row& row : rows) {
+    const EnvGuard env("LG_METRICS", row.value);
+    const char* shown = row.value != nullptr ? row.value : "(unset)";
+    EXPECT_EQ(util::env_switch("LG_METRICS", false), row.from_off)
+        << "LG_METRICS=" << shown;
+    EXPECT_EQ(util::env_switch("LG_METRICS", true), row.from_on)
+        << "LG_METRICS=" << shown;
+  }
+}
+
+// Benches enable the ring before reading LG_TRACE, so a value the rule does
+// not know must leave tracing on, not switch it off.
+TEST(EnvKnobsTest, UnknownTraceValueKeepsEnabledRing) {
+  const EnvGuard env("LG_TRACE", "yes");
+  TraceRing ring(8);
+  ring.set_enabled(true);
+  ring.configure_from_env();
+  EXPECT_TRUE(ring.enabled());
+}
+
+// LG_TRACE_OUT makes spans default on: an unknown LG_SPANS value keeps that
+// default, and only an explicit off overrides it.
+TEST(EnvKnobsTest, TraceOutEnablesSpansUnlessSwitchedOff) {
+  const EnvGuard out("LG_TRACE_OUT", "unused-trace.json");
+  const EnvGuard spans("LG_SPANS", "yes");
+  obs::SpanRegistry reg;
+  reg.configure_from_env();
+  EXPECT_TRUE(reg.enabled());
+  const EnvGuard off("LG_SPANS", "off");
+  reg.configure_from_env();
+  EXPECT_FALSE(reg.enabled());
 }
 
 // ------------------------------------------------------------------- json

@@ -132,32 +132,6 @@ TEST(EmpiricalCdfTest, QuantileEndpointsAreMinAndMax) {
   EXPECT_EQ(c.max(), 3.0);
 }
 
-TEST(HistogramTest, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-  EXPECT_FALSE(h.render().empty());
-}
-
-TEST(TallyTest, CountsAndFractions) {
-  Tally t;
-  t.add("a");
-  t.add("a");
-  t.add("b", 2);
-  EXPECT_EQ(t.get("a"), 2u);
-  EXPECT_EQ(t.get("b"), 2u);
-  EXPECT_EQ(t.get("c"), 0u);
-  EXPECT_EQ(t.total(), 4u);
-  EXPECT_DOUBLE_EQ(t.fraction("a"), 0.5);
-}
-
 TEST(StringsTest, Formatting) {
   EXPECT_EQ(pct(0.123456), "12.3%");
   EXPECT_EQ(pct(0.5, 0), "50%");

@@ -1,15 +1,19 @@
 // lg::run::TrialRunner: the determinism contract (identical results, merged
 // metrics, and merged traces for ANY thread count), seed independence,
-// exception propagation, and observability scoping.
+// exception propagation, and observability and plane scoping.
 #include "run/trial_runner.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "adversary/adversary_plane.h"
+#include "faults/fault_plane.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -172,20 +176,57 @@ TEST(TrialRunnerTest, DisabledObservabilityStaysDisabledInTrials) {
   EXPECT_EQ(dst.counter("t.off").value(), 0u);
 }
 
-TEST(TrialRunnerTest, MergeCanBeOptedOut) {
-  obs::MetricsRegistry dst;
-  dst.set_enabled(true);
-  const obs::ScopedMetricsRegistry scope(dst);
+// The fault and adversary planes are thread-current like the obs sinks, but
+// the runner installs none: a trial sees exactly the planes it scopes
+// itself, a trial that scopes none sees the disabled fallbacks, and the
+// planes current where run() was called are still current afterwards.
+TEST(TrialRunnerTest, PlanesAreScopedPerTrialThread) {
+  obs::MetricsRegistry dst;  // receives the trial planes' lg.* counters
+  const obs::ScopedMetricsRegistry metrics_scope(dst);
+  faults::FaultPlane caller_faults(faults::FaultConfig::at_intensity(0.5));
+  adversary::AdversaryPlane caller_adversary(
+      adversary::AdversaryConfig::at_prevalence(0.5));
+  const faults::ScopedFaultPlane fault_scope(caller_faults);
+  const adversary::ScopedAdversaryPlane adversary_scope(caller_adversary);
 
-  TrialRunnerConfig cfg;
-  cfg.threads = 2;
-  cfg.merge_observability = false;
-  TrialRunner runner(cfg);
-  runner.run(4, [](TrialContext& ctx) {
-    obs::MetricsRegistry::current().counter("t.nomerge").inc();
-    return 0;
+  TrialRunner runner(TrialRunnerConfig{.threads = 4});
+  const auto seen_own = runner.run(16, [](TrialContext& ctx) {
+    faults::FaultConfig fcfg = faults::FaultConfig::at_intensity(0.5);
+    fcfg.seed = ctx.seed;
+    adversary::AdversaryConfig acfg =
+        adversary::AdversaryConfig::at_prevalence(0.5);
+    acfg.seed = ctx.seed;
+    faults::FaultPlane faults_plane(fcfg);
+    adversary::AdversaryPlane adversary_plane(acfg);
+    const bool installs = ctx.index % 4 != 0;
+    std::optional<faults::ScopedFaultPlane> trial_faults;
+    std::optional<adversary::ScopedAdversaryPlane> trial_adversary;
+    if (installs) {
+      trial_faults.emplace(faults_plane);
+      trial_adversary.emplace(adversary_plane);
+    }
+    const faults::FaultPlane& want_faults =
+        installs ? faults_plane : faults::FaultPlane::fallback();
+    const adversary::AdversaryPlane& want_adversary =
+        installs ? adversary_plane : adversary::AdversaryPlane::fallback();
+    // Re-read while the other workers run their trials.
+    for (int k = 0; k < 200; ++k) {
+      if (&faults::FaultPlane::current() != &want_faults ||
+          &adversary::AdversaryPlane::current() != &want_adversary ||
+          faults::FaultPlane::current().enabled() != installs ||
+          adversary::AdversaryPlane::current().enabled() != installs) {
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    return true;
   });
-  EXPECT_EQ(dst.counter("t.nomerge").value(), 0u);
+  for (std::size_t i = 0; i < seen_own.size(); ++i) {
+    EXPECT_TRUE(seen_own[i]) << "trial " << i;
+  }
+  EXPECT_EQ(&faults::FaultPlane::current(), &caller_faults);
+  EXPECT_EQ(&adversary::AdversaryPlane::current(), &caller_adversary);
+  EXPECT_EQ(caller_faults.injected(), 0u);
 }
 
 TEST(TrialRunnerTest, LowestIndexExceptionPropagates) {
