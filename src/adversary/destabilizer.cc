@@ -8,14 +8,18 @@ namespace lg::adversary {
 
 constexpr std::uint64_t kTagGap = 0x4453544247415001ULL;
 
+// Mean half-cycle between actions; each step's gap is a hashed value in
+// [mean * (1 - jitter), mean * (1 + jitter)].
+constexpr double kMeanPeriodSeconds = 90.0;
+constexpr double kJitterFrac = 0.5;
+
 std::vector<Step> destabilizer_schedule(std::uint64_t seed, topo::AsId as,
                                         const DestabilizerConfig& cfg) {
   std::vector<Step> steps;
-  if (cfg.max_cycles == 0 || cfg.mean_period_seconds <= 0.0) return steps;
+  if (cfg.max_cycles == 0) return steps;
   steps.reserve(cfg.max_cycles * 2);
-  const double jitter = std::clamp(cfg.jitter_frac, 0.0, 1.0);
-  const double lo = cfg.mean_period_seconds * (1.0 - jitter);
-  const double hi = cfg.mean_period_seconds * (1.0 + jitter);
+  const double lo = kMeanPeriodSeconds * (1.0 - kJitterFrac);
+  const double hi = kMeanPeriodSeconds * (1.0 + kJitterFrac);
   const std::size_t variants = std::max<std::size_t>(1, cfg.prepend_variants);
   double t = 0.0;
   for (std::size_t cycle = 0; cycle < cfg.max_cycles; ++cycle) {

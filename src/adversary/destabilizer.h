@@ -23,11 +23,9 @@
 
 namespace lg::adversary {
 
+// Each step's gap is a hashed value in [45 s, 135 s]: a 90 s mean
+// half-cycle, jittered by half (destabilizer.cc).
 struct DestabilizerConfig {
-  // Mean half-cycle between actions; each step's gap is a hashed value in
-  // [mean * (1 - jitter_frac), mean * (1 + jitter_frac)].
-  double mean_period_seconds = 90.0;
-  double jitter_frac = 0.5;
   // Announce/withdraw pairs per destabilizer. Finite by design so every
   // trial still quiesces.
   std::size_t max_cycles = 6;

@@ -60,6 +60,11 @@ class PoisonDecider {
   std::optional<AsId> alternate_egress(AsId origin, AsId blamed,
                                        AsId target_as) const;
 
+  // The minimum outage age decide() poisons at (DecisionConfig).
+  double min_elapsed_seconds() const noexcept {
+    return cfg_.min_elapsed_seconds;
+  }
+
   // The shared policy-compliance oracle (exposed for harness reuse).
   const topo::ValleyFreeOracle& oracle() const noexcept { return oracle_; }
 

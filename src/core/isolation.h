@@ -37,21 +37,6 @@ enum class FailureDirection : std::uint8_t {
 
 const char* direction_name(FailureDirection d) noexcept;
 
-struct IsolationConfig {
-  std::size_t max_helpers = 5;
-  // Pings per candidate router (the paper sends pairs to absorb loss).
-  int pings_per_candidate = 2;
-  // Modeled wall-clock costs, calibrated to the deployment's measured 140 s
-  // mean for reverse-path isolations (§5.4): spoofed direction round,
-  // working-direction measurement, each batched candidate ping round, and
-  // each reverse traceroute issued during pruning.
-  double direction_stage_seconds = 35.0;
-  double working_path_stage_seconds = 30.0;
-  double ping_round_seconds = 10.0;
-  std::size_t pings_per_round = 25;
-  double reverse_traceroute_seconds = 15.0;
-};
-
 struct IsolationResult {
   FailureDirection direction = FailureDirection::kNone;
   // LIFEGUARD's verdict.
@@ -76,9 +61,8 @@ struct IsolationResult {
 
 class IsolationEngine {
  public:
-  IsolationEngine(measure::Prober& prober, PathAtlas& atlas,
-                  IsolationConfig cfg = {})
-      : prober_(&prober), atlas_(&atlas), cfg_(cfg) {}
+  IsolationEngine(measure::Prober& prober, PathAtlas& atlas)
+      : prober_(&prober), atlas_(&atlas) {}
 
   // Run the full §4.1.2 procedure for vp's outage toward `target`: direction,
   // blamed AS/link, the traceroute-only counterfactual, and probe/latency
@@ -103,7 +87,6 @@ class IsolationEngine {
 
   measure::Prober* prober_;
   PathAtlas* atlas_;
-  IsolationConfig cfg_;
 };
 
 }  // namespace lg::core

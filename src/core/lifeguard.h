@@ -3,7 +3,7 @@
 // scheduler.
 //
 // Lifecycle per monitored target (§4), one core::EpisodeMachine slot each:
-//   monitor (pings every 30 s)
+//   monitor (pings every kPingIntervalSeconds, core/episode.h)
 //     -> threshold of consecutive failures crossed: open an episode, isolate
 //     -> hold in ISOLATE until the outage is old enough that it is unlikely
 //        to self-resolve (§4.2), re-confirming it still exists
@@ -45,42 +45,12 @@ class AdversaryPlane;
 
 namespace lg::core {
 
-// Graceful degradation under a faulty measurement plane (lg::faults). All of
-// this is inert unless a FaultPlane is enabled for the run: with faults off,
-// Lifeguard issues exactly the probes it always did.
-struct DegradationConfig {
-  // EWMA probe coverage (fraction of helper control probes answered) below
-  // which the decision loop treats its own evidence as degraded.
-  double coverage_floor = 0.6;
-  // EWMA weight of the newest coverage sample.
-  double coverage_alpha = 0.3;
-  // Extra consecutive failed rounds required before declaring an outage
-  // while degraded (absorbs probe loss masquerading as failure).
-  int degraded_extra_failures = 2;
-  // While degraded, poisoning decisions are deferred and re-evaluated every
-  // defer_retry_seconds, up to max_defer_seconds past detection; after that
-  // Lifeguard acts on the evidence it has rather than never repairing.
-  double defer_retry_seconds = 60.0;
-  double max_defer_seconds = 600.0;
-  // Retry schedule for monitoring pings while the fault plane is enabled.
-  measure::RetryPolicy retry;
-};
-
 struct LifeguardConfig {
-  double ping_interval = 30.0;
-  int fail_threshold = 4;  // consecutive failed rounds => outage (~2 min)
-  double atlas_refresh_interval = 600.0;
-  double sentinel_check_interval = 120.0;
   DecisionConfig decision;
-  IsolationConfig isolation;
-  RemediatorConfig remediation;
-  DegradationConfig degradation;
 };
 
 class Lifeguard {
  public:
-  // Throws std::invalid_argument naming the first cadence field of `cfg`
-  // that is not a positive period.
   Lifeguard(util::Scheduler& sched, bgp::BgpEngine& engine,
             measure::Prober& prober, AsId origin, LifeguardConfig cfg = {});
 
@@ -125,7 +95,7 @@ class Lifeguard {
   // Control probes against the helper set to estimate probe coverage; only
   // runs when the fault plane is enabled.
   void coverage_round(double now);
-  // One monitoring ping, retried per the degradation policy when faults are
+  // One monitoring ping, retried on the default schedule when faults are
   // enabled, a single classic ping otherwise.
   bool monitored_ping(topo::Ipv4 addr);
   void atlas_round();
@@ -153,7 +123,6 @@ class Lifeguard {
   bgp::BgpEngine* engine_;
   measure::Prober* prober_;
   AsId origin_;
-  LifeguardConfig cfg_;
   VantagePoint vp_;
   PathAtlas atlas_;
   IsolationEngine isolation_;

@@ -16,6 +16,20 @@ using O = core::EpisodeOutcome;
 using core::FailureDirection;
 using core::RepairAction;
 
+namespace {
+// Let the baseline announcements converge and the atlas warm before the
+// first monitoring round (the deployment ran in steady state long before
+// detection mattered). The atlas's first full pass runs at half this.
+constexpr double kStartDelaySeconds = 600.0;
+// Consecutive failed rounds that enter SUSPECT; core::kFailThreshold of
+// them request isolation.
+constexpr int kSuspectThreshold = 2;
+// Background atlas maintenance: one full pass at startup, then rotating
+// slices of kAtlasChunk targets every core::kAtlasRefreshSeconds — a
+// thousand-target shard cannot re-traceroute everything each round.
+constexpr std::size_t kAtlasChunk = 32;
+}  // namespace
+
 EpisodeManager::EpisodeManager(workload::SimWorld& world, AsId origin,
                                std::vector<MonitoredTarget> targets,
                                AnnouncementBudget& announce_budget,
@@ -26,19 +40,16 @@ EpisodeManager::EpisodeManager(workload::SimWorld& world, AsId origin,
       origin_(origin),
       cfg_(cfg),
       vp_(measure::VantagePoint::in_as(origin, "fleet-origin")),
-      isolation_(world.prober(), atlas_, cfg.isolation),
-      decider_(world.graph(), cfg.decision),
-      remediator_(world.engine(), origin, cfg.remediation),
+      isolation_(world.prober(), atlas_),
+      decider_(world.graph()),
+      remediator_(world.engine(), origin),
       sentinel_(world.prober(), origin),
       announce_(&announce_budget),
       admission_(&probe_admission),
-      machine_(cfg.timing()) {
+      machine_(fleet_timing(cfg.stall_threshold_seconds)) {
   util::require_period("EpisodeConfig::ping_interval", cfg.ping_interval);
   util::require_period("EpisodeConfig::defer_retry_seconds",
                        cfg.defer_retry_seconds);
-  util::require_period("EpisodeConfig::verify_interval", cfg.verify_interval);
-  util::require_period("EpisodeConfig::atlas_refresh_interval",
-                       cfg.atlas_refresh_interval);
   targets_.reserve(targets.size());
   for (const auto& info : targets) {
     targets_.push_back(TargetCtx{.info = info});
@@ -57,9 +68,9 @@ void EpisodeManager::start(double stop_at) {
   started_ = true;
   stop_at_ = stop_at;
   remediator_.announce_baseline();
-  sched_->after(std::max(cfg_.ping_interval, cfg_.start_delay_seconds * 0.5),
+  sched_->after(std::max(cfg_.ping_interval, kStartDelaySeconds * 0.5),
                 [this] { atlas_round(); });
-  sched_->after(std::max(cfg_.ping_interval, cfg_.start_delay_seconds),
+  sched_->after(std::max(cfg_.ping_interval, kStartDelaySeconds),
                 [this] { monitor_round(); });
 }
 
@@ -91,16 +102,15 @@ void EpisodeManager::atlas_round() {
   // reached before turning detection on); later rounds refresh a rotating
   // slice.
   const std::size_t n = targets_.size();
-  const std::size_t span =
-      atlas_warmed_ ? std::min(cfg_.atlas_chunk, n) : n;
+  const std::size_t span = atlas_warmed_ ? std::min(kAtlasChunk, n) : n;
   atlas_warmed_ = true;
   for (std::size_t i = 0; i < span && n > 0; ++i) {
     const auto& t = targets_[(atlas_cursor_ + i) % n];
     atlas_.refresh(world_->prober(), vp_, t.info.addr, now);
   }
   atlas_cursor_ = n > 0 ? (atlas_cursor_ + span) % n : 0;
-  if (now + cfg_.atlas_refresh_interval <= stop_at_) {
-    sched_->after(cfg_.atlas_refresh_interval, [this] { atlas_round(); });
+  if (now + core::kAtlasRefreshSeconds <= stop_at_) {
+    sched_->after(core::kAtlasRefreshSeconds, [this] { atlas_round(); });
   }
 }
 
@@ -118,7 +128,7 @@ void EpisodeManager::monitor_round() {
       // Cooldown over. A failure streak that persisted through holddown
       // re-enters SUSPECT immediately instead of re-counting from zero.
       machine_.move(idx,
-                    t.consecutive_failures >= cfg_.suspect_threshold
+                    t.consecutive_failures >= kSuspectThreshold
                         ? EpisodeState::kSuspect
                         : EpisodeState::kMonitor,
                     now);
@@ -140,7 +150,7 @@ void EpisodeManager::monitor_round() {
     if (t.consecutive_failures == 0) t.first_failure_at = now;
     ++t.consecutive_failures;
     if (machine_.state(idx) == EpisodeState::kMonitor &&
-        t.consecutive_failures >= cfg_.suspect_threshold) {
+        t.consecutive_failures >= kSuspectThreshold) {
       machine_.move(idx, EpisodeState::kSuspect, now);
     }
   }
@@ -169,7 +179,7 @@ void EpisodeManager::admission_pass(double now) {
   for (std::size_t idx = 0; idx < targets_.size(); ++idx) {
     TargetCtx& t = targets_[idx];
     if (machine_.state(idx) != EpisodeState::kSuspect) continue;
-    if (t.consecutive_failures < cfg_.fail_threshold) continue;
+    if (t.consecutive_failures < core::kFailThreshold) continue;
     if (!machine_.is_open(idx)) {
       const EpisodeRecord& rec = machine_.open(idx, now, t.first_failure_at);
       LG_INFO << "fleet: episode opened for " << topo::format_ipv4(rec.target)
@@ -227,9 +237,9 @@ void EpisodeManager::decision_point(std::size_t i) {
   rec.verdict = decider_.decide(origin_, blamed, elapsed, sources,
                                 rec.isolation.blamed_link);
   if (!rec.verdict.poison) {
-    if (elapsed < cfg_.decision.min_elapsed_seconds) {
+    if (elapsed < decider_.min_elapsed_seconds()) {
       // Not old enough yet: hold in ISOLATE and re-decide once it is.
-      sched_->at(rec.opened_at + cfg_.decision.min_elapsed_seconds + 1.0,
+      sched_->at(rec.opened_at + decider_.min_elapsed_seconds() + 1.0,
                  [this, i] { decision_point(i); });
       return;
     }
@@ -304,7 +314,7 @@ void EpisodeManager::remediate_point(std::size_t i) {
   LG_INFO << "fleet: remediation applied ("
           << core::repair_action_name(rec.action) << " of AS " << rec.blamed
           << ") for " << topo::format_ipv4(rec.target);
-  sched_->after(cfg_.verify_interval, [this, i] { verify_round(i); });
+  sched_->after(core::kSentinelRoundSeconds, [this, i] { verify_round(i); });
 }
 
 void EpisodeManager::verify_round(std::size_t i) {
@@ -331,7 +341,7 @@ void EpisodeManager::verify_round(std::size_t i) {
     // The remediated path is not carrying traffic either: the blame may
     // have been wrong, or a second failure appeared behind the first. Drop
     // the remediation and fail back to ISOLATE.
-    if (++t.verify_failures >= cfg_.verify_fail_threshold) {
+    if (++t.verify_failures >= kVerifyFailThreshold) {
       t.verify_failures = 0;
       drop_remediation(rec);
       machine_.fail_back(i, now);
@@ -344,7 +354,7 @@ void EpisodeManager::verify_round(std::size_t i) {
     t.verify_failures = 0;
   }
 
-  if (now - rec.remediated_at > cfg_.max_verify_seconds) {
+  if (now - rec.remediated_at > kMaxVerifySeconds) {
     // Under the adversarial plane a repair that never takes is the expected
     // signature of hostile policies (path-length filters rejecting the
     // poisoned announcement, default-routed stubs forwarding regardless):
@@ -359,7 +369,7 @@ void EpisodeManager::verify_round(std::size_t i) {
     }
     return;
   }
-  sched_->after(cfg_.verify_interval, [this, i] { verify_round(i); });
+  sched_->after(core::kSentinelRoundSeconds, [this, i] { verify_round(i); });
 }
 
 void EpisodeManager::admit_point(std::size_t i) {

@@ -63,50 +63,36 @@ namespace lg::fleet {
 using EpisodeOutcome = core::EpisodeOutcome;
 
 struct EpisodeConfig {
-  // Let the baseline announcements converge and the atlas warm before the
-  // first monitoring round (the deployment ran in steady state long before
-  // detection mattered). The atlas's first full pass runs at half this.
-  double start_delay_seconds = 600.0;
-  double ping_interval = 30.0;
-  // Consecutive failed rounds: enter SUSPECT, then request isolation.
-  int suspect_threshold = 2;
-  int fail_threshold = 4;
+  double ping_interval = core::kPingIntervalSeconds;
   // Re-try a budget-deferred isolation/remediation this often.
   double defer_retry_seconds = 60.0;
-  // Sentinel cadence while VERIFY holds a poison.
-  double verify_interval = 120.0;
-  // Consecutive VERIFY rounds with the target still unreachable *through
-  // the remediated path* before concluding the blame was wrong and falling
-  // back to ISOLATE.
-  int verify_fail_threshold = 3;
-  // Give up verifying (revert, close kVerifyTimeout) after this long.
-  double max_verify_seconds = 7200.0;
-  // Post-repair cooldown; doubles per flap up to the cap.
-  double holddown_seconds = 600.0;
-  double holddown_max_seconds = 3600.0;
-  // A new episode opening within this window of the previous close on the
-  // same target counts as a flap.
-  double flap_window_seconds = 1800.0;
   // Stall watchdog: an episode sitting in one state (excluding MONITOR and
   // HOLDDOWN, which are parked on purpose) longer than this is flagged
   // once (core::EpisodeMachine::watch). 0 disables. LG_FLEET_STALL_SECONDS
   // overrides it for fleet runs (FleetConfig::from_env).
   double stall_threshold_seconds = core::kStallSeconds;
-  // Background atlas maintenance: one full pass at startup, then rotating
-  // slices of `atlas_chunk` targets every `atlas_refresh_interval` — a
-  // thousand-target shard cannot re-traceroute everything each round.
-  double atlas_refresh_interval = 600.0;
-  std::size_t atlas_chunk = 32;
-  core::IsolationConfig isolation;
-  core::DecisionConfig decision;
-  core::RemediatorConfig remediation;
-
-  // The lifecycle timing the episode machine applies.
-  core::EpisodeTiming timing() const {
-    return {holddown_seconds, holddown_max_seconds, flap_window_seconds,
-            stall_threshold_seconds};
-  }
 };
+
+// The fleet's episode policy, shared by EpisodeManager and the service
+// plane (fleet/service_plane.h). VERIFY falls back (EpisodeManager) or
+// closes (service plane) after kVerifyFailThreshold consecutive rounds with
+// the target still unreachable *through the remediated path*, and gives up
+// kMaxVerifySeconds after the remediation.
+inline constexpr int kVerifyFailThreshold = 3;
+inline constexpr double kMaxVerifySeconds = 7200.0;
+
+// The fleet's lifecycle timing: a post-repair holddown that doubles per flap
+// up to a cap, where an episode opening within kFlapWindowSeconds of its
+// target's last close is a flap.
+inline constexpr double kHolddownSeconds = 600.0;
+inline constexpr double kHolddownMaxSeconds = 3600.0;
+inline constexpr double kFlapWindowSeconds = 1800.0;
+
+// That timing, with the stall watchdog at `stall_seconds`.
+constexpr core::EpisodeTiming fleet_timing(double stall_seconds) {
+  return {kHolddownSeconds, kHolddownMaxSeconds, kFlapWindowSeconds,
+          stall_seconds};
+}
 
 // One shard's worth of the fleet: monitors `targets` from `origin` inside
 // one SimWorld, running the episode state machine against the shared

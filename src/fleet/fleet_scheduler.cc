@@ -14,6 +14,14 @@ namespace lg::fleet {
 
 namespace {
 
+// Helper vantage points per shard, for spoofed-probe isolation.
+constexpr std::size_t kHelpers = 5;
+// Outage injection starts here: baseline convergence and the atlas warm-up
+// (EpisodeManager's 600 s start delay) must be done.
+constexpr double kWarmupSeconds = 900.0;
+// Sampled outage durations are truncated here so a bounded run can settle.
+constexpr double kOutageDurationCapSeconds = 3600.0;
+
 // One formatted double for the fingerprint: fixed precision, no locale.
 void append_num(std::ostringstream& os, double v) {
   char buf[32];
@@ -62,11 +70,11 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
   // Helper vantage points need announced production prefixes to receive
   // spoofed-probe replies.
   std::vector<measure::VantagePoint> helpers;
-  for (const AsId as : world.stub_vantage_ases(cfg.helpers + 2)) {
+  for (const AsId as : world.stub_vantage_ases(kHelpers + 2)) {
     if (as == origin) continue;
     helpers.push_back(measure::VantagePoint::in_as(as));
     world.announce_production(as);
-    if (helpers.size() == cfg.helpers) break;
+    if (helpers.size() == kHelpers) break;
   }
 
   auto targets = TargetTable::enumerate(world, origin, quota);
@@ -74,8 +82,8 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
 
   const double shards_d = static_cast<double>(cfg.shards);
   AnnouncementBudget announce(cfg.announce_per_hour / 3600.0 / shards_d,
-                              std::max(1.0, cfg.announce_burst / shards_d));
-  ProbeAdmission admission(cfg.probe_rate_per_second, cfg.probe_burst);
+                              std::max(1.0, kAnnounceBurst / shards_d));
+  ProbeAdmission admission(cfg.probe_rate_per_second, kProbeBurst);
 
   EpisodeManager manager(world, origin, std::move(targets), announce,
                          admission, cfg.episode);
@@ -90,22 +98,22 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
     dp::Failure failure;
   };
   std::vector<PlannedOutage> planned;
-  const double inject_span = cfg.horizon_seconds - cfg.warmup_seconds;
+  const double inject_span = cfg.horizon_seconds - kWarmupSeconds;
   if (inject_span > 0.0 && cfg.outages_per_hour > 0.0) {
     util::Rng rng(seed ^ 0x6f757467ULL, 0x666c7464ULL);
     const auto events = workload::sample_outage_process(
-        rng, cfg.outages_per_hour / shards_d, inject_span, {},
-        cfg.outage_duration_cap_seconds);
+        rng, cfg.outages_per_hour / shards_d, inject_span,
+        kOutageDurationCapSeconds);
     const auto culprits = world.feed_ases(20);
     for (const auto& ev : events) {
       if (culprits.empty()) break;
       PlannedOutage p;
-      p.at = cfg.warmup_seconds + ev.start_seconds;
+      p.at = kWarmupSeconds + ev.start_seconds;
       p.duration = ev.duration_seconds;
       const AsId culprit =
           culprits[rng.uniform_u32(static_cast<std::uint32_t>(culprits.size()))];
       p.failure.at_as = culprit;
-      if (rng.bernoulli(cfg.reverse_fraction)) {
+      if (rng.bernoulli(kReverseFraction)) {
         // Reverse-path failure toward the origin: the paper's headline
         // case, and naturally correlated — every monitored target whose
         // reply path crosses the culprit goes dark at once.

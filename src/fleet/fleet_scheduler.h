@@ -32,29 +32,18 @@ struct FleetConfig {
   // to settle past it.
   double horizon_seconds = 2.0 * 3600.0;
   // Global announcement budget: poison/prepend announcements per hour
-  // across the fleet, split evenly over the shards (each shard's bucket
-  // keeps a floor of one burst token so it can make progress).
+  // across the fleet, split evenly over the shards (fleet/budget.h has the
+  // bucket depths).
   double announce_per_hour = 60.0;
-  double announce_burst = 16.0;
   // Probe budget per shard: sustained probes/second the admission
-  // controller may spend on isolations, and the bucket depth.
+  // controller may spend on isolations.
   double probe_rate_per_second = 10.0;
-  double probe_burst = 600.0;
-  // Outage injection starts here (baseline convergence + atlas warm-up
-  // must be done; must be >= episode.start_delay_seconds).
-  double warmup_seconds = 900.0;
   // Fleet-wide outage arrival rate (split over shards); durations follow
   // the EC2-calibrated mixture, truncated so a bounded run can settle.
   double outages_per_hour = 24.0;
-  double outage_duration_cap_seconds = 3600.0;
-  // Fraction of injected outages that are reverse-path failures toward the
-  // origin (the paper's headline case); the rest fail the forward path
-  // toward one monitored destination's AS.
-  double reverse_fraction = 0.8;
   // Per-shard world size. Must hold enough responding routers for
   // targets/shards destinations.
   topo::TopologyParams shard_topology;
-  std::size_t helpers = 5;
   EpisodeConfig episode;
 
   // Apply LG_FLEET_TARGETS / LG_FLEET_ANNOUNCE_BUDGET (announcements per

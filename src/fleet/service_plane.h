@@ -10,14 +10,15 @@
 //    partitioned over the same fixed shard count as the fleet (the shard
 //    count, never the thread count, defines the partition);
 //  * one core::EpisodeMachine slot per prefix (MONITOR → ISOLATE →
-//    REMEDIATE → VERIFY → HOLDDOWN), timed by ServiceConfig::episode and
-//    observed like every other episode;
-//  * prefixes are *virtual* (bookkeeping identity + policy); real BGP work
-//    is leased through a small pool of physical /28 remediation slots
-//    carved from the origin's production /24, which stays announced with
-//    the baseline and therefore acts as the covering sentinel (§3.1.2) for
-//    every leased slot — captive ASes keep a route, and repairs on the
-//    original path stay observable;
+//    REMEDIATE → VERIFY → HOLDDOWN), on the fleet's lifecycle timing
+//    (fleet_timing in fleet/episode_manager.h) and observed like every
+//    other episode;
+//  * a serviced prefix is its key (bookkeeping identity + policy), never
+//    routed itself; real BGP work is leased through a small pool of
+//    physical /28 remediation slots carved from the origin's production
+//    /24, which stays announced with the baseline and therefore acts as
+//    the covering sentinel (§3.1.2) for every leased slot — captive ASes
+//    keep a route, and repairs on the original path stay observable;
 //  * remediation is a *selective* announcement (§3.1.2 / Fig. 3): the slot
 //    /28 withholds or poisons only via the implicated provider, everyone
 //    else sees the baseline;
@@ -65,7 +66,7 @@ struct ServiceConfig {
   // open-ended; the horizon only bounds one harness run.
   double horizon_seconds = 2.0 * 3600.0;
   // Service tick: ping cadence, state-machine step, failure expiry check.
-  double tick_seconds = 30.0;
+  double tick_seconds = core::kPingIntervalSeconds;
   // Outage injection starts here (baseline must be converged first).
   double warmup_seconds = 300.0;
   // After the horizon, keep ticking (without new injections) until
@@ -78,20 +79,10 @@ struct ServiceConfig {
   // Fleet-wide announcement budget (split over shards) and per-shard probe
   // admission, as in FleetConfig.
   double announce_per_hour = 60.0;
-  double announce_burst = 16.0;
   double probe_rate_per_second = 10.0;
-  double probe_burst = 600.0;
   // Fleet-wide streaming outage arrival rate (split over shards).
   double outages_per_hour = 24.0;
-  double outage_duration_cap_seconds = 1800.0;
-  // Fraction of outages failing the reverse path toward the origin.
-  double reverse_fraction = 0.8;
-  // Bounded per-shard rings: closed-episode records and remediation
-  // latencies kept for reporting; older entries fold into the fingerprint.
-  std::size_t record_ring = 4096;
-  std::size_t latency_ring = 4096;
   topo::TopologyParams shard_topology;
-  EpisodeConfig episode;
 
   // Apply LG_SERVICE_PREFIXES / LG_SERVICE_CLIENTS / LG_SERVICE_HORIZON
   // (seconds) / LG_SERVICE_TICK (seconds) / LG_SERVICE_OUTAGE_RATE (per

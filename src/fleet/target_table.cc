@@ -31,15 +31,10 @@ std::vector<ServicedPrefix> TargetTable::shard_universe(
   out.reserve(quota);
   for (std::size_t i = 0; i < quota; ++i) {
     const auto key = static_cast<std::uint32_t>(start + i);
-    out.push_back(ServicedPrefix{
-        key, virtual_prefix(key), static_cast<std::uint32_t>(key % clients)});
+    out.push_back(
+        ServicedPrefix{key, static_cast<std::uint32_t>(key % clients)});
   }
   return out;
-}
-
-topo::Prefix TargetTable::virtual_prefix(std::uint32_t key) {
-  constexpr Ipv4 kServiceBase = 12u << 24;  // 12.0.0.0
-  return topo::Prefix(kServiceBase + key * 256u, 24);
 }
 
 std::vector<MonitoredTarget> TargetTable::enumerate(workload::SimWorld& world,

@@ -8,10 +8,28 @@
 #include <tuple>
 
 #include "topology/io.h"
+#include "util/env_knobs.h"
 
 namespace lg::topo {
 
 namespace {
+
+// generate_topology's provider counts: large transit pick 2-3 tier-1/large
+// providers; small transit pick 1-3 from tier-1/large; a stub picks one,
+// a second with this probability, and then a third with the next.
+constexpr double kStubSecondProviderProb = 0.40;
+constexpr double kStubThirdProviderProb = 0.10;
+
+// generate_internet_scale's degree model (docs/TOPOLOGIES.md): the
+// CAIDA-like share of ASes with customers; transits take 2 providers, +1
+// with kTransitExtraProviderProb; stubs take 1, with chances of a 2nd/3rd
+// matching observed multihoming rates; and the expected settlement-free
+// peering links added per transit AS.
+constexpr double kTransitFraction = 0.14;
+constexpr double kTransitExtraProviderProb = 0.50;
+constexpr double kScaleStubSecondProviderProb = 0.45;
+constexpr double kScaleStubThirdProviderProb = 0.12;
+constexpr double kPeerLinksPerTransit = 1.0;
 
 // Weighted pick by current degree + 1 (preferential attachment).
 AsId pick_preferential(const AsGraph& g, const std::vector<AsId>& pool,
@@ -120,11 +138,11 @@ GeneratedTopology generate_topology(const TopologyParams& params) {
     std::vector<AsId> chosen;
     chosen.push_back(pick_preferential(topo.graph, transit_pool, rng, chosen));
     topo.graph.add_link(id, chosen.back(), Rel::kProvider);
-    if (rng.bernoulli(params.stub_second_provider_prob)) {
+    if (rng.bernoulli(kStubSecondProviderProb)) {
       chosen.push_back(
           pick_preferential(topo.graph, transit_pool, rng, chosen));
       topo.graph.add_link(id, chosen.back(), Rel::kProvider);
-      if (rng.bernoulli(params.stub_third_provider_prob)) {
+      if (rng.bernoulli(kStubThirdProviderProb)) {
         chosen.push_back(
             pick_preferential(topo.graph, transit_pool, rng, chosen));
         topo.graph.add_link(id, chosen.back(), Rel::kProvider);
@@ -198,7 +216,7 @@ GeneratedTopology generate_internet_scale(const InternetScaleParams& params) {
   if (params.num_tier1 < 2) throw std::invalid_argument("need >= 2 tier-1s");
   const std::uint32_t n_transit = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(
-             std::lround(params.transit_fraction *
+             std::lround(kTransitFraction *
                          static_cast<double>(params.total_ases))));
   if (params.total_ases < params.num_tier1 + n_transit + 1) {
     throw std::invalid_argument("total_ases too small for the role split");
@@ -234,9 +252,7 @@ GeneratedTopology generate_internet_scale(const InternetScaleParams& params) {
   for (std::uint32_t i = 0; i < n_transit; ++i) {
     topo.graph.add_as(next_id, AsTier::kTransit);
     const AsId id = next_id++;
-    const int nprov = 2 + (rng.bernoulli(params.transit_extra_provider_prob)
-                               ? 1
-                               : 0);
+    const int nprov = 2 + (rng.bernoulli(kTransitExtraProviderProb) ? 1 : 0);
     chosen.clear();
     for (int k = 0; k < nprov; ++k) {
       const AsId prov = provider_pool.pick(rng, id, chosen);
@@ -248,13 +264,13 @@ GeneratedTopology generate_internet_scale(const InternetScaleParams& params) {
     transits.push_back(id);
   }
 
-  // Settlement-free peering among transits: expected peer_links_per_transit
+  // Settlement-free peering among transits: expected kPeerLinksPerTransit
   // links each, partner drawn preferentially (big regionals peer most).
-  if (!transits.empty() && params.peer_links_per_transit > 0.0) {
+  if (!transits.empty()) {
     PreferentialPool transit_pool;
     for (const AsId t : transits) transit_pool.add(t);
     const auto n_peer_links = static_cast<std::uint64_t>(
-        std::llround(params.peer_links_per_transit *
+        std::llround(kPeerLinksPerTransit *
                      static_cast<double>(transits.size())));
     chosen.clear();
     for (std::uint64_t k = 0; k < n_peer_links; ++k) {
@@ -274,9 +290,9 @@ GeneratedTopology generate_internet_scale(const InternetScaleParams& params) {
     topo.graph.add_as(next_id, AsTier::kStub);
     const AsId id = next_id++;
     int nprov = 1;
-    if (rng.bernoulli(params.stub_second_provider_prob)) {
+    if (rng.bernoulli(kScaleStubSecondProviderProb)) {
       nprov = 2;
-      if (rng.bernoulli(params.stub_third_provider_prob)) nprov = 3;
+      if (rng.bernoulli(kScaleStubThirdProviderProb)) nprov = 3;
     }
     chosen.clear();
     for (int k = 0; k < nprov; ++k) {
@@ -335,11 +351,10 @@ GeneratedTopology topology_from_env(const TopologyParams& fallback) {
   }
   if (const char* scale = std::getenv("LG_TOPOLOGY_SCALE");
       scale != nullptr && scale[0] != '\0') {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(scale, &end, 10);
-    if (end == scale || *end != '\0' || n < 16 || n > 10'000'000ULL) {
+    const std::size_t n = util::env_size_knob("LG_TOPOLOGY_SCALE", 0);
+    if (n < 16 || n > 10'000'000) {
       throw std::invalid_argument(
-          "LG_TOPOLOGY_SCALE must be an integer in [16, 10000000], got '" +
+          "LG_TOPOLOGY_SCALE: must be in [16, 10000000], got '" +
           std::string(scale) + "'");
     }
     InternetScaleParams params;

@@ -27,11 +27,6 @@ struct TopologyParams {
   double large_transit_peer_prob = 0.20;
   double small_transit_peer_prob = 0.03;
 
-  // Provider counts: large transit pick 2-3 tier-1/large providers; small
-  // transit pick 1-3 from tier-1/large; stubs pick per these probabilities.
-  double stub_second_provider_prob = 0.40;
-  double stub_third_provider_prob = 0.10;
-
   // BGP-Mux-style origins: stubs with exactly `mux_provider_count`
   // providers, each in a *distinct* large-transit AS — the multi-PoP,
   // one-provider-per-PoP deployment the paper uses for selective poisoning
@@ -75,19 +70,11 @@ GeneratedTopology generate_topology(const TopologyParams& params);
 // Gao-Rexford structure as generate_topology, but built with O(1)
 // repeated-endpoint preferential attachment so 70k ASes generate in well
 // under a second — the quadratic peering loops of TopologyParams would take
-// hours there. Knobs and the degree model are documented in
+// hours there. Knobs, constants and the degree model are documented in
 // docs/TOPOLOGIES.md.
 struct InternetScaleParams {
   std::uint32_t total_ases = 70000;
-  std::uint32_t num_tier1 = 12;          // full peering clique (DFZ core)
-  double transit_fraction = 0.14;        // CAIDA-like share of ASes with customers
-  // Providers: transits take 2 (+1 with the extra prob); stubs take 1 with
-  // chances of a 2nd/3rd — matching observed multihoming rates.
-  double transit_extra_provider_prob = 0.50;
-  double stub_second_provider_prob = 0.45;
-  double stub_third_provider_prob = 0.12;
-  // Expected settlement-free peering links added per transit AS.
-  double peer_links_per_transit = 1.0;
+  std::uint32_t num_tier1 = 12;  // full peering clique (DFZ core)
   std::uint64_t seed = 42;
 };
 GeneratedTopology generate_internet_scale(const InternetScaleParams& params);

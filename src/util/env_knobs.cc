@@ -1,6 +1,7 @@
 #include "util/env_knobs.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -16,10 +17,14 @@ namespace {
                               v + "'");
 }
 
+// strtod also reads "inf", "nan" and overflowing literals such as "1e999";
+// no knob means any of them (an infinite horizon never ends a run).
 double parse_double(const char* name, const char* v) {
   char* end = nullptr;
   const double n = std::strtod(v, &end);
-  if (end == v || *end != '\0') reject(name, "expected a number", v);
+  if (end == v || *end != '\0' || !std::isfinite(n)) {
+    reject(name, "expected a finite number", v);
+  }
   return n;
 }
 

@@ -15,7 +15,7 @@
 
 namespace lg::util {
 
-// A number >= `min`.
+// A finite number >= `min`.
 double env_double_knob(const char* name, double base, double min);
 // A fraction in [0, 1] (prevalences, intensities).
 double env_fraction_knob(const char* name, double base);

@@ -9,6 +9,11 @@
 
 namespace lg::workload {
 
+namespace {
+// Flapper periods spread over the mean +/- this fraction.
+constexpr double kJitterFrac = 0.5;
+}  // namespace
+
 ChurnWorkload::ChurnWorkload(SimWorld& world, ChurnConfig cfg)
     : world_(&world), cfg_(cfg) {
   c_flaps_ = &obs::MetricsRegistry::current().counter("lg.faults.churn_flaps");
@@ -21,8 +26,8 @@ double ChurnWorkload::period_of(std::size_t idx) const {
   std::uint64_t state =
       cfg_.seed ^ (static_cast<std::uint64_t>(idx) * 0x9e3779b9ULL);
   const double u = static_cast<double>(util::split_mix64(state) >> 11) * 0x1.0p-53;
-  const double lo = cfg_.mean_period_seconds * (1.0 - cfg_.jitter_frac);
-  const double hi = cfg_.mean_period_seconds * (1.0 + cfg_.jitter_frac);
+  const double lo = cfg_.mean_period_seconds * (1.0 - kJitterFrac);
+  const double hi = cfg_.mean_period_seconds * (1.0 + kJitterFrac);
   return lo + (hi - lo) * u;
 }
 

@@ -29,9 +29,8 @@ struct ChurnConfig {
   std::size_t flappers = 0;
   // Mean half-cycle: a flapper alternates announce/withdraw roughly this
   // often. Individual flappers get a hashed period in
-  // [mean * (1 - jitter_frac), mean * (1 + jitter_frac)].
+  // [mean * 0.5, mean * 1.5].
   double mean_period_seconds = 120.0;
-  double jitter_frac = 0.5;
   std::uint64_t seed = 0x636875726eULL;  // "churn"
   // Stop scheduling new flaps past this simulated time (<= 0 = run forever;
   // benches set it so trials quiesce).

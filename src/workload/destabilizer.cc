@@ -40,7 +40,7 @@ void DestabilizerWorkload::start(const std::vector<topo::AsId>& exclude) {
   }
   for (const topo::AsId as : destabilizers_) {
     for (const adversary::Step& step : adversary::destabilizer_schedule(
-             plane.config().seed, as, cfg_.schedule)) {
+             plane.config().seed, as, adversary::DestabilizerConfig{})) {
       if (cfg_.stop_at > 0.0 && step.at >= cfg_.stop_at) break;
       world_->scheduler().after(step.at,
                                 [this, as, step] { play(as, step); });

@@ -29,8 +29,6 @@ class SimWorld;
 struct DestabilizerWorkloadConfig {
   // Cap on how many profiled destabilizers actually play (SIZE_MAX = all).
   std::size_t max_destabilizers = SIZE_MAX;
-  // Schedule shape forwarded to adversary::destabilizer_schedule.
-  adversary::DestabilizerConfig schedule;
   // Skip steps past this simulated time (<= 0 = play every step).
   double stop_at = 0.0;
 };

@@ -4,6 +4,15 @@
 
 namespace lg::workload {
 
+namespace {
+// Hubble-derived daily counts of poisonable outages lasting >= d minutes.
+constexpr double kHubbleOutages15MinPerDay = 252.0;
+constexpr double kHubbleOutages60MinPerDay = 106.0;
+constexpr double kHubbleMonitoredFraction = 0.92;   // I_h
+constexpr double kHubblePoisonableFraction = 0.01;  // T_h
+constexpr double kUpdatesPerRouterPerPoison = 1.0;  // U
+}  // namespace
+
 void LoadModel::calibrate_extrapolation(
     const util::EmpiricalCdf& outage_durations) {
   const double p5 =
@@ -14,19 +23,17 @@ void LoadModel::calibrate_extrapolation(
 }
 
 double LoadModel::poisonable_outages_per_day(double d_minutes) const {
-  const double denom =
-      params_.hubble_monitored_fraction * params_.hubble_poisonable_fraction;
+  const double denom = kHubbleMonitoredFraction * kHubblePoisonableFraction;
   if (d_minutes >= 60.0) {
-    return params_.hubble_outages_60min_per_day / denom;
+    return kHubbleOutages60MinPerDay / denom;
   }
   if (d_minutes >= 15.0) {
-    return params_.hubble_outages_15min_per_day / denom;
+    return kHubbleOutages15MinPerDay / denom;
   }
   if (d_minutes >= 5.0) {
     // Hubble's smallest observable duration is 15 minutes; extrapolate with
     // the EC2 duration distribution's survival ratio (§5.4).
-    return params_.hubble_outages_15min_per_day * extrapolation_5min_ratio_ /
-           denom;
+    return kHubbleOutages15MinPerDay * extrapolation_5min_ratio_ / denom;
   }
   throw std::invalid_argument("load model supports d in {5, 15, 60} minutes");
 }
@@ -35,8 +42,7 @@ double LoadModel::daily_path_changes(double isp_fraction,
                                      double monitored_fraction,
                                      double d_minutes) const {
   return isp_fraction * monitored_fraction *
-         poisonable_outages_per_day(d_minutes) *
-         params_.updates_per_router_per_poison;
+         poisonable_outages_per_day(d_minutes) * kUpdatesPerRouterPerPoison;
 }
 
 }  // namespace lg::workload

@@ -20,19 +20,8 @@
 
 namespace lg::workload {
 
-struct LoadModelParams {
-  // Hubble-derived daily counts of poisonable outages lasting >= d minutes.
-  double hubble_outages_15min_per_day = 252.0;
-  double hubble_outages_60min_per_day = 106.0;
-  double hubble_monitored_fraction = 0.92;  // I_h
-  double hubble_poisonable_fraction = 0.01; // T_h
-  double updates_per_router_per_poison = 1.0;  // U
-};
-
 class LoadModel {
  public:
-  explicit LoadModel(LoadModelParams params = {}) : params_(params) {}
-
   // Calibrate the d=5-minute extrapolation from an outage-duration study
   // (survival ratio P(X>=5min)/P(X>=15min) of the EC2-like distribution).
   void calibrate_extrapolation(const util::EmpiricalCdf& outage_durations);
@@ -46,7 +35,6 @@ class LoadModel {
                             double d_minutes) const;
 
  private:
-  LoadModelParams params_;
   double extrapolation_5min_ratio_ = 2.87;  // P(5)/P(15) default
 };
 

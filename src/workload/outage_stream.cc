@@ -9,10 +9,11 @@ namespace lg::workload {
 namespace {
 constexpr std::uint32_t kStreamTag = 0x52545354;  // "TSTR"
 constexpr std::uint32_t kVersion = 1;
+constexpr std::uint64_t kRngStream = 0x6f757473ULL;  // "outs"
 }  // namespace
 
 OutageStream::OutageStream(OutageStreamConfig cfg)
-    : cfg_(cfg), rng_(cfg.seed, cfg.stream) {}
+    : cfg_(cfg), rng_(cfg.seed, kRngStream) {}
 
 void OutageStream::ensure_pending() {
   if (has_pending_) return;
@@ -22,7 +23,7 @@ void OutageStream::ensure_pending() {
     return;
   }
   clock_ += rng_.exponential(3600.0 / cfg_.rate_per_hour);
-  double d = sample_outage_duration(rng_, cfg_.durations);
+  double d = sample_outage_duration(rng_, {});
   if (cfg_.duration_cap_seconds > 0.0 && d > cfg_.duration_cap_seconds) {
     d = cfg_.duration_cap_seconds;
   }

@@ -27,12 +27,11 @@ struct OutageStreamConfig {
   // Poisson arrival rate. Zero (or negative) means a silent stream: the
   // pending arrival is at +infinity and next() never fires.
   double rate_per_hour = 24.0;
-  OutageDurationParams durations;
-  // Truncate sampled durations (0 = uncapped); keeps the Pareto tail from
-  // pinning a shard's remediation slot for a simulated week.
+  // Durations follow the default OutageDurationParams mixture, truncated
+  // here (0 = uncapped); keeps the Pareto tail from pinning a shard's
+  // remediation slot for a simulated week.
   double duration_cap_seconds = 3600.0;
   std::uint64_t seed = 0;
-  std::uint64_t stream = 0x6f757473ULL;  // "outs"
 };
 
 class OutageStream {

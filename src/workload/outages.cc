@@ -4,32 +4,39 @@
 
 namespace lg::workload {
 
+namespace {
+// Mean of the short component's exponential part, above the floor.
+constexpr double kShortMeanExtra = 110.0;
+// The heavy tail: Pareto from 10 minutes, capped at one week.
+constexpr double kTailXmin = 600.0;
+constexpr double kTailCap = 7.0 * 86400.0;
+}  // namespace
+
 double sample_outage_duration(util::Rng& rng, const OutageDurationParams& p) {
   const double u = rng.uniform01();
   if (u < p.floor_weight) {
     // Pinned at the detection floor: the real study cannot distinguish
     // anything inside [floor, floor + ping interval).
-    return p.floor_seconds + rng.uniform(0.0, 30.0);
+    return kOutageFloorSeconds + rng.uniform(0.0, 30.0);
   }
   if (u < p.floor_weight + p.short_weight) {
-    const double extra = rng.exponential(p.short_mean_extra);
-    return std::min(p.floor_seconds + extra, p.short_cap - 1.0);
+    const double extra = rng.exponential(kShortMeanExtra);
+    return std::min(kOutageFloorSeconds + extra, p.short_cap - 1.0);
   }
-  const double d = rng.pareto(p.tail_xmin, p.tail_alpha);
-  return std::min(d, p.tail_cap);
+  const double d = rng.pareto(kTailXmin, p.tail_alpha);
+  return std::min(d, kTailCap);
 }
 
 std::vector<OutageEvent> sample_outage_process(util::Rng& rng,
                                                double rate_per_hour,
                                                double horizon_seconds,
-                                               const OutageDurationParams& p,
                                                double duration_cap_seconds) {
   std::vector<OutageEvent> events;
   if (rate_per_hour <= 0.0 || horizon_seconds <= 0.0) return events;
   const double mean_gap = 3600.0 / rate_per_hour;
   double t = rng.exponential(mean_gap);
   while (t < horizon_seconds) {
-    double d = sample_outage_duration(rng, p);
+    double d = sample_outage_duration(rng, {});
     if (duration_cap_seconds > 0.0) d = std::min(d, duration_cap_seconds);
     events.push_back(OutageEvent{t, d});
     t += rng.exponential(mean_gap);

@@ -20,19 +20,19 @@
 
 namespace lg::workload {
 
+// The minimum measurable outage: every sampled duration is at least this.
+inline constexpr double kOutageFloorSeconds = 90.0;
+
 struct OutageDurationParams {
-  double floor_seconds = 90.0;      // minimum measurable outage
-  double floor_weight = 0.57;       // fraction pinned near the floor
-  double short_weight = 0.37;       // exponential component
-  double short_mean_extra = 110.0;  // mean of the exponential part
-  double short_cap = 600.0;         // truncation (10 minutes)
-  // Remaining weight is the heavy tail. With alpha = 0.75 and a one-week
-  // cap the calibration reproduces the paper's joint statistics: ~84% of
-  // unavailability above 10 min, ~12% of outages >= 5 min, ~51% of >=5-min
-  // outages lasting >= 5 more, ~68% of >=10-min outages lasting >= 5 more.
-  double tail_xmin = 600.0;
+  double floor_weight = 0.57;  // fraction pinned near the floor
+  double short_weight = 0.37;  // exponential component
+  double short_cap = 600.0;    // truncation (10 minutes)
+  // Remaining weight is the heavy tail, Pareto above 10 minutes and capped
+  // at one week. With alpha = 0.75 the calibration reproduces the paper's
+  // joint statistics: ~84% of unavailability above 10 min, ~12% of outages
+  // >= 5 min, ~51% of >=5-min outages lasting >= 5 more, ~68% of >=10-min
+  // outages lasting >= 5 more.
   double tail_alpha = 0.75;
-  double tail_cap = 7.0 * 86400.0;  // one week
 
   double tail_weight() const { return 1.0 - floor_weight - short_weight; }
 };
@@ -48,15 +48,15 @@ struct OutageEvent {
 };
 
 // A Poisson arrival process of outages over [0, horizon_seconds): arrival
-// gaps are exponential at `rate_per_hour`, durations drawn from `p` and
-// (when duration_cap_seconds > 0) truncated so long-tail outages cannot
-// outlive a bounded harness run. Events come back in start order. This is
-// the always-on fleet's workload: at any instant several sampled outages
-// may overlap — exactly the concurrent-outage regime the episode state
-// machine has to multiplex.
+// gaps are exponential at `rate_per_hour`, durations drawn from the default
+// mixture and (when duration_cap_seconds > 0) truncated so long-tail
+// outages cannot outlive a bounded harness run. Events come back in start
+// order. This is the always-on fleet's workload: at any instant several
+// sampled outages may overlap — exactly the concurrent-outage regime the
+// episode state machine has to multiplex.
 std::vector<OutageEvent> sample_outage_process(
     util::Rng& rng, double rate_per_hour, double horizon_seconds,
-    const OutageDurationParams& p = {}, double duration_cap_seconds = 0.0);
+    double duration_cap_seconds = 0.0);
 
 // The full synthetic study: `n` outages (paper: 10,308).
 util::EmpiricalCdf generate_outage_study(std::size_t n,

@@ -9,6 +9,17 @@
 
 namespace lg::workload {
 
+namespace {
+// Simulated settling time after (un)announcements, and the budget within
+// which convergence must complete (the paper observed <4 min globally).
+constexpr double kSettleSeconds = 600.0;
+constexpr double kConvergenceBudgetSeconds = 900.0;
+// Loss sampling: one ping per vantage point every 10 s over a 10-minute
+// window.
+constexpr double kLossSampleInterval = 10.0;
+constexpr double kLossWindowSeconds = 600.0;
+}  // namespace
+
 PoisonExperiment::PoisonExperiment(SimWorld& world, AsId origin,
                                    PoisonExperimentConfig cfg)
     : world_(&world),
@@ -32,7 +43,7 @@ void PoisonExperiment::setup() {
   for (const AsId as : cfg_.loss_vantage_ases) {
     world_->announce_production(as);
   }
-  world_->advance(cfg_.settle_seconds);
+  world_->advance(kSettleSeconds);
   world_->converge();
 }
 
@@ -59,8 +70,8 @@ std::vector<AsId> PoisonExperiment::harvest_poison_candidates(
 LossStats PoisonExperiment::sample_loss_window(double t0) {
   LossStats stats;
   const auto origin_host = topo::AddressPlan::production_host(origin_);
-  const std::size_t bins = static_cast<std::size_t>(
-      cfg_.loss_window_seconds / cfg_.loss_sample_interval);
+  const std::size_t bins =
+      static_cast<std::size_t>(kLossWindowSeconds / kLossSampleInterval);
 
   struct VpSamples {
     AsId as;
@@ -75,7 +86,7 @@ LossStats PoisonExperiment::sample_loss_window(double t0) {
   // Schedule one sampling event per bin, interleaved with BGP convergence.
   for (std::size_t bin = 0; bin < bins; ++bin) {
     world_->scheduler().at(
-        t0 + static_cast<double>(bin) * cfg_.loss_sample_interval,
+        t0 + static_cast<double>(bin) * kLossSampleInterval,
         [this, &samples, origin_host] {
           for (auto& vp : samples) {
             const auto vp_addr = topo::AddressPlan::production_host(vp.as);
@@ -84,7 +95,7 @@ LossStats PoisonExperiment::sample_loss_window(double t0) {
           }
         });
   }
-  world_->scheduler().run(t0 + cfg_.convergence_budget_seconds);
+  world_->scheduler().run(t0 + kConvergenceBudgetSeconds);
 
   // Per the paper: exclude vantage points completely cut off by this poison
   // (no route at the end of the window — e.g. captives of the poisoned AS
@@ -156,7 +167,7 @@ PoisonOutcome PoisonExperiment::poison_and_measure(
   if (cfg_.measure_loss) {
     outcome.loss = sample_loss_window(t0);
   } else {
-    world_->scheduler().run(t0 + cfg_.convergence_budget_seconds);
+    world_->scheduler().run(t0 + kConvergenceBudgetSeconds);
   }
   world_->converge();  // drain any MRAI stragglers
 
@@ -207,7 +218,7 @@ PoisonOutcome PoisonExperiment::poison_and_measure(
 
   // Revert and settle so the next experiment starts clean.
   remediator_.unpoison();
-  world_->advance(cfg_.settle_seconds);
+  world_->advance(kSettleSeconds);
   world_->converge();
   return outcome;
 }

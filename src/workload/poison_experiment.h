@@ -22,14 +22,9 @@ struct PoisonExperimentConfig {
   // Baseline announcement length: 3 reproduces the paper's O-O-O, 1 is the
   // unprepended "No prepend" ablation of Fig. 6.
   std::size_t baseline_prepend = 3;
-  // Simulated settling time after (un)announcements, and the budget within
-  // which convergence must complete (the paper observed <4 min globally).
-  double settle_seconds = 600.0;
-  double convergence_budget_seconds = 900.0;
-  // Loss sampling (§5.2 "How much loss accompanies convergence?").
+  // Loss sampling (§5.2 "How much loss accompanies convergence?") from
+  // these vantage points.
   bool measure_loss = false;
-  double loss_sample_interval = 10.0;
-  double loss_window_seconds = 600.0;
   std::vector<AsId> loss_vantage_ases;
 };
 

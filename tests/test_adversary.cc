@@ -412,7 +412,8 @@ TEST(Destabilizer, WorkloadQuiescesAndDampingBoundsChurn) {
     EXPECT_GT(destab.steps_played(), 0u);
     // Finite playbook: every trial still quiesces.
     EXPECT_LE(destab.steps_played(),
-              2 * dcfg.schedule.max_cycles * dcfg.max_destabilizers);
+              2 * adversary::DestabilizerConfig{}.max_cycles *
+                  dcfg.max_destabilizers);
     return world.engine().total_messages();
   };
   const std::uint64_t undamped = run_world(false);

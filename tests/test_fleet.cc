@@ -201,12 +201,6 @@ class FleetEpisodeTest : public ::testing::Test {
     return std::nullopt;
   }
 
-  static fleet::EpisodeConfig fast_episode_config() {
-    fleet::EpisodeConfig cfg;
-    cfg.decision.min_elapsed_seconds = 300.0;
-    return cfg;
-  }
-
   void inject(workload::FailureScenario& s, AsId origin) {
     s.failure_ids.push_back(world_.failures().inject(
         dp::Failure{.at_as = s.culprit_as, .toward_as = origin}));
@@ -229,7 +223,7 @@ TEST_F(FleetEpisodeTest, RemediateVerifyRevertCycleThenFlapReentry) {
   EpisodeManager manager(
       world_, origin,
       {MonitoredTarget{scenario->target, scenario->target_as, 1.0}}, announce,
-      admission, fast_episode_config());
+      admission);
   manager.set_helpers(helpers_);
   manager.start(world_.scheduler().now() + 3.0 * 3600.0);
   world_.advance(1300.0);  // baseline re-announced, atlas warm, healthy rounds
@@ -310,7 +304,7 @@ TEST_F(FleetEpisodeTest, BudgetExhaustionDefersThenResumesEpisode) {
   EpisodeManager manager(
       world_, origin,
       {MonitoredTarget{scenario->target, scenario->target_as, 1.0}}, announce,
-      admission, fast_episode_config());
+      admission);
   manager.set_helpers(helpers_);
   manager.start(world_.scheduler().now() + 3.0 * 3600.0);
   world_.advance(1300.0);
@@ -354,7 +348,7 @@ TEST_F(FleetEpisodeTest, VerifyFailsBackToIsolateWhenRepairPathDeadToo) {
   EpisodeManager manager(
       world_, origin,
       {MonitoredTarget{scenario->target, scenario->target_as, 1.0}}, announce,
-      admission, fast_episode_config());
+      admission);
   manager.set_helpers(helpers_);
   manager.start(world_.scheduler().now() + 3.0 * 3600.0);
   world_.advance(1300.0);
@@ -367,7 +361,7 @@ TEST_F(FleetEpisodeTest, VerifyFailsBackToIsolateWhenRepairPathDeadToo) {
 
   // A second failure appears *behind* the first: every provider of the
   // origin now drops reverse traffic, so the remediated path is dead too
-  // and VERIFY can never see the target. After verify_fail_threshold
+  // and VERIFY can never see the target. After kVerifyFailThreshold
   // consecutive dead rounds the episode must fall back to ISOLATE and drop
   // its (useless) poison.
   std::vector<dp::FailureId> walls;
@@ -375,7 +369,7 @@ TEST_F(FleetEpisodeTest, VerifyFailsBackToIsolateWhenRepairPathDeadToo) {
     walls.push_back(world_.failures().inject(
         dp::Failure{.at_as = provider, .toward_as = origin}));
   }
-  world_.advance(1000.0);  // >= verify_fail_threshold * verify_interval
+  world_.advance(1000.0);  // >= kVerifyFailThreshold * kSentinelRoundSeconds
   // The failback reverted the mistaken poison and re-isolated; by sampling
   // time the re-isolation may already have remediated a *new* blame, so the
   // poison count is not asserted here — only that the fallback happened.
@@ -411,7 +405,7 @@ TEST_F(FleetEpisodeTest, HorizonCutDetectionSettlesWhenTargetRecovers) {
   EpisodeManager manager(
       world_, origin,
       {MonitoredTarget{scenario->target, scenario->target_as, 1.0}}, announce,
-      admission, fast_episode_config());
+      admission);
   manager.set_helpers(helpers_);
   const double stop_at = world_.scheduler().now() + 1800.0;
   manager.start(stop_at);
@@ -444,7 +438,7 @@ TEST_F(FleetEpisodeTest, HorizonCutDetectionDeclinedWhenAdmissionNeverRefills) {
   EpisodeManager manager(
       world_, origin,
       {MonitoredTarget{scenario->target, scenario->target_as, 1.0}}, announce,
-      admission, fast_episode_config());
+      admission);
   manager.set_helpers(helpers_);
   const double stop_at = world_.scheduler().now() + 1800.0;
   manager.start(stop_at);
@@ -669,10 +663,6 @@ TEST(EpisodeConfigTest, ManagerRejectsZeroPeriods) {
       {&fleet::EpisodeConfig::ping_interval, "EpisodeConfig::ping_interval"},
       {&fleet::EpisodeConfig::defer_retry_seconds,
        "EpisodeConfig::defer_retry_seconds"},
-      {&fleet::EpisodeConfig::verify_interval,
-       "EpisodeConfig::verify_interval"},
-      {&fleet::EpisodeConfig::atlas_refresh_interval,
-       "EpisodeConfig::atlas_refresh_interval"},
   };
   for (const auto& [field, name] : fields) {
     fleet::FleetConfig cfg = small_fleet_config();

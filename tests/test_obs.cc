@@ -241,6 +241,23 @@ TEST(EnvKnobsTest, TraceOutEnablesSpansUnlessSwitchedOff) {
   EXPECT_FALSE(reg.enabled());
 }
 
+// strtod reads these as numbers; an infinite LG_SERVICE_HORIZON would never
+// end the service plane's tick loop, so every numeric knob rejects them
+// with the usual diagnostic naming the knob.
+TEST(EnvKnobsTest, RejectsNonFiniteNumbers) {
+  for (const char* value : {"inf", "infinity", "1e999", "-inf", "nan"}) {
+    const EnvGuard env("LG_SERVICE_HORIZON", value);
+    try {
+      (void)util::env_double_knob("LG_SERVICE_HORIZON", 7200.0, 1.0);
+      ADD_FAILURE() << "LG_SERVICE_HORIZON=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("LG_SERVICE_HORIZON: expected a finite number, "
+                            "got '") + value + "'");
+    }
+  }
+}
+
 // ------------------------------------------------------------------- json
 
 TEST(Json, EscapesControlAndSpecialCharacters) {
