@@ -386,6 +386,76 @@ TEST(BgpEngineTest, SparseAsnGraphMatchesReference) {
   EXPECT_EQ(util::fnv1a(out.str()), 0xc82f407c2b7df70eULL) << out.str();
 }
 
+// An observer may originate from on_route_change while the pump still holds
+// the receiver's prefix states for the frontier it is finishing. O's two
+// prefixes reach B in one frontier (a fixed link delay puts both sends in
+// the same quantum); from the first notification the observer originates a
+// third prefix at B, which gives B a new state before the pump exports the
+// other two. Those states must survive it: storing a speaker's states in
+// one flat array would move them and leave the pump a dangling pointer.
+TEST(BgpEngineTest, ObserverOriginatingMidFrontierKeepsTouchedStates) {
+  const topo::Fig2Topology topo = topo::make_fig2_topology();
+  bgp::EngineConfig ec;
+  ec.link_delay_min = 0.01;
+  ec.link_delay_max = 0.01;
+  util::Scheduler sched;
+  bgp::BgpEngine engine(topo.graph, sched, ec);
+  check::ReferenceBgp ref(topo.graph);
+
+  const topo::Prefix p1 = topo::AddressPlan::production_prefix(topo.o);
+  const topo::Prefix p2 = topo::AddressPlan::sentinel_prefix(topo.o);
+  const topo::Prefix p3 = topo::AddressPlan::production_prefix(topo.b);
+  bgp::OriginPolicy from_o;
+  from_o.default_path = AsPath{topo.o};
+  bgp::OriginPolicy from_b;
+  from_b.default_path = AsPath{topo.b};
+
+  struct Originator : bgp::RouteObserver {
+    bgp::BgpEngine* engine = nullptr;
+    AsId at = topo::kInvalidAs;
+    topo::Prefix prefix;
+    bgp::OriginPolicy policy;
+    int fired = 0;
+    void on_route_change(const bgp::RouteEvent& ev) override {
+      if (fired++ == 0 && ev.as == at) engine->originate(at, prefix, policy);
+    }
+  } originator;
+  originator.engine = &engine;
+  originator.at = topo.b;
+  originator.prefix = p3;
+  originator.policy = from_b;
+  engine.add_observer(&originator);
+
+  engine.originate(topo.o, p1, from_o);
+  engine.originate(topo.o, p2, from_o);
+  ref.originate(topo.o, p1, from_o);
+  ref.originate(topo.o, p2, from_o);
+  ref.originate(topo.b, p3, from_b);
+  sched.run();
+  engine.remove_observer(&originator);
+  ASSERT_TRUE(sched.empty());
+  ASSERT_TRUE(engine.speaker(topo.b).originates(p3))
+      << "the first route change was not B's";
+  ASSERT_TRUE(ref.solve());
+
+  for (const auto& v : check::InvariantChecker(engine).check_all()) {
+    ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
+  }
+  for (const AsId as : topo.graph.as_ids()) {
+    for (const topo::Prefix& p : {p1, p2, p3}) {
+      const bgp::Route* got = engine.best_route(as, p);
+      const check::RefRoute* want = ref.best_route(as, p);
+      ASSERT_EQ(got == nullptr, want == nullptr)
+          << "presence mismatch at AS " << as << " for " << p.str();
+      if (got != nullptr) {
+        EXPECT_EQ(got->path, want->path) << "path mismatch at AS " << as;
+        EXPECT_EQ(got->neighbor, want->neighbor)
+            << "neighbor mismatch at AS " << as;
+      }
+    }
+  }
+}
+
 // The constructor rejects what the pump cannot model: a zero quantum would
 // put every update in one bucket (undefined behaviour on the way), a zero
 // link delay lets an export land in the frontier being pumped. Coarse

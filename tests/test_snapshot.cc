@@ -18,11 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "bgp/engine.h"
 #include "bgp/types.h"
 #include "faults/fault_plane.h"
 #include "fleet/checkpoint.h"
 #include "fleet/service_plane.h"
 #include "topology/addressing.h"
+#include "topology/generator.h"
 #include "util/codec.h"
 #include "util/hashing.h"
 #include "util/rng.h"
@@ -267,6 +269,75 @@ TEST(EngineSnapshotTest, QuiescedEngineReserializesByteIdentically) {
   util::BinWriter w2;
   fresh.engine().serialize(w2);
   EXPECT_EQ(blob, w2.blob()) << "snapshot does not round-trip bit-exactly";
+}
+
+// How an engine numbers its prefixes internally never reaches a blob: a
+// snapshot saved by an engine that first saw A, B, C loads into one over the
+// same graph that first saw C, B, A, re-serializes to the same bytes, and
+// answers every route and FIB query the way the saving engine does.
+TEST(EngineSnapshotTest, LoadsIntoEngineWithOtherPrefixIdOrder) {
+  const topo::Fig2Topology topo = topo::make_fig2_topology();
+  const topo::Prefix a = topo::AddressPlan::production_prefix(topo.o);
+  const topo::Prefix b = topo::AddressPlan::sentinel_prefix(topo.o);
+  const topo::Prefix c = topo::AddressPlan::production_prefix(topo.e);
+  const auto originate = [&](bgp::BgpEngine& engine, const topo::Prefix& p) {
+    bgp::OriginPolicy pol;
+    if (p == c) {
+      pol.default_path = bgp::AsPath{topo.e};
+      engine.originate(topo.e, p, std::move(pol));
+      return;
+    }
+    // A is poisoned through A, so its FIB answers differ from B's.
+    pol.default_path = p == a ? bgp::PathRef(bgp::poisoned_path(
+                                    topo.o, {topo.a}, 3))
+                              : bgp::PathRef(bgp::AsPath{topo.o});
+    engine.originate(topo.o, p, std::move(pol));
+  };
+
+  util::Scheduler sched;
+  bgp::BgpEngine engine(topo.graph, sched);
+  for (const topo::Prefix& p : {a, b, c}) originate(engine, p);
+  sched.run();
+  util::BinWriter w;
+  engine.serialize(w);
+  const std::string blob = w.take();
+
+  util::Scheduler other_sched;
+  bgp::BgpEngine other(topo.graph, other_sched);
+  for (const topo::Prefix& p : {c, b, a}) originate(other, p);
+  other_sched.run();
+  util::BinReader r(blob);
+  other.serialize(r);
+
+  util::BinWriter w2;
+  other.serialize(w2);
+  EXPECT_EQ(blob, w2.blob()) << "prefix id order leaked into the snapshot";
+
+  const topo::Ipv4 probes[] = {
+      a.first_address() + 1, b.first_address() + 1,
+      topo::AddressPlan::sentinel_unused_subprefix(topo.o).first_address() + 1,
+      c.first_address() + 1};
+  for (const topo::AsId as : topo.graph.as_ids()) {
+    for (const topo::Prefix& p : {a, b, c}) {
+      const bgp::Route* want = engine.best_route(as, p);
+      const bgp::Route* got = other.best_route(as, p);
+      ASSERT_EQ(want == nullptr, got == nullptr)
+          << "presence mismatch at AS " << as << " for " << p.str();
+      if (want != nullptr) {
+        EXPECT_EQ(*want, *got) << "route mismatch at AS " << as << " for "
+                               << p.str();
+      }
+    }
+    for (const topo::Ipv4 dst : probes) {
+      const bgp::FibResult want = engine.fib_lookup(as, dst);
+      const bgp::FibResult got = other.fib_lookup(as, dst);
+      EXPECT_EQ(want.has_route, got.has_route) << "AS " << as;
+      EXPECT_EQ(want.local, got.local) << "AS " << as;
+      EXPECT_EQ(want.via_default, got.via_default) << "AS " << as;
+      EXPECT_EQ(want.next_hop, got.next_hop) << "AS " << as;
+      EXPECT_EQ(want.matched, got.matched) << "AS " << as;
+    }
+  }
 }
 
 // A snapshot is operator input: lengths and indices that would overflow the
