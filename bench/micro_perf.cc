@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/remediation.h"
-#include "mem/rss.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
@@ -333,8 +332,6 @@ void BM_FullGraphConverge(benchmark::State& state) {
   state.counters["ases"] = static_cast<double>(state.range(0));
   state.counters["routes"] = routes;
   state.counters["bytes_per_route"] = bytes_per_route;
-  state.counters["peak_rss_mb"] =
-      static_cast<double>(mem::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_FullGraphConverge)
     ->Unit(benchmark::kMillisecond)
@@ -366,8 +363,6 @@ void BM_RibMemory(benchmark::State& state) {
       mem.routes == 0 ? 0.0
                       : static_cast<double>(mem.bytes) /
                             static_cast<double>(mem.routes);
-  state.counters["peak_rss_mb"] =
-      static_cast<double>(mem::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_RibMemory)->Unit(benchmark::kMicrosecond)->Arg(2000)->Arg(10000);
 

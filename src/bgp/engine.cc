@@ -101,9 +101,10 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t base = sess_base_[i];
     const std::size_t deg = sess_base_[i + 1] - base;
-    speakers_.push_back(
-        BgpSpeaker(ids[i], graph, {sess_nbr_.data() + base, deg},
-                   {sess_rel_.data() + base, deg}));
+    speakers_.push_back(BgpSpeaker(ids[i], graph,
+                                   {sess_nbr_.data() + base, deg},
+                                   {sess_rel_.data() + base, deg},
+                                   prefix_ids_));
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
@@ -162,25 +163,27 @@ void BgpEngine::remove_observer(RouteObserver* observer) {
 
 void BgpEngine::originate(AsId as, const Prefix& prefix, OriginPolicy policy) {
   const std::uint32_t i = graph_->checked_index(as);
+  const std::uint32_t pid = prefix_ids_.intern(prefix);
   speakers_[i].set_origin_policy(prefix, std::move(policy));
-  schedule_exports(i, prefix, speakers_[i].find_state(prefix));
+  schedule_exports(i, pid, speakers_[i].state_at(pid));
 }
 
 void BgpEngine::withdraw(AsId as, const Prefix& prefix) {
   const std::uint32_t i = graph_->checked_index(as);
+  const std::uint32_t pid = prefix_ids_.intern(prefix);
   speakers_[i].clear_origin_policy(prefix);
-  schedule_exports(i, prefix, speakers_[i].find_state(prefix));
+  schedule_exports(i, pid, speakers_[i].state_at(pid));
 }
 
-void BgpEngine::schedule_exports(std::uint32_t fi, const Prefix& prefix,
+void BgpEngine::schedule_exports(std::uint32_t fi, std::uint32_t pid,
                                  BgpSpeaker::PrefixState* st) {
   const std::uint32_t base = sess_base_[fi];
   const std::uint32_t end = sess_base_[fi + 1];
   if (base == end) return;
-  MraiState* mrai = mrai_table(prefix).data() + base;
+  MraiState* mrai = mrai_table(pid).data() + base;
   for (std::uint32_t k = base; k < end; ++k) {
     const std::uint32_t slot = export_slot_[k];
-    try_send(fi, slot, prefix, st, mrai[slot]);
+    try_send(fi, slot, pid, st, mrai[slot]);
   }
 }
 
@@ -191,31 +194,31 @@ double BgpEngine::mrai_for(std::uint32_t fi) {
   return rng_.uniform(lo, base);
 }
 
-std::vector<BgpEngine::MraiState>& BgpEngine::mrai_table(
-    const Prefix& prefix) {
-  std::vector<MraiState>& table = mrai_[prefix];
+std::vector<BgpEngine::MraiState>& BgpEngine::mrai_table(std::uint32_t pid) {
+  if (pid >= mrai_.size()) mrai_.resize(pid + 1);
+  std::vector<MraiState>& table = mrai_[pid];
   if (table.empty()) table.resize(sess_nbr_.size());
   return table;
 }
 
 BgpEngine::MraiState& BgpEngine::mrai_entry(std::uint32_t fi,
                                             std::uint32_t slot,
-                                            const Prefix& prefix) {
-  return mrai_table(prefix)[sess_base_[fi] + slot];
+                                            std::uint32_t pid) {
+  return mrai_table(pid)[sess_base_[fi] + slot];
 }
 
 void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
-                         const Prefix& prefix) {
-  try_send(fi, slot, prefix, speakers_[fi].find_state(prefix),
-           mrai_entry(fi, slot, prefix));
+                         std::uint32_t pid) {
+  try_send(fi, slot, pid, speakers_[fi].state_at(pid),
+           mrai_entry(fi, slot, pid));
 }
 
 void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
-                         const Prefix& prefix, BgpSpeaker::PrefixState* st,
+                         std::uint32_t pid, BgpSpeaker::PrefixState* st,
                          MraiState& mrai) {
   const double now = sched_->now();
   if (now >= mrai.ready_at) {
-    send_now(fi, slot, prefix, st, mrai);
+    send_now(fi, slot, pid, st, mrai);
     return;
   }
   if (!mrai.flush_scheduled) {
@@ -223,16 +226,16 @@ void BgpEngine::try_send(std::uint32_t fi, std::uint32_t slot,
     c_mrai_deferrals_->inc();
     trace_->record(now, obs::TraceKind::kMraiDefer, graph_->as_ids()[fi],
                    sess_nbr_[sess_base_[fi] + slot], mrai.ready_at - now);
-    sched_->at(mrai.ready_at, [this, fi, slot, prefix] {
-      MraiState& m = mrai_entry(fi, slot, prefix);
+    sched_->at(mrai.ready_at, [this, fi, slot, pid] {
+      MraiState& m = mrai_entry(fi, slot, pid);
       m.flush_scheduled = false;
-      send_now(fi, slot, prefix, speakers_[fi].find_state(prefix), m);
+      send_now(fi, slot, pid, speakers_[fi].state_at(pid), m);
     });
   }
 }
 
 void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
-                         const Prefix& prefix, BgpSpeaker::PrefixState* st,
+                         std::uint32_t pid, BgpSpeaker::PrefixState* st,
                          MraiState& mrai) {
   const AsId from = graph_->as_ids()[fi];
   const AsId to = sess_nbr_[sess_base_[fi] + slot];
@@ -243,8 +246,7 @@ void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
   if (faults_->enabled() && !faults_->session_up(from, to, now)) {
     faults_->note_session_hit(from, to, now);
     const double up = faults_->session_restored_at(from, to, now);
-    sched_->at(up + 1e-3,
-               [this, fi, slot, prefix] { try_send(fi, slot, prefix); });
+    sched_->at(up + 1e-3, [this, fi, slot, pid] { try_send(fi, slot, pid); });
     return;
   }
   if (st == nullptr) return;  // no state: nothing to say, nothing said
@@ -270,7 +272,7 @@ void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
     c_updates_lost_->inc();
     trace_->record(now, obs::TraceKind::kUpdateLost, from, to);
     sched_->after(faults_->config().update_retransmit_seconds,
-                  [this, fi, slot, prefix] { try_send(fi, slot, prefix); });
+                  [this, fi, slot, pid] { try_send(fi, slot, pid); });
     return;
   }
   sender.record_advertised(*st, slot, current);
@@ -282,7 +284,7 @@ void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
   UpdateMessage msg;
   msg.from = from;
   msg.to = to;
-  msg.prefix = prefix;
+  msg.prefix = prefix_ids_.prefix(pid);
   if (current) {
     msg.type = MsgType::kAnnounce;
     msg.path = std::move(current->path);
@@ -319,7 +321,7 @@ void BgpEngine::send_now(std::uint32_t fi, std::uint32_t slot,
   }
   mrai.last_due = due;
   delivery_scheduled();
-  enqueue_delivery(due, std::move(msg));
+  enqueue_delivery(due, {std::move(msg), pid});
 }
 
 void BgpEngine::delivery_scheduled() {
@@ -343,7 +345,7 @@ std::int64_t BgpEngine::bucket_of(double due) const {
   return static_cast<std::int64_t>(std::ceil(due / cfg_.pump_quantum));
 }
 
-void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
+void BgpEngine::enqueue_delivery(double due, Delivery d) {
   // One pump tick per live bucket: later arrivals for the same quantum just
   // append. A bucket cannot be resurrected after its tick ran — anything
   // enqueued *during* the tick at the bucket's own instant lands back in the
@@ -352,7 +354,7 @@ void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
   const std::int64_t bucket = bucket_of(due);
   const auto [it, inserted] = frontier_.try_emplace(bucket);
   if (inserted) it->second = msg_pool_.acquire();
-  it->second.push_back(std::move(msg));
+  it->second.push_back(std::move(d));
   if (inserted) {
     sched_->at(static_cast<double>(bucket) * cfg_.pump_quantum,
                [this, bucket] { pump_frontier(bucket); });
@@ -360,7 +362,7 @@ void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
 }
 
 void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
-                           std::vector<UpdateMessage>& msgs, double now) {
+                           std::vector<Delivery>& batch, double now) {
   BgpSpeaker& receiver = speakers_[r];
   // With a single message there is nothing to net out: the frontier outcome
   // is exactly the per-event outcome, so skip the best-route snapshot and
@@ -369,19 +371,16 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
   const bool single = hi - lo == 1;
   touches_.clear();
   for (std::size_t k = lo; k < hi; ++k) {
-    const UpdateMessage& msg =
-        msgs[static_cast<std::uint32_t>(pump_order_[k])];
+    const Delivery& d = batch[static_cast<std::uint32_t>(pump_order_[k])];
+    const UpdateMessage& msg = d.msg;
     // Resolve the receiver's state once per prefix, on first touch, and
     // snapshot the pre-frontier best there, so the export step below can
     // detect *net* route changes across the frontier.
     std::size_t touch = 0;
-    while (touch < touches_.size() && touches_[touch].prefix != msg.prefix) {
-      ++touch;
-    }
+    while (touch < touches_.size() && touches_[touch].pid != d.pid) ++touch;
     if (touch == touches_.size()) {
-      BgpSpeaker::PrefixState& st = receiver.state_for(msg.prefix);
-      touches_.push_back(
-          {msg.prefix, &st, single ? std::nullopt : st.best, false});
+      BgpSpeaker::PrefixState& st = receiver.state_for(d.pid);
+      touches_.push_back({d.pid, &st, single ? std::nullopt : st.best, false});
     }
     PrefixTouch& t = touches_[touch];
     const bool changed = receiver.process_update(*t.state, msg, now);
@@ -401,16 +400,18 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
       if (const auto delay =
               receiver.damping_reuse_delay(msg.prefix, msg.from, now)) {
         const AsId from = msg.from;
-        const Prefix prefix = msg.prefix;
-        sched_->after(*delay + 0.001, [this, r, from, prefix] {
+        const std::uint32_t pid = d.pid;
+        sched_->after(*delay + 0.001, [this, r, from, pid] {
           BgpSpeaker& spk = speakers_[r];
-          if (spk.recheck_damping(prefix, from, sched_->now())) {
+          if (spk.recheck_damping(prefix_ids_.prefix(pid), from,
+                                  sched_->now())) {
             ++best_changes_[r];
             c_best_path_changes_->inc();
             trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
                            graph_->as_ids()[r]);
-            notify(graph_->as_ids()[r], prefix);
-            schedule_exports(r, prefix, spk.find_state(prefix));
+            BgpSpeaker::PrefixState* st = spk.state_at(pid);
+            notify(r, pid, *st);
+            schedule_exports(r, pid, st);
           }
         });
       }
@@ -421,15 +422,15 @@ void BgpEngine::deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
   // spurious route event and no export churn.
   for (const PrefixTouch& t : touches_) {
     if (!t.changed || (!single && t.state->best == t.before)) continue;
-    notify(graph_->as_ids()[r], t.prefix);
-    schedule_exports(r, t.prefix, t.state);
+    notify(r, t.pid, *t.state);
+    schedule_exports(r, t.pid, t.state);
   }
 }
 
 void BgpEngine::pump_frontier(std::int64_t bucket) {
   const auto fit = frontier_.find(bucket);
   if (fit == frontier_.end()) return;
-  std::vector<UpdateMessage> msgs = std::move(fit->second);
+  std::vector<Delivery> batch = std::move(fit->second);
   frontier_.erase(fit);
   const double now = sched_->now();
 
@@ -438,8 +439,8 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   // later buckets, so applying each receiver's side effects in place cannot
   // reorder anything this frontier still has to deliver.
   pump_order_.clear();
-  for (std::uint32_t i = 0; i < msgs.size(); ++i) {
-    const std::uint64_t r = graph_->checked_index(msgs[i].to);
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    const std::uint64_t r = graph_->checked_index(batch[i].msg.to);
     pump_order_.push_back(r << 32 | i);
   }
   std::sort(pump_order_.begin(), pump_order_.end());
@@ -448,25 +449,24 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
     const auto r = static_cast<std::uint32_t>(pump_order_[lo] >> 32);
     std::size_t hi = lo + 1;
     while (hi < pump_order_.size() && (pump_order_[hi] >> 32) == r) ++hi;
-    deliver_to(r, lo, hi, msgs, now);
+    deliver_to(r, lo, hi, batch, now);
     lo = hi;
   }
   // Messages leave flight only after the cascade above: any exports this
   // frontier triggered are already counted, so a still-busy pump span stays
   // open across back-to-back frontiers.
-  for (std::size_t n = msgs.size(); n > 0; --n) delivery_done();
-  msg_pool_.release(std::move(msgs));
+  for (std::size_t n = batch.size(); n > 0; --n) delivery_done();
+  msg_pool_.release(std::move(batch));
 }
 
-void BgpEngine::notify(AsId as, const Prefix& prefix) {
+void BgpEngine::notify(std::uint32_t r, std::uint32_t pid,
+                       const BgpSpeaker::PrefixState& st) {
   if (observers_.empty()) return;
   RouteEvent event;
   event.time = sched_->now();
-  event.as = as;
-  event.prefix = prefix;
-  if (const Route* best = speaker(as).best_route(prefix)) {
-    event.best = *best;
-  }
+  event.as = graph_->as_ids()[r];
+  event.prefix = prefix_ids_.prefix(pid);
+  event.best = st.best;
   for (RouteObserver* obs : observers_) obs->on_route_change(event);
 }
 
@@ -493,9 +493,10 @@ void BgpEngine::reset_counters() {
 }
 
 void BgpEngine::reexport_all() {
+  const std::vector<std::uint32_t> order = prefix_ids_.in_prefix_order();
   for (std::uint32_t i = 0; i < speakers_.size(); ++i) {
-    for (const Prefix& prefix : speakers_[i].known_prefixes()) {
-      schedule_exports(i, prefix, speakers_[i].find_state(prefix));
+    for (const std::uint32_t pid : order) {
+      if (auto* st = speakers_[i].state_at(pid)) schedule_exports(i, pid, st);
     }
   }
 }
@@ -515,8 +516,9 @@ BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
              sess_nbr_.capacity() * sizeof(AsId) +
              sess_rel_.capacity() * sizeof(topo::Rel) +
              export_slot_.capacity() * sizeof(std::uint32_t);
-  for (const auto& [p, table] : mrai_) {
-    t.bytes += sizeof(p) + table.capacity() * sizeof(MraiState) + 32;
+  t.bytes += prefix_ids_.bytes() + mrai_.capacity() * sizeof(mrai_[0]);
+  for (const auto& table : mrai_) {
+    t.bytes += table.capacity() * sizeof(MraiState);
   }
   t.bytes += msg_pool_.spare_bytes();
   return t;

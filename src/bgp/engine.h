@@ -11,6 +11,13 @@
 // each AS's neighbors sorted by id, with their relationships. A neighbor's
 // rank there is its *slot*, which indexes the MRAI table and the speaker's
 // RIBs; speakers read their row of the layout rather than keeping a copy.
+// Per-prefix state is indexed by a dense *prefix id* (PrefixIds), given to
+// each prefix the first time the engine sees it: every speaker's prefix
+// states and the engine's MRAI tables are vectors indexed by it, and
+// in-flight updates, fan-outs and the closures of deferred and retried
+// sends carry it, so the pump reaches a receiver's state by array index.
+// No id leaves the engine: snapshots and every other walk that can reach an
+// output go in ascending prefix order.
 // An export fan-out (one sender, one prefix) resolves the sender's prefix
 // state and the prefix's MRAI table once, then offers the prefix to each
 // session by slot. Sessions are visited in AsGraph::neighbors() order through
@@ -42,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bgp/prefix_ids.h"
 #include "bgp/speaker.h"
 #include "bgp/types.h"
 #include "mem/pool.h"
@@ -173,9 +181,10 @@ class BgpEngine {
   double last_activity_time() const noexcept { return last_activity_; }
 
   // Deterministic structural memory accounting across every speaker plus
-  // the engine's own per-session state (MRAI tables, frontier pool). Shared
-  // path/community buffers are excluded (they cost one allocation per
-  // distinct buffer, not per holder); see docs/TOPOLOGIES.md for the model.
+  // the engine's own tables (session layout, prefix ids, MRAI tables,
+  // frontier pool), counting what each allocates. Shared path/community
+  // buffers are excluded (they cost one allocation per distinct buffer, not
+  // per holder); see docs/TOPOLOGIES.md for the model.
   struct RibMemoryTotals {
     std::size_t bytes = 0;          // container footprint in bytes
     std::size_t routes = 0;         // resident Adj-RIB-In entries
@@ -207,12 +216,19 @@ class BgpEngine {
     double last_due = 0.0;
   };
 
+  // An in-flight update and its prefix id.
+  struct Delivery {
+    UpdateMessage msg;
+    std::uint32_t pid = 0;
+  };
+
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
-  // `state` is the receiver's state for the prefix, resolved on first touch
-  // and handed to the export fan-out.
+  // `state` is the receiver's state for prefix id `pid`, resolved on first
+  // touch and handed to the export fan-out; states never move, so it stays
+  // valid when an observer originates a new prefix at the receiver.
   struct PrefixTouch {
-    Prefix prefix;
+    std::uint32_t pid = 0;
     BgpSpeaker::PrefixState* state = nullptr;
     std::optional<Route> before;
     bool changed = false;  // some message changed the best route
@@ -223,43 +239,46 @@ class BgpEngine {
   template <class Ar, class Self>
   static void layout(Ar& ar, Self& self);
 
-  // Export fan-out of the speaker at index `fi` for `prefix`; `st` is that
-  // speaker's state for the prefix (nullptr: none). The prefix's MRAI table
-  // is resolved once, then every session is offered the prefix by neighbor
-  // slot, visited in AsGraph::neighbors() order because each send draws
-  // link delay and MRAI jitter from rng_.
-  void schedule_exports(std::uint32_t fi, const Prefix& prefix,
+  // Export fan-out of the speaker at index `fi` for prefix id `pid`; `st`
+  // is that speaker's state for the prefix (nullptr: none). The prefix's
+  // MRAI table is resolved once, then every session is offered the prefix
+  // by neighbor slot, visited in AsGraph::neighbors() order because each
+  // send draws link delay and MRAI jitter from rng_.
+  void schedule_exports(std::uint32_t fi, std::uint32_t pid,
                         BgpSpeaker::PrefixState* st);
   // One session of a fan-out: `slot` is the neighbor's slot at the sender
   // (its rank in the sorted adjacency), `mrai` the session's MRAI entry.
-  void try_send(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix,
+  void try_send(std::uint32_t fi, std::uint32_t slot, std::uint32_t pid,
                 BgpSpeaker::PrefixState* st, MraiState& mrai);
   // The same with `st` and `mrai` re-resolved: the form the fault plane's
   // retry closures call.
-  void try_send(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix);
-  void send_now(std::uint32_t fi, std::uint32_t slot, const Prefix& prefix,
+  void try_send(std::uint32_t fi, std::uint32_t slot, std::uint32_t pid);
+  void send_now(std::uint32_t fi, std::uint32_t slot, std::uint32_t pid,
                 BgpSpeaker::PrefixState* st, MraiState& mrai);
   // The per-(session, prefix) entry that deferred and retried sends
   // re-resolve when their closures fire.
   MraiState& mrai_entry(std::uint32_t fi, std::uint32_t slot,
-                        const Prefix& prefix);
+                        std::uint32_t pid);
   // The prefix's MRAI table, created on first use.
-  std::vector<MraiState>& mrai_table(const Prefix& prefix);
+  std::vector<MraiState>& mrai_table(std::uint32_t pid);
   // The frontier bucket an arrival at `due` lands in: the first quantum
   // boundary at or after it, delivered at bucket * pump_quantum.
   std::int64_t bucket_of(double due) const;
-  // Route the message into its quantum bucket (scheduling the bucket's pump
-  // tick if this is the bucket's first message).
-  void enqueue_delivery(double due, UpdateMessage msg);
+  // Route the update into its quantum bucket (scheduling the bucket's pump
+  // tick if this is the bucket's first update).
+  void enqueue_delivery(double due, Delivery d);
   // Process one frontier: receivers in AS-index order, each through
   // deliver_to.
   void pump_frontier(std::int64_t bucket);
-  // Apply the frontier messages msgs[pump_order_[lo..hi)], all addressed to
+  // Apply the frontier updates batch[pump_order_[lo..hi)], all addressed to
   // the speaker at dense index `r`, then notify and export its net best-route
   // changes.
   void deliver_to(std::uint32_t r, std::size_t lo, std::size_t hi,
-                  std::vector<UpdateMessage>& msgs, double now);
-  void notify(AsId as, const Prefix& prefix);
+                  std::vector<Delivery>& batch, double now);
+  // Route event for the speaker at index `r` and prefix id `pid`, whose
+  // state there is `st`.
+  void notify(std::uint32_t r, std::uint32_t pid,
+              const BgpSpeaker::PrefixState& st);
   // Convergence-pump spans: a bgp.pump span covers each maximal period with
   // at least one update in flight (the 0 -> 1 transition opens it, the
   // drain back to 0 closes it with an updates_delivered delta). With spans
@@ -294,23 +313,25 @@ class BgpEngine {
   std::vector<AsId> sess_nbr_;              // size sess_base_.back()
   std::vector<topo::Rel> sess_rel_;         // size sess_base_.back()
   std::vector<std::uint32_t> export_slot_;  // size sess_base_.back()
+  // Every prefix the engine has seen, by dense id; speakers index their
+  // states through it.
+  PrefixIds prefix_ids_;
   // Speakers and counters are vectors indexed by the graph's AS index, which
   // keeps hashing off the hot pump and frontier partitioning cache friendly.
   std::vector<BgpSpeaker> speakers_;
 
-  // Per-(session, prefix) MRAI state, stored as one flat vector per prefix
-  // indexed by the directed-session index. At Internet scale this replaces
-  // millions of hash-map nodes with a handful of contiguous tables: O(1)
-  // access after one prefix lookup, no rehash, 24 bytes/session.
-  std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
+  // Per-(session, prefix) MRAI state: one flat table per prefix id (empty
+  // until the prefix's first fan-out) indexed by the directed-session
+  // index. O(1) access, no hashing, 24 bytes/session.
+  std::vector<std::vector<MraiState>> mrai_;
   std::vector<RouteObserver*> observers_;
 
   // Frontier buckets keyed by quantum index (bucket time = key * quantum).
   // Exactly one pump tick is scheduled per live bucket.
-  std::unordered_map<std::int64_t, std::vector<UpdateMessage>> frontier_;
+  std::unordered_map<std::int64_t, std::vector<Delivery>> frontier_;
   // Retired bucket vectors, recycled by enqueue_delivery so steady-state
   // pumping allocates no per-bucket storage.
-  mem::VectorPool<UpdateMessage> msg_pool_;
+  mem::VectorPool<Delivery> msg_pool_;
   // Reusable pump scratch: the frontier's (receiver index << 32 | arrival
   // index) keys, sorted, and the current receiver's touched prefixes in
   // first-touch order.

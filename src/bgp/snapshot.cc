@@ -2,11 +2,13 @@
 //
 // Format: one engine section (tag "BGEN") holding RNG state, counters, MRAI
 // tables, and the per-speaker sections (tag "BSPK") in AS-index order. All
-// map-backed state is serialized in sorted-key order — unordered_map
-// iteration order is a function of the allocator and hash seed, and a
-// snapshot must be byte-identical across processes. Every layout below is
-// written once and driven by both util::BinWriter and util::BinReader
-// (util/codec.h), so the save and load directions cannot drift apart.
+// keyed state is serialized in sorted-key order, and per-prefix state in
+// ascending prefix order, never by the engine's prefix ids: ids number
+// prefixes in the order an engine first saw them, and a snapshot must be
+// byte-identical across processes and load into an engine that numbered its
+// prefixes differently. Every layout below is written once and driven by
+// both util::BinWriter and util::BinReader (util/codec.h), so the save and
+// load directions cannot drift apart.
 //
 // Shared buffers: PathRef/CommunitiesRef deliberately share one immutable
 // buffer across every holder (Adj-RIB-In, Loc-RIB best, export cache,
@@ -20,6 +22,7 @@
 // its state in sorted order. Id 0 is reserved for the empty ref; a new
 // buffer's contents are written inline at its first reference, so loading
 // rebuilds the pool in one pass.
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -103,11 +106,45 @@ void hint_table(Ar& ar, Table& t) {
   });
 }
 
+// A table indexed by prefix id, laid out as a map keyed by prefix (the
+// layout util::sorted_map gives one): the entry count, then each entry's
+// prefix and `fn(pid)` in ascending prefix order. Saving walks `order` (every
+// id in ascending prefix order) and writes the ids `has` accepts; loading
+// interns each prefix read and refuses one seen twice.
+template <class Ar, class Ids, class Has, class Fn>
+void by_prefix(Ar& ar, Ids& ids, const std::vector<std::uint32_t>& order,
+               std::size_t min_entry_bytes, Has&& has, Fn&& fn) {
+  if constexpr (Ar::kLoading) {
+    const std::size_t n = ar.count(min_entry_bytes);
+    for (std::size_t i = 0; i < n; ++i) {
+      Prefix p;
+      prefix(ar, p);
+      const std::uint32_t pid = ids.intern(p);
+      if (has(pid)) {
+        throw std::runtime_error("snapshot: prefix " + p.str() + " twice");
+      }
+      fn(pid);
+    }
+  } else {
+    std::size_t n = 0;
+    for (const std::uint32_t pid : order) n += has(pid) ? 1 : 0;
+    ar.size(n);
+    for (const std::uint32_t pid : order) {
+      if (!has(pid)) continue;
+      const Prefix p = ids.prefix(pid);
+      prefix(ar, p);
+      fn(pid);
+    }
+  }
+}
+
 }  // namespace
 
 struct SnapshotPools {
   InternPool<PathRef, AsPath> path;
   InternPool<CommunitiesRef, Communities> comm;
+  // Every prefix id in ascending prefix order (empty when loading).
+  std::vector<std::uint32_t> order;
 };
 
 namespace {
@@ -175,53 +212,75 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   ar.size(cfg.path_length_limit);
   ar.b(cfg.peerlock_filter);
 
-  util::sorted_map(ar, self.prefixes_, 8, [&](auto& p, auto& st) {
-    prefix(ar, p);
+  if constexpr (Ar::kLoading) self.states_.clear();
+  const auto has = [&](std::uint32_t pid) {
+    return self.state_at(pid) != nullptr;
+  };
+  by_prefix(ar, *self.ids_, pools.order, 8, has, [&](std::uint32_t pid) {
+    if constexpr (Ar::kLoading) self.state_for(pid);
+    auto& st = *self.state_at(pid);
 
-    std::size_t n_in = st.in_path.size();
+    std::size_t n_in = st.in.size();
     ar.count(n_in, 10);
     if constexpr (Ar::kLoading) {
       check_slots(n_in, "Adj-RIB-In");
-      st.in_path.resize(n_in);
-      st.in_comm.resize(n_in);
-      st.in_learned.resize(n_in);
-      st.in_present.resize(n_in);
+      st.in.assign(n_in);
     }
     for (std::size_t i = 0; i < n_in; ++i) {
-      pools.path(ar, st.in_path[i]);
-      pools.comm(ar, st.in_comm[i]);
-      ar.u8(st.in_learned[i]);
-      ar.u8(st.in_present[i]);
+      pools.path(ar, st.in.path()[i]);
+      pools.comm(ar, st.in.comm()[i]);
+      ar.u8(st.in.bytes(kInLearned)[i]);
+      ar.u8(st.in.bytes(kInPresent)[i]);
     }
     hint_table(ar, st.in_hints);
 
     ar.opt(st.best, [&](auto& rt) { route(ar, pools, rt); });
-    ar.opt(st.origin, [&](auto& pol) { policy(ar, pools, pol); });
-    pools.comm(ar, st.origin_comm);
+    // The cold part is written whether or not the state has one (an absent
+    // one as empty); loading keeps it only if something in it is set.
+    static const ColdState kNoCold;
+    auto& cold = [&]() -> auto& {
+      if constexpr (Ar::kLoading) {
+        return *(st.cold = std::make_unique<ColdState>());
+      } else {
+        return st.cold != nullptr ? *st.cold : kNoCold;
+      }
+    }();
+    ar.opt(cold.origin, [&](auto& pol) { policy(ar, pools, pol); });
+    pools.comm(ar, cold.origin_comm);
     pools.path(ar, st.export_cache);
     ar.b(st.export_cache_valid);
 
-    std::size_t n_out = st.out_tag.size();
+    std::size_t n_out = st.out.size();
     ar.count(n_out, 9);
     if constexpr (Ar::kLoading) {
       check_slots(n_out, "Adj-RIB-Out");
-      st.out_tag.resize(n_out);
-      st.out_path.resize(n_out);
-      st.out_comm.resize(n_out);
+      st.out.assign(n_out);
     }
     for (std::size_t i = 0; i < n_out; ++i) {
-      ar.u8(st.out_tag[i]);
-      pools.path(ar, st.out_path[i]);
-      pools.comm(ar, st.out_comm[i]);
+      ar.u8(st.out.bytes(kOutTag)[i]);
+      pools.path(ar, st.out.path()[i]);
+      pools.comm(ar, st.out.comm()[i]);
     }
     hint_table(ar, st.out_hints);
 
-    util::sorted_map(ar, st.damping, 21, [&](auto& as, auto& ds) {
-      ar.u32(as);
-      ar.f64(ds.penalty);
-      ar.f64(ds.last_update);
-      ar.b(ds.suppressed);
+    ar.vec(cold.damping, 21, [&](auto& entry) {
+      ar.u32(entry.first);
+      ar.f64(entry.second.penalty);
+      ar.f64(entry.second.last_update);
+      ar.b(entry.second.suppressed);
     });
+    if constexpr (Ar::kLoading) {
+      const auto& d = cold.damping;
+      for (std::size_t i = 1; i < d.size(); ++i) {
+        if (!(d[i - 1].first < d[i].first)) {
+          throw std::runtime_error("snapshot: AS " + std::to_string(self.id_) +
+                                   " damping entries out of order");
+        }
+      }
+      if (!cold.origin && cold.origin_comm.empty() && d.empty()) {
+        st.cold.reset();
+      }
+    }
   });
 
   ar.opt(self.forced_egress_, [&](auto& as) { ar.u32(as); });
@@ -257,23 +316,34 @@ void BgpEngine::layout(Ar& ar, Self& self) {
   // MRAI tables: one entry per directed session, at sess_base_[sender] plus
   // the neighbor's slot. last_due is left out: in a quiesced engine it is
   // past.
+  SnapshotPools pools;
+  if constexpr (Ar::kLoading) {
+    self.mrai_.clear();
+  } else {
+    pools.order = self.prefix_ids_.in_prefix_order();
+  }
   const std::size_t n_sessions = self.sess_nbr_.size();
-  util::sorted_map(ar, self.mrai_, 13, [&](auto& p, auto& table) {
-    prefix(ar, p);
+  const auto has = [&](std::uint32_t pid) {
+    return pid < self.mrai_.size() && !self.mrai_[pid].empty();
+  };
+  by_prefix(ar, self.prefix_ids_, pools.order, 13, has, [&](std::uint32_t pid) {
+    if constexpr (Ar::kLoading) {
+      if (pid >= self.mrai_.size()) self.mrai_.resize(pid + 1);
+    }
+    auto& table = self.mrai_[pid];
     ar.vec(table, 9, [&](auto& ms) {
       ar.f64(ms.ready_at);
       ar.b(ms.flush_scheduled);
     });
     if (table.size() != n_sessions) {
       throw std::runtime_error(
-          "snapshot: MRAI table for " + p.str() + " has " +
-          std::to_string(table.size()) + " entries, the topology has " +
-          std::to_string(n_sessions) + " directed sessions (different "
-          "topology?)");
+          "snapshot: MRAI table for " + self.prefix_ids_.prefix(pid).str() +
+          " has " + std::to_string(table.size()) +
+          " entries, the topology has " + std::to_string(n_sessions) +
+          " directed sessions (different topology?)");
     }
   });
 
-  SnapshotPools pools;
   std::size_t n = n_speakers;
   ar.count(n, 1);
   if (n != n_speakers) {

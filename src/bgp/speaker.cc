@@ -17,12 +17,25 @@ LearnedFrom learned_from_rel(topo::Rel rel) {
   }
   return LearnedFrom::kProvider;
 }
+
+// The first entry of a (key, value) side-table sorted by key whose key is
+// not below `key`.
+template <class Table, class Key>
+auto lower_entry(Table& t, Key key) {
+  return std::lower_bound(
+      t.begin(), t.end(), key,
+      [](const auto& e, Key k) { return e.first < k; });
+}
 }  // namespace
 
 BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph,
                        std::span<const AsId> nbr_ids,
-                       std::span<const topo::Rel> nbr_rel)
-    : id_(id), graph_(&graph), nbr_ids_(nbr_ids), nbr_rel_(nbr_rel) {}
+                       std::span<const topo::Rel> nbr_rel, PrefixIds& ids)
+    : id_(id),
+      graph_(&graph),
+      nbr_ids_(nbr_ids),
+      nbr_rel_(nbr_rel),
+      ids_(&ids) {}
 
 std::uint32_t BgpSpeaker::slot_of(AsId neighbor) const {
   const auto it =
@@ -37,34 +50,15 @@ std::optional<topo::Rel> BgpSpeaker::rel_of(AsId neighbor) const {
   return nbr_rel_[slot];
 }
 
-void BgpSpeaker::ensure_in(PrefixState& st, std::size_t n) {
-  if (st.in_path.size() == n) return;  // n is fixed per speaker
-  st.in_path.resize(n);
-  st.in_comm.resize(n);
-  st.in_learned.assign(n, 0);
-  st.in_present.assign(n, 0);
-}
-
-void BgpSpeaker::ensure_out(PrefixState& st, std::size_t n) {
-  if (st.out_tag.size() == n) return;
-  st.out_tag.assign(n, kOutUnset);
-  st.out_path.resize(n);
-  st.out_comm.resize(n);
-}
-
 const AvoidHint* BgpSpeaker::hint_at(const HintTable& t, std::uint32_t slot) {
-  const auto it = std::lower_bound(
-      t.begin(), t.end(), slot,
-      [](const auto& e, std::uint32_t s) { return e.first < s; });
+  const auto it = lower_entry(t, slot);
   if (it == t.end() || it->first != slot) return nullptr;
   return &it->second;
 }
 
 void BgpSpeaker::set_hint(HintTable& t, std::uint32_t slot,
                           const std::optional<AvoidHint>& hint) {
-  const auto it = std::lower_bound(
-      t.begin(), t.end(), slot,
-      [](const auto& e, std::uint32_t s) { return e.first < s; });
+  const auto it = lower_entry(t, slot);
   const bool found = it != t.end() && it->first == slot;
   if (hint) {
     if (found) {
@@ -77,45 +71,48 @@ void BgpSpeaker::set_hint(HintTable& t, std::uint32_t slot,
   }
 }
 
-BgpSpeaker::PrefixState& BgpSpeaker::state_for(const Prefix& prefix) {
-  auto [it, inserted] = prefixes_.try_emplace(prefix);
-  if (inserted) len_present_[prefix.length()] = true;
-  return it->second;
+BgpSpeaker::DampingState* BgpSpeaker::damping_of(const PrefixState& st,
+                                                 AsId neighbor) {
+  if (st.cold == nullptr) return nullptr;
+  const auto it = lower_entry(st.cold->damping, neighbor);
+  if (it == st.cold->damping.end() || it->first != neighbor) return nullptr;
+  return &it->second;
 }
 
-const BgpSpeaker::PrefixState* BgpSpeaker::find_state(
-    const Prefix& prefix) const {
-  const auto it = prefixes_.find(prefix);
-  return it == prefixes_.end() ? nullptr : &it->second;
-}
-
-BgpSpeaker::PrefixState* BgpSpeaker::find_state(const Prefix& prefix) {
-  const auto it = prefixes_.find(prefix);
-  return it == prefixes_.end() ? nullptr : &it->second;
+BgpSpeaker::PrefixState& BgpSpeaker::new_state(std::uint32_t pid) {
+  if (pid >= states_.size()) states_.resize(pid + 1);
+  states_[pid] = std::make_unique<PrefixState>();
+  len_present_[ids_->prefix(pid).length()] = true;
+  return *states_[pid];
 }
 
 void BgpSpeaker::set_origin_policy(const Prefix& prefix, OriginPolicy policy) {
   auto& st = state_for(prefix);
-  st.origin = std::move(policy);
+  if (st.cold == nullptr) st.cold = std::make_unique<ColdState>();
+  st.cold->origin = std::move(policy);
   // Intern the policy's community set once; every export shares the buffer.
-  st.origin_comm = CommunitiesRef(st.origin->communities);
+  st.cold->origin_comm = CommunitiesRef(st.cold->origin->communities);
 }
 
 void BgpSpeaker::clear_origin_policy(const Prefix& prefix) {
-  if (auto it = prefixes_.find(prefix); it != prefixes_.end()) {
-    it->second.origin.reset();
-    it->second.origin_comm = CommunitiesRef();
+  PrefixState* st = find_state(prefix);
+  if (st == nullptr || st->cold == nullptr) return;
+  if (st->cold->damping.empty()) {
+    st->cold.reset();
+  } else {
+    st->cold->origin.reset();
+    st->cold->origin_comm = CommunitiesRef();
   }
 }
 
 bool BgpSpeaker::originates(const Prefix& prefix) const {
   const auto* st = find_state(prefix);
-  return st != nullptr && st->origin.has_value();
+  return st != nullptr && st->origin() != nullptr;
 }
 
 const OriginPolicy* BgpSpeaker::origin_policy(const Prefix& prefix) const {
   const auto* st = find_state(prefix);
-  return st != nullptr && st->origin ? &*st->origin : nullptr;
+  return st != nullptr ? st->origin() : nullptr;
 }
 
 bool BgpSpeaker::import_acceptable(const UpdateMessage& msg) {
@@ -197,7 +194,13 @@ bool BgpSpeaker::process_update(PrefixState& st, const UpdateMessage& msg,
   if (slot == kNoSlot) return false;  // not adjacent: drop
 
   if (cfg_.damping_enabled) {
-    auto& damping = st.damping[msg.from];
+    if (st.cold == nullptr) st.cold = std::make_unique<ColdState>();
+    DampingTable& table = st.cold->damping;
+    auto it = lower_entry(table, msg.from);
+    if (it == table.end() || it->first != msg.from) {
+      it = table.insert(it, {msg.from, DampingState{}});
+    }
+    DampingState& damping = it->second;
     decay_penalty(damping.penalty, damping.last_update, now,
                   cfg_.damping_half_life_seconds);
     damping.penalty += cfg_.damping_penalty_per_update;
@@ -207,23 +210,23 @@ bool BgpSpeaker::process_update(PrefixState& st, const UpdateMessage& msg,
   }
 
   if (msg.type == MsgType::kAnnounce && import_acceptable(msg)) {
-    ensure_in(st, nbr_ids_.size());
-    st.in_path[slot] = msg.path;
-    st.in_comm[slot] = msg.communities;
-    st.in_learned[slot] =
+    if (st.in.empty()) st.in.assign(nbr_ids_.size());
+    st.in.path()[slot] = msg.path;
+    st.in.comm()[slot] = msg.communities;
+    st.in.bytes(kInLearned)[slot] =
         static_cast<std::uint8_t>(learned_from_rel(nbr_rel_[slot]));
-    st.in_present[slot] = 1;
+    st.in.bytes(kInPresent)[slot] = 1;
     set_hint(st.in_hints, slot, msg.avoid_hint);
     if (msg.avoid_hint && msg.avoid_hint->as == id_) {
       ++avoid_notifications_;  // Notification property: we are the problem
     }
-  } else if (!st.in_path.empty() && st.in_present[slot] != 0) {
+  } else if (!st.in.empty() && st.in.bytes(kInPresent)[slot] != 0) {
     // Withdrawal, or an announcement rejected by import policy: either way
     // the neighbor's previous route is no longer usable (BGP implicit
     // replacement semantics). Release the shared buffers with the slot.
-    st.in_present[slot] = 0;
-    st.in_path[slot] = PathRef();
-    st.in_comm[slot] = CommunitiesRef();
+    st.in.bytes(kInPresent)[slot] = 0;
+    st.in.path()[slot] = PathRef();
+    st.in.comm()[slot] = CommunitiesRef();
     set_hint(st.in_hints, slot, std::nullopt);
   }
   return recompute_best(msg.prefix, st);
@@ -239,21 +242,23 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
   if (cfg_.honors_avoid_hints && !st.in_hints.empty()) {
     hint = &st.in_hints.front().second;
   }
-  const std::size_t n = st.in_path.size();
+  const std::uint32_t n = st.in.size();
+  const PathRef* in_path = st.in.path();
+  const std::uint8_t* in_learned = st.in.bytes(kInLearned);
+  const std::uint8_t* in_present = st.in.bytes(kInPresent);
   std::uint32_t win = kNoSlot;
   int win_pref = 0;
   std::size_t win_len = 0;
   bool win_flagged = false;
   for (std::uint32_t s = 0; s < n; ++s) {
-    if (st.in_present[s] == 0) continue;
+    if (in_present[s] == 0) continue;
     if (cfg_.damping_enabled) {
-      const auto it = st.damping.find(nbr_ids_[s]);
-      if (it != st.damping.end() && it->second.suppressed) continue;
+      const DampingState* d = damping_of(st, nbr_ids_[s]);
+      if (d != nullptr && d->suppressed) continue;
     }
-    const bool flagged = hint && path_hits_avoid_hint(st.in_path[s], *hint);
-    const int pref =
-        local_pref(static_cast<LearnedFrom>(st.in_learned[s]));
-    const std::size_t len = st.in_path[s].size();
+    const bool flagged = hint && path_hits_avoid_hint(in_path[s], *hint);
+    const int pref = local_pref(static_cast<LearnedFrom>(in_learned[s]));
+    const std::size_t len = in_path[s].size();
     // Slots scan in ascending neighbor-id order and the comparisons are
     // strict, so ties keep the lowest neighbor — exactly better_route's
     // local-pref desc, path-len asc, neighbor-id asc total order.
@@ -273,22 +278,22 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
     if (changed) st.best.reset();
   } else {
     const AsId nbr = nbr_ids_[win];
-    const auto learned = static_cast<LearnedFrom>(st.in_learned[win]);
+    const auto learned = static_cast<LearnedFrom>(in_learned[win]);
+    const CommunitiesRef& comm = st.in.comm()[win];
     const AvoidHint* win_hint = hint_at(st.in_hints, win);
     changed =
         !st.best || st.best->neighbor != nbr || st.best->learned != learned ||
-        !(st.best->path == st.in_path[win]) ||
-        !(st.best->communities == st.in_comm[win]) ||
+        !(st.best->path == in_path[win]) || !(st.best->communities == comm) ||
         st.best->avoid_hint.has_value() != (win_hint != nullptr) ||
         (win_hint != nullptr && st.best->avoid_hint &&
          !(*st.best->avoid_hint == *win_hint));
     if (changed) {
       Route r;
       r.prefix = prefix;
-      r.path = st.in_path[win];
+      r.path = in_path[win];
       r.neighbor = nbr;
       r.learned = learned;
-      r.communities = st.in_comm[win];
+      r.communities = comm;
       if (win_hint != nullptr) r.avoid_hint = *win_hint;
       st.best = std::move(r);
     }
@@ -306,14 +311,14 @@ const Route* BgpSpeaker::best_route(const Prefix& prefix) const {
 std::vector<Route> BgpSpeaker::rib_in(const Prefix& prefix) const {
   std::vector<Route> out;
   if (const auto* st = find_state(prefix)) {
-    for (std::uint32_t s = 0; s < st->in_path.size(); ++s) {
-      if (st->in_present[s] == 0) continue;
+    for (std::uint32_t s = 0; s < st->in.size(); ++s) {
+      if (st->in.bytes(kInPresent)[s] == 0) continue;
       Route r;
       r.prefix = prefix;
-      r.path = st->in_path[s];
+      r.path = st->in.path()[s];
       r.neighbor = nbr_ids_[s];
-      r.learned = static_cast<LearnedFrom>(st->in_learned[s]);
-      r.communities = st->in_comm[s];
+      r.learned = static_cast<LearnedFrom>(st->in.bytes(kInLearned)[s]);
+      r.communities = st->in.comm()[s];
       if (const AvoidHint* h = hint_at(st->in_hints, s)) r.avoid_hint = *h;
       out.push_back(std::move(r));
     }
@@ -330,7 +335,7 @@ FibResult BgpSpeaker::fib_lookup(topo::Ipv4 dst) const {
     const Prefix candidate(dst, static_cast<std::uint8_t>(len));
     const auto* st = find_state(candidate);
     if (st == nullptr) continue;
-    if (st->origin) {
+    if (st->origin() != nullptr) {
       return FibResult{.has_route = true,
                        .local = true,
                        .via_default = false,
@@ -370,10 +375,10 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_unit(
   if (slot >= nbr_ids_.size()) return std::nullopt;
   const AsId neighbor = nbr_ids_[slot];
 
-  if (st.origin) {
-    const auto& path = st.origin->path_for(neighbor);
+  if (const OriginPolicy* origin = st.origin()) {
+    const auto& path = origin->path_for(neighbor);
     if (!path) return std::nullopt;
-    return ExportUnit{*path, st.origin_comm, st.origin->avoid_hint};
+    return ExportUnit{*path, st.cold->origin_comm, origin->avoid_hint};
   }
 
   if (!st.best) return std::nullopt;
@@ -413,11 +418,10 @@ BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(const Prefix& prefix,
 
 BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(const PrefixState& st,
                                                   std::uint32_t slot) const {
-  if (slot >= st.out_tag.size() || st.out_tag[slot] == kOutUnset) {
-    return AdjOutState::kNeverAdvertised;
-  }
-  return st.out_tag[slot] == kOutNone ? AdjOutState::kWithdrawn
-                                      : AdjOutState::kAdvertised;
+  if (slot >= st.out.size()) return AdjOutState::kNeverAdvertised;
+  const std::uint8_t tag = st.out.bytes(kOutTag)[slot];
+  if (tag == kOutUnset) return AdjOutState::kNeverAdvertised;
+  return tag == kOutNone ? AdjOutState::kWithdrawn : AdjOutState::kAdvertised;
 }
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
@@ -429,8 +433,8 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
     return std::nullopt;
   }
   ExportUnit out;
-  out.path = st->out_path[slot];
-  out.communities = st->out_comm[slot];
+  out.path = st->out.path()[slot];
+  out.communities = st->out.comm()[slot];
   if (const AvoidHint* h = hint_at(st->out_hints, slot)) out.avoid_hint = *h;
   return out;
 }
@@ -440,8 +444,8 @@ bool BgpSpeaker::adj_out_equals(const PrefixState& st, std::uint32_t slot,
   const bool advertised = adj_out_state(st, slot) == AdjOutState::kAdvertised;
   if (!advertised || !unit) return advertised == unit.has_value();
   const AvoidHint* hint = hint_at(st.out_hints, slot);
-  return st.out_path[slot] == unit->path &&
-         st.out_comm[slot] == unit->communities &&
+  return st.out.path()[slot] == unit->path &&
+         st.out.comm()[slot] == unit->communities &&
          (hint == nullptr ? !unit->avoid_hint
                           : unit->avoid_hint && *hint == *unit->avoid_hint);
 }
@@ -455,24 +459,25 @@ void BgpSpeaker::record_advertised(const Prefix& prefix, AsId neighbor,
 
 void BgpSpeaker::record_advertised(PrefixState& st, std::uint32_t slot,
                                    const std::optional<ExportUnit>& unit) {
-  ensure_out(st, nbr_ids_.size());
+  if (st.out.empty()) st.out.assign(nbr_ids_.size());
   if (unit) {
-    st.out_tag[slot] = kOutUnit;
-    st.out_path[slot] = unit->path;
-    st.out_comm[slot] = unit->communities;
+    st.out.bytes(kOutTag)[slot] = kOutUnit;
+    st.out.path()[slot] = unit->path;
+    st.out.comm()[slot] = unit->communities;
     set_hint(st.out_hints, slot, unit->avoid_hint);
   } else {
-    st.out_tag[slot] = kOutNone;
-    st.out_path[slot] = PathRef();
-    st.out_comm[slot] = CommunitiesRef();
+    st.out.bytes(kOutTag)[slot] = kOutNone;
+    st.out.path()[slot] = PathRef();
+    st.out.comm()[slot] = CommunitiesRef();
     set_hint(st.out_hints, slot, std::nullopt);
   }
 }
 
 std::vector<Prefix> BgpSpeaker::known_prefixes() const {
   std::vector<Prefix> out;
-  out.reserve(prefixes_.size());
-  for (const auto& [p, st] : prefixes_) out.push_back(p);
+  for (std::uint32_t pid = 0; pid < states_.size(); ++pid) {
+    if (states_[pid] != nullptr) out.push_back(ids_->prefix(pid));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -481,11 +486,10 @@ std::optional<double> BgpSpeaker::damping_reuse_delay(const Prefix& prefix,
                                                       AsId neighbor,
                                                       double now) const {
   const auto* st = find_state(prefix);
-  if (st == nullptr) return std::nullopt;
-  const auto it = st->damping.find(neighbor);
-  if (it == st->damping.end() || !it->second.suppressed) return std::nullopt;
-  double penalty = it->second.penalty;
-  double last = it->second.last_update;
+  const DampingState* d = st == nullptr ? nullptr : damping_of(*st, neighbor);
+  if (d == nullptr || !d->suppressed) return std::nullopt;
+  double penalty = d->penalty;
+  double last = d->last_update;
   decay_penalty(penalty, last, now, cfg_.damping_half_life_seconds);
   if (penalty <= cfg_.damping_reuse_threshold) return 0.0;
   return cfg_.damping_half_life_seconds *
@@ -495,21 +499,19 @@ std::optional<double> BgpSpeaker::damping_reuse_delay(const Prefix& prefix,
 bool BgpSpeaker::recheck_damping(const Prefix& prefix, AsId neighbor,
                                  double now) {
   PrefixState* st = find_state(prefix);
-  if (st == nullptr) return false;
-  const auto it = st->damping.find(neighbor);
-  if (it == st->damping.end() || !it->second.suppressed) return false;
-  decay_penalty(it->second.penalty, it->second.last_update, now,
+  DampingState* d = st == nullptr ? nullptr : damping_of(*st, neighbor);
+  if (d == nullptr || !d->suppressed) return false;
+  decay_penalty(d->penalty, d->last_update, now,
                 cfg_.damping_half_life_seconds);
-  if (it->second.penalty > cfg_.damping_reuse_threshold) return false;
-  it->second.suppressed = false;
+  if (d->penalty > cfg_.damping_reuse_threshold) return false;
+  d->suppressed = false;
   return recompute_best(prefix, *st);
 }
 
 bool BgpSpeaker::is_suppressed(const Prefix& prefix, AsId neighbor) const {
   const auto* st = find_state(prefix);
-  if (st == nullptr) return false;
-  const auto it = st->damping.find(neighbor);
-  return it != st->damping.end() && it->second.suppressed;
+  const DampingState* d = st == nullptr ? nullptr : damping_of(*st, neighbor);
+  return d != nullptr && d->suppressed;
 }
 
 std::optional<AsId> BgpSpeaker::default_gateway() const {
@@ -521,28 +523,23 @@ std::optional<AsId> BgpSpeaker::default_gateway() const {
 }
 
 BgpSpeaker::RibMemory BgpSpeaker::rib_memory() const {
-  // Estimated per-node bookkeeping of the prefix hash map (bucket pointer +
-  // node header); the exact figure is library-dependent, the estimate keeps
-  // the metric deterministic.
-  constexpr std::size_t kMapNodeOverhead = 32;
   RibMemory m;
-  m.bytes += sizeof(*this);
-  for (const auto& [p, st] : prefixes_) {
+  m.bytes += sizeof(*this) + states_.capacity() * sizeof(states_[0]);
+  for (const auto& st : states_) {
+    if (st == nullptr) continue;
     ++m.prefixes;
-    m.bytes += sizeof(p) + sizeof(st) + kMapNodeOverhead;
-    m.bytes += st.in_path.capacity() * sizeof(PathRef) +
-               st.in_comm.capacity() * sizeof(CommunitiesRef) +
-               st.in_learned.capacity() + st.in_present.capacity() +
-               st.in_hints.capacity() * sizeof(HintTable::value_type);
-    m.bytes += st.out_tag.capacity() +
-               st.out_path.capacity() * sizeof(PathRef) +
-               st.out_comm.capacity() * sizeof(CommunitiesRef) +
-               st.out_hints.capacity() * sizeof(HintTable::value_type);
-    m.bytes += st.damping.size() * (sizeof(AsId) + sizeof(DampingState) +
-                                    kMapNodeOverhead);
-    for (const std::uint8_t present : st.in_present) m.routes += present;
-    for (const std::uint8_t tag : st.out_tag) {
-      if (tag == kOutUnit) ++m.adj_out_slots;
+    m.bytes += sizeof(PrefixState) + st->in.allocated() + st->out.allocated() +
+               (st->in_hints.capacity() + st->out_hints.capacity()) *
+                   sizeof(HintTable::value_type);
+    if (st->cold != nullptr) {
+      m.bytes += sizeof(ColdState) + st->cold->damping.capacity() *
+                                         sizeof(DampingTable::value_type);
+    }
+    for (std::uint32_t s = 0; s < st->in.size(); ++s) {
+      m.routes += st->in.bytes(kInPresent)[s];
+    }
+    for (std::uint32_t s = 0; s < st->out.size(); ++s) {
+      if (st->out.bytes(kOutTag)[s] == kOutUnit) ++m.adj_out_slots;
     }
   }
   return m;

@@ -1,6 +1,6 @@
 // VectorPool: a freelist of reusable std::vector buffers.
 //
-// The BGP engine's frontier pump retires one std::vector<UpdateMessage> per
+// The BGP engine's frontier pump retires one vector of in-flight updates per
 // quantum bucket; at Internet scale that is hundreds of thousands of
 // vectors per convergence, each of which would otherwise be destroyed (and
 // its heap buffer freed) only to be re-allocated for the next bucket.
