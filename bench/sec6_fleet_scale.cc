@@ -15,8 +15,7 @@
 // byte-identical for any LG_THREADS value; only wall-clock changes (written
 // to stderr).
 //
-// Environment: LG_FLEET_TARGETS=<n> replaces the target sweep with one size;
-// LG_FLEET_ANNOUNCE_BUDGET / LG_FLEET_PROBE_BUDGET re-pace the buckets
+// Environment: LG_FLEET_TARGETS=<n> replaces the target sweep with one size
 // (docs/OPERATORS.md).
 #include <chrono>
 #include <cstdio>
@@ -44,7 +43,7 @@ fleet::FleetConfig cell_config(std::size_t targets, double outages_per_hour) {
   cfg.shard_topology.num_large_transit = 10;
   cfg.shard_topology.num_small_transit = 30;
   cfg.shard_topology.num_stubs = 110;
-  return fleet::FleetConfig::from_env(cfg);
+  return cfg;
 }
 
 double quantile(const std::vector<double>& sorted, double q) {
@@ -79,8 +78,8 @@ int main() {
     const fleet::FleetConfig probe = cell_config(sizes.front(), rates.front());
     jr->set_config("shards", static_cast<double>(probe.shards));
     jr->set_config("horizon_seconds", probe.horizon_seconds);
-    jr->set_config("announce_per_hour", probe.announce_per_hour);
-    jr->set_config("probe_rate_per_second", probe.probe_rate_per_second);
+    jr->set_config("announce_per_hour", fleet::kAnnouncePerHour);
+    jr->set_config("probe_rate_per_second", fleet::kProbeRatePerSecond);
   }
 
   struct CellRow {
@@ -211,7 +210,7 @@ int main() {
   }
   // Stall-watchdog verdict across every cell (lg.episode.stalled aggregates in
   // the global registry as shards merge). Expected 0 on a healthy plane; a
-  // nonzero value names episodes parked past LG_FLEET_STALL_SECONDS.
+  // nonzero value names episodes parked past core::kStallSeconds.
   jr->headline(
       "episodes_stalled",
       static_cast<double>(

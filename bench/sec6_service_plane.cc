@@ -145,7 +145,7 @@ int main() {
   jr->set_config("clients", static_cast<double>(cfg.clients));
   jr->set_config("shards", static_cast<double>(cfg.shards));
   jr->set_config("horizon_seconds", cfg.horizon_seconds);
-  jr->set_config("tick_seconds", cfg.tick_seconds);
+  jr->set_config("tick_seconds", fleet::kServiceTickSeconds);
   jr->set_config("outages_per_hour", cfg.outages_per_hour);
   jr->set_config("announce_per_hour", cfg.announce_per_hour);
   jr->set_config("slots", static_cast<double>(cfg.slots));

@@ -5,8 +5,9 @@ Lists the fields of every *Config / *Params / *Options struct declared in
 src/*/*.h and prints the totals. A field counts as set when some C++ file in
 src/, bench/, examples/, perfbench/ or tests/ other than its own header
 writes it: `.f =`, `->f =`, `.f{`, a designated initializer, `&Struct::f`,
-or a write through it (`.f.x =`). Matching is by name, so a field that
-shares its name with a written one reads as set: the census undercounts.
+or a write through it (`.f.x =`, or `.f.*p =` through a pointer to member).
+Matching is by name, so a field that shares its name with a written one
+reads as set: the census undercounts.
 
 A field no caller sets is a constant, and belongs beside the code that
 reads it (ROADMAP aim 3). With --check, exit 1 when a never-set field is
@@ -157,7 +158,8 @@ def sources():
 def is_set(struct: str, field: str, header: Path, files) -> bool:
     f = re.escape(field)
     write = re.compile(
-        rf"(?:\.|->){f}(?:\.\w+)*\s*=(?!=)"  # .f =, ->f =, .f.x =, .f = in {}
+        # .f =, ->f =, .f.x =, .f.*p =, .f = in {}
+        rf"(?:\.|->){f}(?:\.\w+)*(?:\.\*\w+)?\s*=(?!=)"
         rf"|\.{f}\s*\{{"                     # .f{
         rf"|&(?:\w+::)*{re.escape(struct)}::{f}\b")  # &Struct::f
     return any(path != header and write.search(text) for path, text in files)

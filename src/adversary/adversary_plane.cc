@@ -1,12 +1,9 @@
 #include "adversary/adversary_plane.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "topology/generator.h"
-#include "util/env_knobs.h"
 #include "util/rng.h"
 
 namespace lg::adversary {
@@ -31,38 +28,6 @@ AdversaryConfig AdversaryConfig::at_prevalence(double prevalence) {
   cfg.default_route_prevalence = p;
   cfg.peerlock_prevalence = p;
   cfg.destabilizer_prevalence = p;
-  return cfg;
-}
-
-AdversaryConfig AdversaryConfig::from_env(AdversaryConfig base) {
-  AdversaryConfig cfg = base;
-  if (const char* v = std::getenv("LG_ADVERSARY")) {
-    if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
-      cfg = AdversaryConfig{};
-    } else {
-      cfg = at_prevalence(util::env_fraction_knob("LG_ADVERSARY", 0.0));
-      cfg.seed = base.seed;
-      cfg.pathlen_min_limit = base.pathlen_min_limit;
-      cfg.pathlen_max_limit = base.pathlen_max_limit;
-    }
-  }
-  cfg.seed = util::env_u64_knob("LG_ADVERSARY_SEED", cfg.seed);
-  cfg.pathlen_prevalence =
-      util::env_fraction_knob("LG_ADVERSARY_PATHLEN", cfg.pathlen_prevalence);
-  cfg.default_route_prevalence = util::env_fraction_knob(
-      "LG_ADVERSARY_DEFAULT_ROUTE", cfg.default_route_prevalence);
-  cfg.peerlock_prevalence = util::env_fraction_knob("LG_ADVERSARY_PEERLOCK",
-                                                    cfg.peerlock_prevalence);
-  cfg.destabilizer_prevalence = util::env_fraction_knob(
-      "LG_ADVERSARY_DESTABILIZERS", cfg.destabilizer_prevalence);
-  if (std::getenv("LG_ADVERSARY_PATHLEN_LIMIT") != nullptr) {
-    cfg.pathlen_min_limit = cfg.pathlen_max_limit =
-        util::env_size_knob("LG_ADVERSARY_PATHLEN_LIMIT", 0);
-  }
-  const bool any_behavior =
-      cfg.pathlen_prevalence > 0.0 || cfg.default_route_prevalence > 0.0 ||
-      cfg.peerlock_prevalence > 0.0 || cfg.destabilizer_prevalence > 0.0;
-  cfg.enabled = cfg.enabled || any_behavior;
   return cfg;
 }
 

@@ -71,15 +71,6 @@ struct AdversaryConfig {
   // Preset used by bench/sec8_adversarial and LG_ADVERSARY: one prevalence
   // knob applied to every behavior class (0 = disabled clean plane).
   static AdversaryConfig at_prevalence(double prevalence);
-  // Honor LG_ADVERSARY ("off"/"0" = disabled, else a prevalence in [0, 1])
-  // plus the per-behavior overrides LG_ADVERSARY_SEED,
-  // LG_ADVERSARY_PATHLEN, LG_ADVERSARY_DEFAULT_ROUTE,
-  // LG_ADVERSARY_PEERLOCK, LG_ADVERSARY_DESTABILIZERS, and
-  // LG_ADVERSARY_PATHLEN_LIMIT (sets min=max). Parsing is strict
-  // (util/env_knobs.h): malformed or out-of-range values throw
-  // std::invalid_argument naming the knob, never a silent fallback.
-  static AdversaryConfig from_env(AdversaryConfig base);
-  static AdversaryConfig from_env() { return from_env(AdversaryConfig{}); }
 };
 
 // Coarse role of an AS in the topology, the unit of behavior eligibility.

@@ -243,10 +243,9 @@ void EpisodeMachine::watch(std::size_t i, double now) {
   Slot& s = slots_[i];
   // MONITOR is steady state and HOLDDOWN a deliberate cooldown: neither is
   // stuck.
-  if (timing_.stall_threshold_seconds <= 0.0 || s.stalled ||
-      s.state == EpisodeState::kMonitor ||
+  if (s.stalled || s.state == EpisodeState::kMonitor ||
       s.state == EpisodeState::kHolddown ||
-      now - s.entered_at <= timing_.stall_threshold_seconds) {
+      now - s.entered_at <= kStallSeconds) {
     return;
   }
   s.stalled = true;

@@ -98,7 +98,9 @@ struct EpisodeRecord {
   std::string note;
 };
 
-// The stall watchdog's default threshold, simulated seconds.
+// The stall watchdog's threshold, simulated seconds: an episode sitting in
+// an active state (not MONITOR or HOLDDOWN) longer than this is flagged
+// once per residency.
 inline constexpr double kStallSeconds = 1800.0;
 
 // The §4 cadences core::Lifeguard, fleet::EpisodeManager and the fleet's
@@ -112,14 +114,11 @@ inline constexpr double kAtlasRefreshSeconds = 600.0;
 inline constexpr double kSentinelRoundSeconds = 120.0;
 
 // Lifecycle timing a driver hands the machine. An episode opening within
-// flap_window_seconds of its slot's last close is a flap re-entry (0: never);
-// one sitting in an active state (not MONITOR or HOLDDOWN) longer than
-// stall_threshold_seconds is flagged once (0 disables the watchdog).
+// flap_window_seconds of its slot's last close is a flap re-entry (0: never).
 struct EpisodeTiming {
   double holddown_seconds = 0.0;
   double holddown_max_seconds = 0.0;
   double flap_window_seconds = 0.0;
-  double stall_threshold_seconds = kStallSeconds;
 
   // Holddown after `flaps` flap re-entries: the base doubles per flap
   // (shift clamped at 10 so the multiplier cannot overflow), saturating at
@@ -206,7 +205,7 @@ class EpisodeMachine {
   // A note on slot i's current residency span.
   void annotate(std::size_t i, const char* key, double value);
   // Stall watchdog: flag slot i once if it has sat in one active state
-  // longer than the threshold. Observation only.
+  // longer than kStallSeconds. Observation only.
   void watch(std::size_t i, double now);
 
   // ---- checkpoint ----

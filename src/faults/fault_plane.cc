@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/env_knobs.h"
 #include "util/rng.h"
 
 namespace lg::faults {
@@ -44,17 +41,6 @@ FaultConfig FaultConfig::at_intensity(double intensity) {
   cfg.vantage_dropout_period = 600.0;
   cfg.vantage_dropout_prob = 0.10 * f;
   cfg.vantage_down_seconds = 120.0;
-  return cfg;
-}
-
-FaultConfig FaultConfig::from_env() {
-  FaultConfig cfg;  // disabled default
-  if (const char* v = std::getenv("LG_FAULTS")) {
-    if (std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0) {
-      cfg = at_intensity(util::env_fraction_knob("LG_FAULTS", 0.0));
-    }
-  }
-  cfg.seed = util::env_u64_knob("LG_FAULTS_SEED", cfg.seed);
   return cfg;
 }
 

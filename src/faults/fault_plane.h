@@ -79,11 +79,6 @@ struct FaultConfig {
   // Preset used by the robustness bench and LG_FAULTS: scale every fault
   // class by one intensity knob in [0, 1] (0 = disabled clean plane).
   static FaultConfig at_intensity(double intensity);
-  // Honor LG_FAULTS ("off"/"0" = disabled, else an intensity in [0, 1])
-  // and LG_FAULTS_SEED (decimal seed override). Unset = disabled default.
-  // Parsing is strict (util/env_knobs.h): a malformed or out-of-range value
-  // throws std::invalid_argument naming the knob.
-  static FaultConfig from_env();
 };
 
 // current() is the plane instrumented code consults: the one installed on

@@ -17,11 +17,15 @@
 
 namespace lg::fleet {
 
-// Bucket depths for the fleet and the service plane: a fleet-wide burst of
-// announcements (split over the shards, each keeping a floor of one token
-// so it can make progress) and a per-shard probe burst of about two
-// isolations (§5.4).
+// Bucket rates and depths for the fleet and the service plane: fleet-wide
+// poison/prepend announcements per hour and a burst of them (split over the
+// shards, each keeping a floor of one token so it can make progress), and
+// the probes per second each shard may spend on isolations with a burst of
+// about two isolations (§5.4). The service plane's announcement rate is a
+// setting (ServiceConfig::announce_per_hour) that defaults to this one.
+inline constexpr double kAnnouncePerHour = 60.0;
 inline constexpr double kAnnounceBurst = 16.0;
+inline constexpr double kProbeRatePerSecond = 10.0;
 inline constexpr double kProbeBurst = 600.0;
 
 // Deterministic token bucket. Refill is computed lazily from the last

@@ -46,7 +46,7 @@ EpisodeManager::EpisodeManager(workload::SimWorld& world, AsId origin,
       sentinel_(world.prober(), origin),
       announce_(&announce_budget),
       admission_(&probe_admission),
-      machine_(fleet_timing(cfg.stall_threshold_seconds)) {
+      machine_(fleet_timing()) {
   util::require_period("EpisodeConfig::ping_interval", cfg.ping_interval);
   util::require_period("EpisodeConfig::defer_retry_seconds",
                        cfg.defer_retry_seconds);

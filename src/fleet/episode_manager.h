@@ -66,11 +66,6 @@ struct EpisodeConfig {
   double ping_interval = core::kPingIntervalSeconds;
   // Re-try a budget-deferred isolation/remediation this often.
   double defer_retry_seconds = 60.0;
-  // Stall watchdog: an episode sitting in one state (excluding MONITOR and
-  // HOLDDOWN, which are parked on purpose) longer than this is flagged
-  // once (core::EpisodeMachine::watch). 0 disables. LG_FLEET_STALL_SECONDS
-  // overrides it for fleet runs (FleetConfig::from_env).
-  double stall_threshold_seconds = core::kStallSeconds;
 };
 
 // The fleet's episode policy, shared by EpisodeManager and the service
@@ -88,10 +83,9 @@ inline constexpr double kHolddownSeconds = 600.0;
 inline constexpr double kHolddownMaxSeconds = 3600.0;
 inline constexpr double kFlapWindowSeconds = 1800.0;
 
-// That timing, with the stall watchdog at `stall_seconds`.
-constexpr core::EpisodeTiming fleet_timing(double stall_seconds) {
-  return {kHolddownSeconds, kHolddownMaxSeconds, kFlapWindowSeconds,
-          stall_seconds};
+// That timing, as core::EpisodeTiming.
+constexpr core::EpisodeTiming fleet_timing() {
+  return {kHolddownSeconds, kHolddownMaxSeconds, kFlapWindowSeconds};
 }
 
 // One shard's worth of the fleet: monitors `targets` from `origin` inside

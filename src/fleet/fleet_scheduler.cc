@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "run/trial_runner.h"
-#include "util/env_knobs.h"
 #include "util/rng.h"
 #include "workload/outages.h"
 
@@ -30,17 +28,6 @@ void append_num(std::ostringstream& os, double v) {
 }
 
 }  // namespace
-
-FleetConfig FleetConfig::from_env(FleetConfig base) {
-  base.targets = util::env_size_knob("LG_FLEET_TARGETS", base.targets);
-  base.announce_per_hour = util::env_double_knob(
-      "LG_FLEET_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
-  base.probe_rate_per_second = util::env_double_knob(
-      "LG_FLEET_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
-  base.episode.stall_threshold_seconds = util::env_double_knob(
-      "LG_FLEET_STALL_SECONDS", base.episode.stall_threshold_seconds, 0.0);
-  return base;
-}
 
 ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
                             std::uint64_t seed) {
@@ -81,9 +68,9 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
   report.targets = targets.size();
 
   const double shards_d = static_cast<double>(cfg.shards);
-  AnnouncementBudget announce(cfg.announce_per_hour / 3600.0 / shards_d,
+  AnnouncementBudget announce(kAnnouncePerHour / 3600.0 / shards_d,
                               std::max(1.0, kAnnounceBurst / shards_d));
-  ProbeAdmission admission(cfg.probe_rate_per_second, kProbeBurst);
+  ProbeAdmission admission(kProbeRatePerSecond, kProbeBurst);
 
   EpisodeManager manager(world, origin, std::move(targets), announce,
                          admission, cfg.episode);

@@ -31,13 +31,6 @@ struct FleetConfig {
   // Monitoring horizon in simulated seconds; in-flight episodes are allowed
   // to settle past it.
   double horizon_seconds = 2.0 * 3600.0;
-  // Global announcement budget: poison/prepend announcements per hour
-  // across the fleet, split evenly over the shards (fleet/budget.h has the
-  // bucket depths).
-  double announce_per_hour = 60.0;
-  // Probe budget per shard: sustained probes/second the admission
-  // controller may spend on isolations.
-  double probe_rate_per_second = 10.0;
   // Fleet-wide outage arrival rate (split over shards); durations follow
   // the EC2-calibrated mixture, truncated so a bounded run can settle.
   double outages_per_hour = 24.0;
@@ -45,15 +38,6 @@ struct FleetConfig {
   // targets/shards destinations.
   topo::TopologyParams shard_topology;
   EpisodeConfig episode;
-
-  // Apply LG_FLEET_TARGETS / LG_FLEET_ANNOUNCE_BUDGET (announcements per
-  // hour) / LG_FLEET_PROBE_BUDGET (probes per second per shard) /
-  // LG_FLEET_STALL_SECONDS (stall watchdog threshold, 0 disables) on top of
-  // `base`. Malformed or out-of-range values throw std::invalid_argument
-  // with a diagnostic naming the knob (see util/env_knobs.h) — a capacity
-  // run must not silently proceed with a config the operator did not set.
-  static FleetConfig from_env(FleetConfig base);
-  static FleetConfig from_env() { return from_env(FleetConfig{}); }
 };
 
 struct ShardReport {

@@ -105,7 +105,7 @@ class ServicePlane {
         production_(topo::AddressPlan::production_prefix(origin)),
         slots_(cfg.slots),
         slot_owner_(slots_, kFreeSlot),
-        machine_(fleet_timing(core::kStallSeconds)),
+        machine_(fleet_timing()),
         trace_(&obs::TraceRing::current()) {
     providers_ = world_->graph().providers(origin_);
     std::sort(providers_.begin(), providers_.end());
@@ -691,21 +691,16 @@ ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
   base.clients = util::env_size_knob("LG_SERVICE_CLIENTS", base.clients);
   base.horizon_seconds =
       util::env_double_knob("LG_SERVICE_HORIZON", base.horizon_seconds, 1.0);
-  base.tick_seconds =
-      util::env_double_knob("LG_SERVICE_TICK", base.tick_seconds, 1.0);
   base.outages_per_hour = util::env_double_knob(
       "LG_SERVICE_OUTAGE_RATE", base.outages_per_hour, 0.0);
   base.announce_per_hour = util::env_double_knob(
       "LG_SERVICE_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
-  base.probe_rate_per_second = util::env_double_knob(
-      "LG_SERVICE_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
   return base;
 }
 
 ServiceShardReport run_service_shard(const ServiceConfig& cfg,
                                      std::size_t shard, std::uint64_t seed,
                                      const ServiceRun& run) {
-  util::require_period("ServiceConfig::tick_seconds", cfg.tick_seconds);
   if (cfg.slots > 15) {
     throw std::invalid_argument(
         "ServiceConfig::slots: at most 15 /28 slots fit beside the "
@@ -735,7 +730,7 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
   const double shards_d = static_cast<double>(cfg.shards);
   AnnouncementBudget announce(cfg.announce_per_hour / 3600.0 / shards_d,
                               std::max(1.0, kAnnounceBurst / shards_d));
-  ProbeAdmission admission(cfg.probe_rate_per_second, kProbeBurst);
+  ProbeAdmission admission(kProbeRatePerSecond, kProbeBurst);
 
   ServicePlane plane(world, cfg, shard, seed, origin, announce, admission);
   if (run.restore_blob != nullptr) {
@@ -749,10 +744,10 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
     plane.setup();
   }
 
-  const double tick = cfg.tick_seconds;
   bool checkpointed = false;
   while (true) {
-    const double t = tick * static_cast<double>(plane.ticks() + 1);
+    const double t =
+        kServiceTickSeconds * static_cast<double>(plane.ticks() + 1);
     if (t > cfg.horizon_seconds + 1e-9) break;
     if (world.scheduler().now() < t) world.scheduler().run(t);
     plane.tick(std::max(t, world.scheduler().now()));
@@ -770,7 +765,8 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
     // failures expire, in-flight episodes settle, slots revert.
     const double drain_end = cfg.horizon_seconds + cfg.drain_cap_seconds;
     while (!plane.drained()) {
-      const double t = tick * static_cast<double>(plane.ticks() + 1);
+      const double t =
+          kServiceTickSeconds * static_cast<double>(plane.ticks() + 1);
       if (t > drain_end + 1e-9) break;
       if (world.scheduler().now() < t) world.scheduler().run(t);
       plane.tick(std::max(t, world.scheduler().now()));

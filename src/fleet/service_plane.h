@@ -10,9 +10,9 @@
 //    partitioned over the same fixed shard count as the fleet (the shard
 //    count, never the thread count, defines the partition);
 //  * one core::EpisodeMachine slot per prefix (MONITOR → ISOLATE →
-//    REMEDIATE → VERIFY → HOLDDOWN), on the fleet's lifecycle timing
-//    (fleet_timing in fleet/episode_manager.h) and observed like every
-//    other episode;
+//    REMEDIATE → VERIFY → HOLDDOWN), on the fleet's holddown and flap
+//    timing (fleet/episode_manager.h) and observed like every other
+//    episode;
 //  * a serviced prefix is its key (bookkeeping identity + policy), never
 //    routed itself; real BGP work is leased through a small pool of
 //    physical /28 remediation slots carved from the origin's production
@@ -50,6 +50,10 @@
 
 namespace lg::fleet {
 
+// Service tick, simulated seconds: ping cadence, per-prefix state-machine
+// step and failure-expiry check. Checkpoints land on tick boundaries.
+inline constexpr double kServiceTickSeconds = core::kPingIntervalSeconds;
+
 struct ServiceConfig {
   // Serviced (prefix, origin-policy) pairs across the whole fleet.
   std::size_t prefixes = 2000;
@@ -65,8 +69,6 @@ struct ServiceConfig {
   // Length of the streaming trace in simulated seconds. The plane itself is
   // open-ended; the horizon only bounds one harness run.
   double horizon_seconds = 2.0 * 3600.0;
-  // Service tick: ping cadence, state-machine step, failure expiry check.
-  double tick_seconds = core::kPingIntervalSeconds;
   // Outage injection starts here (baseline must be converged first).
   double warmup_seconds = 300.0;
   // After the horizon, keep ticking (without new injections) until
@@ -76,18 +78,15 @@ struct ServiceConfig {
   // production /24. At most 15: the /28 containing the production host
   // address is never leased, so detection pings keep riding the baseline.
   std::size_t slots = 8;
-  // Fleet-wide announcement budget (split over shards) and per-shard probe
-  // admission, as in FleetConfig.
-  double announce_per_hour = 60.0;
-  double probe_rate_per_second = 10.0;
+  // Fleet-wide announcement budget, split over shards (fleet/budget.h).
+  double announce_per_hour = kAnnouncePerHour;
   // Fleet-wide streaming outage arrival rate (split over shards).
   double outages_per_hour = 24.0;
   topo::TopologyParams shard_topology;
 
   // Apply LG_SERVICE_PREFIXES / LG_SERVICE_CLIENTS / LG_SERVICE_HORIZON
-  // (seconds) / LG_SERVICE_TICK (seconds) / LG_SERVICE_OUTAGE_RATE (per
-  // hour) / LG_SERVICE_ANNOUNCE_BUDGET (per hour) / LG_SERVICE_PROBE_BUDGET
-  // (probes per second per shard) on top of `base`. Malformed or
+  // (seconds) / LG_SERVICE_OUTAGE_RATE (per hour) /
+  // LG_SERVICE_ANNOUNCE_BUDGET (per hour) on top of `base`. Malformed or
   // out-of-range values throw std::invalid_argument with a diagnostic
   // naming the knob (util/env_knobs.h).
   static ServiceConfig from_env(ServiceConfig base);
@@ -177,8 +176,7 @@ struct ServiceRun {
 // One shard, runnable directly (unit tests drive single shards). `seed`
 // plays the role of run::trial_seed(base_seed, shard). Metrics, spans and
 // trace land in whatever registries are current. Throws
-// std::invalid_argument naming the field when tick_seconds is not a
-// positive period or slots exceeds 15.
+// std::invalid_argument naming the field when slots exceeds 15.
 ServiceShardReport run_service_shard(const ServiceConfig& cfg,
                                      std::size_t shard, std::uint64_t seed,
                                      const ServiceRun& run = {});

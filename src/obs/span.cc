@@ -16,8 +16,9 @@ SpanRegistry& SpanRegistry::global() {
 }
 
 void SpanRegistry::configure_from_env() {
-  enabled_ = util::env_switch(
-      "LG_SPANS", enabled_ || std::getenv("LG_TRACE_OUT") != nullptr);
+  const char* out = std::getenv("LG_TRACE_OUT");
+  enabled_ = util::env_switch("LG_SPANS",
+                              enabled_ || (out != nullptr && out[0] != '\0'));
 }
 
 SpanId SpanRegistry::begin(double t, const char* name, SpanId parent,

@@ -71,9 +71,9 @@ class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
 
   void set_enabled(bool on) noexcept { enabled_ = on; }
   bool enabled() const noexcept { return enabled_; }
-  // Honor the LG_SPANS switch (util::env_switch). A set LG_TRACE_OUT makes
-  // its default "on", since the Perfetto exporter has nothing to render
-  // without spans.
+  // Honor the LG_SPANS switch (util::env_switch). A non-empty LG_TRACE_OUT
+  // makes its default "on", since the Perfetto exporter has nothing to
+  // render without spans; an empty one is unset, as for the exporter.
   void configure_from_env();
 
   // Id-stream base (a trial seed) and Perfetto track. Set by TrialRunner

@@ -11,12 +11,10 @@
 //    forwarding (the captive signature);
 //  * destabilizer schedules are finite, alternating, and bounded by the
 //    engine's route-flap damping;
-//  * the differential oracle agrees with the engine with adversaries on;
-//  * LG_ADVERSARY* env parsing is strict (no silent fallbacks).
+//  * the differential oracle agrees with the engine with adversaries on.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
+#include <optional>
 #include <vector>
 
 #include "adversary/adversary_plane.h"
@@ -453,69 +451,6 @@ TEST(AdversaryDifferential, ReplaysSeedFromEnvironment) {
   opt.adversary_prevalence = 0.5;
   const auto result = check::run_scenario(opt);
   EXPECT_TRUE(result.ok()) << result.summary();
-}
-
-// ---- Strict env parsing ------------------------------------------------
-
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* prior = std::getenv(name);
-    if (prior != nullptr) prior_ = prior;
-    ::setenv(name, value, 1);
-  }
-  ~EnvGuard() {
-    if (prior_.has_value()) {
-      ::setenv(name_, prior_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> prior_;
-};
-
-TEST(AdversaryEnv, FromEnvHonorsPrevalenceKnobs) {
-  EnvGuard on("LG_ADVERSARY", "0.25");
-  EnvGuard pathlen("LG_ADVERSARY_PATHLEN", "0.75");
-  const auto cfg = AdversaryConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.pathlen_prevalence, 0.75);  // override wins
-  EXPECT_EQ(cfg.default_route_prevalence, 0.25);
-}
-
-TEST(AdversaryEnv, OffDisables) {
-  EnvGuard on("LG_ADVERSARY", "off");
-  EXPECT_FALSE(AdversaryConfig::from_env().enabled);
-}
-
-TEST(AdversaryEnv, SingleBehaviorKnobEnables) {
-  EnvGuard knob("LG_ADVERSARY_PEERLOCK", "1.0");
-  const auto cfg = AdversaryConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.peerlock_prevalence, 1.0);
-  EXPECT_EQ(cfg.pathlen_prevalence, 0.0);
-}
-
-TEST(AdversaryEnv, MalformedValuesThrow) {
-  {
-    EnvGuard bad("LG_ADVERSARY_PATHLEN", "lots");
-    EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
-  }
-  {
-    EnvGuard range("LG_ADVERSARY_DEFAULT_ROUTE", "1.5");
-    EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
-  }
-  {
-    EnvGuard seed("LG_ADVERSARY_SEED", "0x12");
-    EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
-  }
-  {
-    EnvGuard limit("LG_ADVERSARY_PATHLEN_LIMIT", "0");
-    EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
-  }
 }
 
 }  // namespace

@@ -50,7 +50,6 @@ EpisodeTiming fleet_timing() {
   t.holddown_seconds = 600.0;
   t.holddown_max_seconds = 3600.0;
   t.flap_window_seconds = 1800.0;
-  t.stall_threshold_seconds = 1800.0;
   return t;
 }
 

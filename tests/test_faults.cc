@@ -12,8 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -76,36 +74,6 @@ TEST(FaultPlane, AtIntensityZeroDisablesEverything) {
   // Clamped above 1.
   EXPECT_EQ(faults::FaultConfig::at_intensity(7.0).update_loss_prob,
             full.update_loss_prob);
-}
-
-// LG_FAULTS and LG_FAULTS_SEED parse strictly (util/env_knobs.h): garbage
-// throws a diagnostic naming the knob instead of running intensity 0.
-TEST(FaultPlane, FromEnvParsesStrictly) {
-  const auto expect_throw = [](const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    try {
-      (void)faults::FaultConfig::from_env();
-      ADD_FAILURE() << name << "=" << value << " must throw";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-          << e.what();
-    }
-    ::unsetenv(name);
-  };
-  expect_throw("LG_FAULTS", "abc");
-  expect_throw("LG_FAULTS", "1.5");
-  expect_throw("LG_FAULTS_SEED", "12x");
-  expect_throw("LG_FAULTS_SEED", "-3");
-
-  ::setenv("LG_FAULTS", "0.5", 1);
-  ::setenv("LG_FAULTS_SEED", "77", 1);
-  const auto cfg = faults::FaultConfig::from_env();
-  ::unsetenv("LG_FAULTS");
-  ::unsetenv("LG_FAULTS_SEED");
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_EQ(cfg.seed, 77u);
-  EXPECT_EQ(cfg.update_loss_prob,
-            faults::FaultConfig::at_intensity(0.5).update_loss_prob);
 }
 
 TEST(FaultPlane, WindowedVerdictsAreQueryOrderIndependent) {

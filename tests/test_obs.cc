@@ -10,7 +10,9 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/lifeguard.h"
 #include "obs/metrics.h"
@@ -241,6 +243,16 @@ TEST(EnvKnobsTest, TraceOutEnablesSpansUnlessSwitchedOff) {
   EXPECT_FALSE(reg.enabled());
 }
 
+// An empty LG_TRACE_OUT names no file: the exporter skips it, so it must not
+// switch spans on either.
+TEST(EnvKnobsTest, EmptyTraceOutLeavesSpansOff) {
+  const EnvGuard out("LG_TRACE_OUT", "");
+  const EnvGuard spans("LG_SPANS", nullptr);
+  obs::SpanRegistry reg;
+  reg.configure_from_env();
+  EXPECT_FALSE(reg.enabled());
+}
+
 // strtod reads these as numbers; an infinite LG_SERVICE_HORIZON would never
 // end the service plane's tick loop, so every numeric knob rejects them
 // with the usual diagnostic naming the knob.
@@ -255,6 +267,60 @@ TEST(EnvKnobsTest, RejectsNonFiniteNumbers) {
                 std::string("LG_SERVICE_HORIZON: expected a finite number, "
                             "got '") + value + "'");
     }
+  }
+}
+
+// Each numeric parser on a knob a bench reads it for: every malformed value
+// throws a diagnostic that opens with the knob's name, and a valid value
+// parses.
+TEST(EnvKnobsTest, StrictParsersRejectMalformedInput) {
+  struct Row {
+    const char* knob;
+    double (*parse)(const char* knob);
+    std::vector<const char*> malformed;
+    const char* valid;
+    double want;
+  };
+  const Row rows[] = {
+      {"LG_FLEET_TARGETS",
+       [](const char* k) {
+         return static_cast<double>(util::env_size_knob(k, 1000));
+       },
+       {"garbage", "1O00", "0", "-5", " 500", "+500"},
+       "250",
+       250.0},
+      {"LG_FAULTS",
+       [](const char* k) { return util::env_fraction_knob(k, 0.0); },
+       {"abc", "1.5"},
+       "0.5",
+       0.5},
+      {"LG_FAULTS_SEED",
+       [](const char* k) {
+         return static_cast<double>(util::env_u64_knob(k, 0x666c7453ULL));
+       },
+       {"12x", "-3", "0x12"},
+       "77",
+       77.0},
+      {"LG_SERVICE_ANNOUNCE_BUDGET",
+       [](const char* k) { return util::env_double_knob(k, 60.0, 0.0); },
+       {"12.5x", "-1"},
+       "12.5",
+       12.5},
+  };
+  for (const Row& row : rows) {
+    for (const char* value : row.malformed) {
+      const EnvGuard env(row.knob, value);
+      try {
+        (void)row.parse(row.knob);
+        ADD_FAILURE() << row.knob << "='" << value << "' was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(std::string(e.what()).starts_with(
+            std::string(row.knob) + ": "))
+            << e.what();
+      }
+    }
+    const EnvGuard env(row.knob, row.valid);
+    EXPECT_EQ(row.parse(row.knob), row.want) << row.knob << "=" << row.valid;
   }
 }
 

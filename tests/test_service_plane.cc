@@ -321,8 +321,7 @@ TEST(ServicePlaneTest, RestoreRejectsCorruptEpisodeStateByte) {
   }
 }
 
-// A zero tick re-schedules the service tick at the same instant forever,
-// and slots beyond 15 used to be cut silently.
+// Slots beyond 15 used to be cut silently.
 TEST(ServiceConfigTest, RunRejectsConfigsItCannotRun) {
   const auto expect_rejected = [](const fleet::ServiceConfig& cfg,
                                   const char* field) {
@@ -335,9 +334,6 @@ TEST(ServiceConfigTest, RunRejectsConfigsItCannotRun) {
     }
   };
   fleet::ServiceConfig cfg = small_service_config();
-  cfg.tick_seconds = 0.0;
-  expect_rejected(cfg, "ServiceConfig::tick_seconds");
-  cfg = small_service_config();
   cfg.slots = 16;
   expect_rejected(cfg, "ServiceConfig::slots");
 }
