@@ -97,18 +97,14 @@ int main() {
   bench::JsonReport jr("internet_scale");
 
   // ---- topology ----
-  const char* file = std::getenv("LG_TOPOLOGY_FILE");
-  const char* scale = std::getenv("LG_TOPOLOGY_SCALE");
-  topo::GeneratedTopology topo;
-  if ((file != nullptr && file[0] != '\0') ||
-      (scale != nullptr && scale[0] != '\0')) {
-    topo = topo::topology_from_env({});  // FILE wins over SCALE
-  } else {
-    topo = topo::generate_internet_scale({});  // 70k-AS synthetic default
-  }
-  jr->set_config("source", file != nullptr && file[0] != '\0'
-                               ? std::string(file)
-                               : std::string("synthetic"));
+  // The environment's topology, else the 70k-AS synthetic default.
+  auto from_env = topo::env_topology(topo::TopologyParams{}.seed);
+  topo::GeneratedTopology topo = from_env
+                                     ? std::move(*from_env)
+                                     : topo::generate_internet_scale({});
+  const char* file = topo::env_topology_file();
+  jr->set_config("source", file != nullptr ? std::string(file)
+                                           : std::string("synthetic"));
   jr->set_config("ases", static_cast<double>(topo.graph.num_ases()));
   jr->set_config("links", static_cast<double>(topo.graph.num_links()));
   bench::section("substrate");

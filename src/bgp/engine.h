@@ -196,19 +196,27 @@ class BgpEngine {
   // ---- Checkpoint/restore (implemented in bgp/snapshot.cc) ----
   // Save (BinWriter) or reinstate (BinReader) the full control-plane state:
   // every speaker's RIBs (with engine-wide interning of shared
-  // path/community buffers), the per-(session, prefix) MRAI tables, the
-  // engine RNG mid-stream (link-delay / MRAI jitter consumption), and the
-  // resettable counters. A snapshot loads only into an engine built over
-  // the same topology with the same configuration; existing speaker state
-  // is replaced wholesale. Precondition for both: the engine is quiesced —
-  // no frontier bucket pending and no update in flight (throws
-  // std::runtime_error otherwise; in-flight closures cannot be serialized).
+  // path/community buffers), the MRAI timers still running at the
+  // scheduler's now, the engine RNG mid-stream (link-delay / MRAI jitter
+  // consumption), and the resettable counters. A snapshot loads only into
+  // an engine built over the same topology with the same configuration,
+  // whose scheduler has the saving one's clock (Scheduler::restore_state):
+  // a timer is running or expired by that clock. Existing speaker state is
+  // replaced wholesale, so the loading engine need not have converged
+  // anything. Precondition for both: the engine is quiesced — no frontier
+  // bucket pending, no update in flight and no deferred MRAI flush pending
+  // (throws std::runtime_error otherwise; scheduler closures cannot be
+  // serialized).
   void serialize(util::BinWriter& w) const;
   void serialize(util::BinReader& r);
 
  private:
+  // Checkpointed only while ready_at is ahead of the clock: a past deadline
+  // cannot defer a send again.
   struct MraiState {
     double ready_at = 0.0;
+    // A deferred flush closure is queued at ready_at. Never checkpointed: a
+    // snapshot refuses an engine with one pending.
     bool flush_scheduled = false;
     // Delivery time of the last update sent on this (session, prefix); the
     // next one is never due earlier. Not checkpointed: a snapshot needs a

@@ -1,14 +1,20 @@
 // BGP engine checkpoint/restore (see engine.h / speaker.h declarations).
 //
-// Format: one engine section (tag "BGEN") holding RNG state, counters, MRAI
-// tables, and the per-speaker sections (tag "BSPK") in AS-index order. All
-// keyed state is serialized in sorted-key order, and per-prefix state in
-// ascending prefix order, never by the engine's prefix ids: ids number
-// prefixes in the order an engine first saw them, and a snapshot must be
-// byte-identical across processes and load into an engine that numbered its
-// prefixes differently. Every layout below is written once and driven by
+// Format: one engine section (tag "BGEN") holding RNG state, counters, the
+// running MRAI timers, and the per-speaker sections (tag "BSPK") in AS-index
+// order. All keyed state is serialized in sorted-key order, and per-prefix
+// state in ascending prefix order, never by the engine's prefix ids: ids
+// number prefixes in the order an engine first saw them, and a snapshot must
+// be byte-identical across processes and load into an engine that numbered
+// its prefixes differently. Every layout below is written once and driven by
 // both util::BinWriter and util::BinReader (util/codec.h), so the save and
 // load directions cannot drift apart.
+//
+// A snapshot holds only the state a restore needs. Each RIB side stores its
+// slot count and then only its occupied slots, and each MRAI table only the
+// timers still running; counts, slot steps and intern ids are LEB128
+// varints. A converged RIB leaves most slots empty and every timer expired,
+// so this is a fraction of the dense in-memory tables.
 //
 // Shared buffers: PathRef/CommunitiesRef deliberately share one immutable
 // buffer across every holder (Adj-RIB-In, Loc-RIB best, export cache,
@@ -22,6 +28,7 @@
 // its state in sorted order. Id 0 is reserved for the empty ref; a new
 // buffer's contents are written inline at its first reference, so loading
 // rebuilds the pool in one pass.
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -44,7 +51,10 @@ constexpr std::uint32_t kSpeakerTag = 0x4b505342;  // "BSPK"
 // v3: deliveries keep per-(session, prefix) order by send-time due times, so
 // the MRAI entries lost their sequence counter and the delivered-sequence
 // tables are gone.
-constexpr std::uint32_t kVersion = 3;
+// v4: sparse RIB sides (occupied slots only, learned-from derived from the
+// session), running MRAI timers only (the flush flag left the format), and
+// varint counts and intern ids.
+constexpr std::uint32_t kVersion = 4;
 
 // One intern table: buffer address -> id when saving, id -> ref when
 // loading.
@@ -54,8 +64,7 @@ class InternPool {
   template <class Ar, util::MaybeConst<Ref> R>
   void operator()(Ar& ar, R& ref) {
     if constexpr (Ar::kLoading) {
-      std::uint32_t id = 0;
-      ar.u32(id);
+      const std::uint64_t id = ar.var();
       if (id < refs_.size()) {
         ref = refs_[id];
         return;
@@ -64,17 +73,17 @@ class InternPool {
         throw std::runtime_error("snapshot: intern id out of order");
       }
       Values values;
-      ar.vec(values, 4, [&](auto& v) { ar.u32(v); });
+      ar.var_vec(values, 4, [&](auto& v) { ar.u32(v); });
       ref = refs_.emplace_back(std::move(values));
     } else {
       if (ref.empty()) {
-        ar.u32(0u);
+        ar.var(0);
         return;
       }
       const auto [it, fresh] = ids_.try_emplace(
           &ref.get(), static_cast<std::uint32_t>(ids_.size() + 1));
-      ar.u32(it->second);
-      if (fresh) ar.vec(ref.get(), 4, [&](auto v) { ar.u32(v); });
+      ar.var(it->second);
+      if (fresh) ar.var_vec(ref.get(), 4, [&](auto v) { ar.u32(v); });
     }
   }
 
@@ -100,7 +109,7 @@ void avoid_hint(Ar& ar, H& h) {
 
 template <class Ar, class Table>
 void hint_table(Ar& ar, Table& t) {
-  ar.vec(t, 9, [&](auto& entry) {
+  ar.var_vec(t, 9, [&](auto& entry) {
     ar.u32(entry.first);
     avoid_hint(ar, entry.second);
   });
@@ -115,7 +124,7 @@ template <class Ar, class Ids, class Has, class Fn>
 void by_prefix(Ar& ar, Ids& ids, const std::vector<std::uint32_t>& order,
                std::size_t min_entry_bytes, Has&& has, Fn&& fn) {
   if constexpr (Ar::kLoading) {
-    const std::size_t n = ar.count(min_entry_bytes);
+    const std::size_t n = ar.var_count(min_entry_bytes);
     for (std::size_t i = 0; i < n; ++i) {
       Prefix p;
       prefix(ar, p);
@@ -128,7 +137,7 @@ void by_prefix(Ar& ar, Ids& ids, const std::vector<std::uint32_t>& order,
   } else {
     std::size_t n = 0;
     for (const std::uint32_t pid : order) n += has(pid) ? 1 : 0;
-    ar.size(n);
+    ar.var(n);
     for (const std::uint32_t pid : order) {
       if (!has(pid)) continue;
       const Prefix p = ids.prefix(pid);
@@ -166,7 +175,7 @@ void policy(Ar& ar, SnapshotPools& pools, P& pol) {
     ar.u32(as);
     ar.opt(entry, [&](auto& p) { pools.path(ar, p); });
   });
-  ar.vec(pol.communities, 4, [&](auto& c) { ar.u32(c); });
+  ar.var_vec(pol.communities, 4, [&](auto& c) { ar.u32(c); });
   ar.opt(pol.avoid_hint, [&](auto& h) { avoid_hint(ar, h); });
 }
 
@@ -197,7 +206,7 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   // Runtime-mutable config (mutable_config() lets harnesses flip policy
   // flags after construction, so the snapshot carries them).
   auto& cfg = self.cfg_;
-  ar.size(cfg.loop_threshold);
+  ar.u64(cfg.loop_threshold);
   ar.b(cfg.loop_detection_disabled);
   ar.b(cfg.reject_customer_routes_containing_my_peers);
   ar.b(cfg.has_default_route);
@@ -209,28 +218,34 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   ar.f64(cfg.damping_reuse_threshold);
   ar.f64(cfg.damping_half_life_seconds);
   ar.f64(cfg.mrai_seconds);
-  ar.size(cfg.path_length_limit);
+  ar.u64(cfg.path_length_limit);
   ar.b(cfg.peerlock_filter);
 
   if constexpr (Ar::kLoading) self.states_.clear();
   const auto has = [&](std::uint32_t pid) {
     return self.state_at(pid) != nullptr;
   };
-  by_prefix(ar, *self.ids_, pools.order, 8, has, [&](std::uint32_t pid) {
+  by_prefix(ar, *self.ids_, pools.order, 15, has, [&](std::uint32_t pid) {
     if constexpr (Ar::kLoading) self.state_for(pid);
     auto& st = *self.state_at(pid);
 
+    // Each RIB side: its slot count, then its occupied slots only.
     std::size_t n_in = st.in.size();
-    ar.count(n_in, 10);
+    ar.var(n_in);
     if constexpr (Ar::kLoading) {
       check_slots(n_in, "Adj-RIB-In");
       st.in.assign(n_in);
     }
-    for (std::size_t i = 0; i < n_in; ++i) {
-      pools.path(ar, st.in.path()[i]);
-      pools.comm(ar, st.in.comm()[i]);
-      ar.u8(st.in.bytes(kInLearned)[i]);
-      ar.u8(st.in.bytes(kInPresent)[i]);
+    if (n_in != 0) {
+      const std::uint8_t* present = st.in.bytes(kInPresent);
+      util::ascending(
+          ar, n_in, 3, "Adj-RIB-In slot",
+          [&](std::size_t s) { return present[s] != 0; },
+          [&](std::size_t s) {
+            pools.path(ar, st.in.path()[s]);
+            pools.comm(ar, st.in.comm()[s]);
+            if constexpr (Ar::kLoading) self.set_in_present(st, s);
+          });
     }
     hint_table(ar, st.in_hints);
 
@@ -250,20 +265,37 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
     pools.path(ar, st.export_cache);
     ar.b(st.export_cache_valid);
 
+    // Adj-RIB-Out: a sent slot's tag, and the refs of an advertised one.
     std::size_t n_out = st.out.size();
-    ar.count(n_out, 9);
+    ar.var(n_out);
     if constexpr (Ar::kLoading) {
       check_slots(n_out, "Adj-RIB-Out");
       st.out.assign(n_out);
     }
-    for (std::size_t i = 0; i < n_out; ++i) {
-      ar.u8(st.out.bytes(kOutTag)[i]);
-      pools.path(ar, st.out.path()[i]);
-      pools.comm(ar, st.out.comm()[i]);
+    if (n_out != 0) {
+      std::uint8_t* tag = st.out.bytes(kOutTag);
+      util::ascending(
+          ar, n_out, 2, "Adj-RIB-Out slot",
+          [&](std::size_t s) { return tag[s] != kOutUnset; },
+          [&](std::size_t s) {
+            ar.u8(tag[s]);
+            if constexpr (Ar::kLoading) {
+              if (tag[s] != kOutNone && tag[s] != kOutUnit) {
+                throw std::runtime_error(
+                    "snapshot: AS " + std::to_string(self.id_) +
+                    " Adj-RIB-Out tag byte " + std::to_string(tag[s]) +
+                    " is out of range");
+              }
+            }
+            if (tag[s] == kOutUnit) {
+              pools.path(ar, st.out.path()[s]);
+              pools.comm(ar, st.out.comm()[s]);
+            }
+          });
     }
     hint_table(ar, st.out_hints);
 
-    ar.vec(cold.damping, 21, [&](auto& entry) {
+    ar.var_vec(cold.damping, 21, [&](auto& entry) {
       ar.u32(entry.first);
       ar.f64(entry.second.penalty);
       ar.f64(entry.second.last_update);
@@ -298,14 +330,26 @@ void BgpEngine::layout(Ar& ar, Self& self) {
     throw std::runtime_error(
         "BgpEngine::serialize: updates in flight (quiesce first)");
   }
+  // A deferred send's flush closure lives in the scheduler, which no
+  // snapshot carries: a restored flag would silence the session for that
+  // prefix for good.
+  for (const auto& table : self.mrai_) {
+    for (const MraiState& m : table) {
+      if (m.flush_scheduled) {
+        throw std::runtime_error(
+            "BgpEngine::serialize: a deferred MRAI flush is pending (run "
+            "the scheduler past it first)");
+      }
+    }
+  }
   ar.magic(kEngineTag, kVersion);
   util::serialize(ar, self.rng_);
   ar.u64(self.total_messages_);
   ar.f64(self.last_activity_);
   ar.u64(self.delivered_total_);
   ar.u64(self.pump_delivered_start_);
-  ar.vec(self.sent_by_, 8, [&](auto& v) { ar.u64(v); });
-  ar.vec(self.best_changes_, 8, [&](auto& v) { ar.u64(v); });
+  ar.var_vec(self.sent_by_, 8, [&](auto& v) { ar.u64(v); });
+  ar.var_vec(self.best_changes_, 8, [&](auto& v) { ar.u64(v); });
   const std::size_t n_speakers = self.speakers_.size();
   if (self.sent_by_.size() != n_speakers ||
       self.best_changes_.size() != n_speakers) {
@@ -313,39 +357,53 @@ void BgpEngine::layout(Ar& ar, Self& self) {
                              "(different topology?)");
   }
 
-  // MRAI tables: one entry per directed session, at sess_base_[sender] plus
-  // the neighbor's slot. last_due is left out: in a quiesced engine it is
-  // past.
+  // MRAI tables: per prefix, the timers still running (ready_at past the
+  // scheduler's now), each keyed by its directed session, sess_base_[sender]
+  // plus the neighbor's slot. An expired deadline never defers a send again
+  // (the argument that already leaves last_due out), so a loaded engine
+  // starts every other entry afresh and makes a prefix's table at its first
+  // fan-out.
   SnapshotPools pools;
   if constexpr (Ar::kLoading) {
     self.mrai_.clear();
   } else {
     pools.order = self.prefix_ids_.in_prefix_order();
   }
-  const std::size_t n_sessions = self.sess_nbr_.size();
+  std::size_t n_sessions = self.sess_nbr_.size();
+  ar.var(n_sessions);
+  if (n_sessions != self.sess_nbr_.size()) {
+    throw std::runtime_error(
+        "snapshot: MRAI tables cover " + std::to_string(n_sessions) +
+        " directed sessions, the topology has " +
+        std::to_string(self.sess_nbr_.size()) + " (different topology?)");
+  }
+  const double now = self.sched_->now();
+  const auto running = [&](const MraiState& m) { return m.ready_at > now; };
   const auto has = [&](std::uint32_t pid) {
-    return pid < self.mrai_.size() && !self.mrai_[pid].empty();
-  };
-  by_prefix(ar, self.prefix_ids_, pools.order, 13, has, [&](std::uint32_t pid) {
+    if (pid >= self.mrai_.size()) return false;
+    const auto& table = self.mrai_[pid];
     if constexpr (Ar::kLoading) {
-      if (pid >= self.mrai_.size()) self.mrai_.resize(pid + 1);
+      return !table.empty();
+    } else {
+      return std::any_of(table.begin(), table.end(), running);
     }
-    auto& table = self.mrai_[pid];
-    ar.vec(table, 9, [&](auto& ms) {
-      ar.f64(ms.ready_at);
-      ar.b(ms.flush_scheduled);
-    });
-    if (table.size() != n_sessions) {
-      throw std::runtime_error(
-          "snapshot: MRAI table for " + self.prefix_ids_.prefix(pid).str() +
-          " has " + std::to_string(table.size()) +
-          " entries, the topology has " + std::to_string(n_sessions) +
-          " directed sessions (different topology?)");
-    }
+  };
+  by_prefix(ar, self.prefix_ids_, pools.order, 6, has, [&](std::uint32_t pid) {
+    auto& table = [&]() -> auto& {
+      if constexpr (Ar::kLoading) {
+        return self.mrai_table(pid);
+      } else {
+        return self.mrai_[pid];
+      }
+    }();
+    util::ascending(
+        ar, n_sessions, 9, "MRAI session",
+        [&](std::size_t k) { return running(table[k]); },
+        [&](std::size_t k) { ar.f64(table[k].ready_at); });
   });
 
   std::size_t n = n_speakers;
-  ar.count(n, 1);
+  ar.var(n);
   if (n != n_speakers) {
     throw std::runtime_error("snapshot: speaker count mismatch "
                              "(different topology?)");

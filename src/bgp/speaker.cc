@@ -6,18 +6,6 @@
 namespace lg::bgp {
 
 namespace {
-LearnedFrom learned_from_rel(topo::Rel rel) {
-  switch (rel) {
-    case topo::Rel::kCustomer:
-      return LearnedFrom::kCustomer;
-    case topo::Rel::kPeer:
-      return LearnedFrom::kPeer;
-    case topo::Rel::kProvider:
-      return LearnedFrom::kProvider;
-  }
-  return LearnedFrom::kProvider;
-}
-
 // The first entry of a (key, value) side-table sorted by key whose key is
 // not below `key`.
 template <class Table, class Key>
@@ -213,9 +201,7 @@ bool BgpSpeaker::process_update(PrefixState& st, const UpdateMessage& msg,
     if (st.in.empty()) st.in.assign(nbr_ids_.size());
     st.in.path()[slot] = msg.path;
     st.in.comm()[slot] = msg.communities;
-    st.in.bytes(kInLearned)[slot] =
-        static_cast<std::uint8_t>(learned_from_rel(nbr_rel_[slot]));
-    st.in.bytes(kInPresent)[slot] = 1;
+    set_in_present(st, slot);
     set_hint(st.in_hints, slot, msg.avoid_hint);
     if (msg.avoid_hint && msg.avoid_hint->as == id_) {
       ++avoid_notifications_;  // Notification property: we are the problem

@@ -299,8 +299,8 @@ class BgpSpeaker {
 
   // ---- Checkpoint/restore (implemented in bgp/snapshot.cc) ----
   // The checkpoint layout of this speaker's complete RIB state: every prefix
-  // state (Adj-RIB-In SoA tables, best route, origin policy, export cache,
-  // Adj-RIB-Out tags, damping), the runtime-mutable config, the forced
+  // state (the occupied Adj-RIB-In and Adj-RIB-Out slots, best route, origin
+  // policy, export cache, damping), the runtime-mutable config, the forced
   // egress, and the rejection counters. One function for both directions
   // (util/codec.h): Self is const BgpSpeaker when Ar is util::BinWriter.
   // Shared path/community buffers are interned engine-wide through `pools`,
@@ -383,6 +383,23 @@ class BgpSpeaker {
   // is held by pointer, so a const state still yields a mutable entry.
   static DampingState* damping_of(const PrefixState& st, AsId neighbor);
 
+  // Mark Adj-RIB-In slot `slot` of `st` present, learned from the session's
+  // relationship (the import path and a snapshot load both do).
+  void set_in_present(PrefixState& st, std::uint32_t slot) const {
+    LearnedFrom learned = LearnedFrom::kProvider;
+    switch (nbr_rel_[slot]) {
+      case topo::Rel::kCustomer:
+        learned = LearnedFrom::kCustomer;
+        break;
+      case topo::Rel::kPeer:
+        learned = LearnedFrom::kPeer;
+        break;
+      case topo::Rel::kProvider:
+        break;
+    }
+    st.in.bytes(kInLearned)[slot] = static_cast<std::uint8_t>(learned);
+    st.in.bytes(kInPresent)[slot] = 1;
+  }
   // Returns true if best changed.
   bool recompute_best(const Prefix& prefix, PrefixState& st);
   bool import_acceptable(const UpdateMessage& msg);

@@ -657,9 +657,9 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
   ar.u64(pb.option_probes);
   ar.magic(kRngTag, kCheckpointVersion);
   util::serialize(ar, world.responsiveness().rng());
-  // Registries last: everything the restore path itself touched (converge
-  // spans, scheduler metrics, setup probes) is overwritten by the
-  // checkpointed truth, which already accounts for the original setup.
+  // Registries last: whatever building the world registered or counted is
+  // overwritten by the checkpointed truth, which already accounts for the
+  // original setup.
   serialize(ar, obs::MetricsRegistry::current());
   serialize(ar, obs::SpanRegistry::current());
   serialize(ar, obs::TraceRing::current());
@@ -718,6 +718,9 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
   // advance the clock past several service ticks on every converge.
   wc.engine.default_mrai = 0.0;
   wc.responsiveness.seed = seed + 2;
+  // A restored shard loads its RIBs from the blob, so its world converges
+  // nothing first.
+  wc.announce_infrastructure = run.restore_blob == nullptr;
   workload::SimWorld world(wc);
 
   AsId origin = world.topology().first_multihomed_stub();
@@ -734,10 +737,8 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
 
   ServicePlane plane(world, cfg, shard, seed, origin, announce, admission);
   if (run.restore_blob != nullptr) {
-    // Drain the construction-time announcements, then reinstate the
-    // checkpointed state wholesale (engine snapshot included — the replayed
-    // infrastructure announcements land in the same quiesced RIBs).
-    world.converge();
+    // Reinstate the checkpointed state wholesale, infrastructure RIBs
+    // included.
     util::BinReader r(*run.restore_blob);
     shard_layout(r, shard, seed, world, plane, announce, admission);
   } else {

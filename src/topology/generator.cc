@@ -344,9 +344,13 @@ GeneratedTopology classify_topology(AsGraph graph) {
   return topo;
 }
 
-GeneratedTopology topology_from_env(const TopologyParams& fallback) {
-  if (const char* file = std::getenv("LG_TOPOLOGY_FILE");
-      file != nullptr && file[0] != '\0') {
+const char* env_topology_file() {
+  const char* file = std::getenv("LG_TOPOLOGY_FILE");
+  return file != nullptr && file[0] != '\0' ? file : nullptr;
+}
+
+std::optional<GeneratedTopology> env_topology(std::uint64_t seed) {
+  if (const char* file = env_topology_file()) {
     return classify_topology(load_caida_file(file));
   }
   if (const char* scale = std::getenv("LG_TOPOLOGY_SCALE");
@@ -359,9 +363,14 @@ GeneratedTopology topology_from_env(const TopologyParams& fallback) {
     }
     InternetScaleParams params;
     params.total_ases = static_cast<std::uint32_t>(n);
-    params.seed = fallback.seed;
+    params.seed = seed;
     return generate_internet_scale(params);
   }
+  return std::nullopt;
+}
+
+GeneratedTopology topology_from_env(const TopologyParams& fallback) {
+  if (auto topo = env_topology(fallback.seed)) return std::move(*topo);
   return generate_topology(fallback);
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -92,11 +93,19 @@ std::pair<std::vector<AsId>, std::vector<AsId>> split_transits(
 // the graph fails validate().
 GeneratedTopology classify_topology(AsGraph graph);
 
-// Resolve the world topology from the environment:
+// LG_TOPOLOGY_FILE when it is set and non-empty, else nullptr.
+const char* env_topology_file();
+
+// The topology the environment names, or nullopt when it names none:
 //   LG_TOPOLOGY_FILE=<path>  — load a CAIDA serial-1/2 relationship file;
-//   LG_TOPOLOGY_SCALE=<n>    — generate_internet_scale with n total ASes;
-// otherwise generate_topology(fallback). FILE wins over SCALE. This is the
-// single wiring point workload::SimWorld and the bench harnesses share.
+//   LG_TOPOLOGY_SCALE=<n>    — generate_internet_scale with n total ASes,
+//                              seeded with `seed`.
+// FILE wins over SCALE, and an empty value counts as unset. This is the one
+// reader of both knobs.
+std::optional<GeneratedTopology> env_topology(std::uint64_t seed);
+
+// env_topology(fallback.seed), else generate_topology(fallback): the wiring
+// point workload::SimWorld uses.
 GeneratedTopology topology_from_env(const TopologyParams& fallback);
 
 // Tiny fixed topologies used by unit tests and the paper's illustrative

@@ -5,9 +5,9 @@
 // and a restored process must resume *byte-identically*. That rules out any
 // text round-trip (printf/parse loses the low bits of a double) and any
 // pointer- or hash-order-dependent encoding. BinWriter/BinReader therefore
-// serialize fixed-width little-endian integers and bit-exact doubles into a
-// std::string blob, with a magic+version header so an old snapshot fails
-// loudly instead of misparsing.
+// serialize fixed-width little-endian integers, LEB128 varints and bit-exact
+// doubles into a std::string blob, with a magic+version header so an old
+// snapshot fails loudly instead of misparsing.
 //
 // Each checkpointed type declares its layout once, as one function template
 // that both archives drive:
@@ -91,6 +91,14 @@ class BinWriter {
   void size(std::size_t v) { u64(v); }
   // A record count; the reader bounds it by `min_record_bytes` per record.
   void count(std::size_t n, std::size_t /*min_record_bytes*/) { u64(n); }
+  // Unsigned LEB128: seven bits a byte, low group first, the high bit set on
+  // every byte but the last; a u64 takes one to ten bytes.
+  void var(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      buf_.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    }
+    buf_.push_back(static_cast<char>(v));
+  }
   // Bit-exact: doubles round-trip through their IEEE-754 representation.
   void f64(double v) {
     std::uint64_t bits = 0;
@@ -106,6 +114,13 @@ class BinWriter {
   void vec(const std::vector<T>& v, std::size_t /*min_record_bytes*/,
            Fn&& fn) {
     size(v.size());
+    for (const T& x : v) fn(x);
+  }
+  // vec() with the count as a varint, which the reader bounds like count().
+  template <class T, class Fn>
+  void var_vec(const std::vector<T>& v, std::size_t /*min_record_bytes*/,
+               Fn&& fn) {
+    var(v.size());
     for (const T& x : v) fn(x);
   }
   template <class T, class Fn>
@@ -167,11 +182,24 @@ class BinReader {
   }
   // A count of multi-byte records: validated against what could possibly fit.
   std::size_t count(std::size_t min_record_bytes) {
-    const std::uint64_t v = u64();
-    if (min_record_bytes != 0 && v > remaining() / min_record_bytes) {
-      throw std::runtime_error("snapshot: record count exceeds blob length");
+    return bounded(u64(), min_record_bytes);
+  }
+  std::uint64_t var() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t byte = u8();
+      // The tenth byte holds bit 63 alone.
+      if (shift == 63 && byte > 1) {
+        throw std::runtime_error(
+            "snapshot: varint longer than 10 bytes or past 64 bits");
+      }
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
     }
-    return static_cast<std::size_t>(v);
+    return v;  // unreachable: the tenth byte either ends it or throws
+  }
+  std::size_t var_count(std::size_t min_record_bytes) {
+    return bounded(var(), min_record_bytes);
   }
   double f64() {
     const std::uint64_t bits = u64();
@@ -224,12 +252,21 @@ class BinReader {
   }
   void f64(double& v) { v = f64(); }
   void str(std::string& s) { s = str(); }
+  template <WireInt T>
+  void var(T& v) {
+    v = static_cast<T>(var());
+  }
 
   // Loading replaces the container: a fresh vector of exactly the saved
   // length, each element read in place.
   template <class T, class Fn>
   void vec(std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
     v = std::vector<T>(count(min_record_bytes));
+    for (T& x : v) fn(x);
+  }
+  template <class T, class Fn>
+  void var_vec(std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
+    v = std::vector<T>(var_count(min_record_bytes));
     for (T& x : v) fn(x);
   }
   template <class T, class Fn>
@@ -247,6 +284,12 @@ class BinReader {
       throw std::runtime_error("snapshot: truncated blob");
     }
   }
+  std::size_t bounded(std::uint64_t n, std::size_t min_record_bytes) const {
+    if (min_record_bytes != 0 && n > remaining() / min_record_bytes) {
+      throw std::runtime_error("snapshot: record count exceeds blob length");
+    }
+    return static_cast<std::size_t>(n);
+  }
   std::uint64_t get(int bytes) {
     need(static_cast<std::size_t>(bytes));
     std::uint64_t v = 0;
@@ -263,13 +306,13 @@ class BinReader {
 };
 
 // A hash map, saved in ascending key order so the bytes never depend on
-// hash-table iteration order; loading replaces the map. `fn(key, value)`
-// declares the entry layout.
+// hash-table iteration order; loading replaces the map. The entry count is a
+// varint; `fn(key, value)` declares the entry layout.
 template <class Ar, class Map, class Fn>
 void sorted_map(Ar& ar, Map& m, std::size_t min_entry_bytes, Fn&& fn) {
   if constexpr (Ar::kLoading) {
     m.clear();
-    const std::size_t n = ar.count(min_entry_bytes);
+    const std::size_t n = ar.var_count(min_entry_bytes);
     for (std::size_t i = 0; i < n; ++i) {
       typename Map::key_type key{};
       typename Map::mapped_type value{};
@@ -282,8 +325,47 @@ void sorted_map(Ar& ar, Map& m, std::size_t min_entry_bytes, Fn&& fn) {
     for (const auto& e : m) entries.push_back(&e);
     std::sort(entries.begin(), entries.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
-    ar.size(entries.size());
+    ar.var(entries.size());
     for (const auto* e : entries) fn(e->first, e->second);
+  }
+}
+
+// The occupied entries of a table indexed 0..n-1, ascending: their count,
+// then for each its index, delta-coded (the first as is, each later one as
+// the step from the one before), followed by `fn(i)`'s layout of entry i.
+// Saving writes the indices `occupied` accepts; loading calls fn for each
+// index read, and rejects one at or past `n` or not above its predecessor
+// (`what` names the index in the diagnostic).
+template <class Ar, class Occupied, class Fn>
+void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
+               const char* what, Occupied&& occupied, Fn&& fn) {
+  if constexpr (Ar::kLoading) {
+    const std::size_t k = ar.var_count(min_entry_bytes);
+    std::uint64_t i = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::uint64_t step = ar.var();
+      if (j != 0 && step == 0) {
+        throw std::runtime_error(std::string("snapshot: ") + what +
+                                 " indices do not ascend");
+      }
+      if (step >= n - i) {
+        throw std::runtime_error(std::string("snapshot: ") + what +
+                                 " index at or past " + std::to_string(n));
+      }
+      i += step;
+      fn(static_cast<std::size_t>(i));
+    }
+  } else {
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) k += occupied(i) ? 1 : 0;
+    ar.var(k);
+    std::size_t prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!occupied(i)) continue;
+      ar.var(i - prev);
+      prev = i;
+      fn(i);
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include "util/env_knobs.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -43,7 +44,12 @@ double env_double_knob(const char* name, double base, double min) {
   const char* v = std::getenv(name);
   if (v == nullptr) return base;
   const double n = parse_double(name, v);
-  if (!(n >= min)) reject(name, "must be >= " + std::to_string(min), v);
+  if (!(n >= min)) {
+    // The shortest form that reads back as `min`: 0, not 0.000000.
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, min).ptr;
+    reject(name, "must be >= " + std::string(buf, end), v);
+  }
   return n;
 }
 

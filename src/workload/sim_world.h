@@ -35,8 +35,10 @@ struct SimWorldConfig {
   topo::TopologyParams topology;
   bgp::EngineConfig engine;
   measure::ResponsivenessConfig responsiveness;
-  // Announce every AS's infrastructure /24 at startup (needed for router
-  // pings / traceroute replies).
+  // Announce every AS's infrastructure /24 at startup and converge (needed
+  // for router pings / traceroute replies). Off for a world whose RIBs come
+  // from elsewhere: a restored service shard (fleet::run_service_shard)
+  // loads them, infrastructure routes included, from its checkpoint.
   bool announce_infrastructure = true;
 };
 

@@ -271,52 +271,70 @@ TEST(EnvKnobsTest, RejectsNonFiniteNumbers) {
 }
 
 // Each numeric parser on a knob a bench reads it for: every malformed value
-// throws a diagnostic that opens with the knob's name, and a valid value
-// parses.
+// throws one diagnostic, the knob's name, the rule the value breaks (a
+// minimum in its shortest form) and the value, and a valid value parses.
 TEST(EnvKnobsTest, StrictParsersRejectMalformedInput) {
+  // A malformed value and the rule the diagnostic states for it.
+  struct Bad {
+    const char* value;
+    const char* rule;
+  };
   struct Row {
     const char* knob;
     double (*parse)(const char* knob);
-    std::vector<const char*> malformed;
+    std::vector<Bad> malformed;
     const char* valid;
     double want;
   };
+  const char* kPositive = "expected a positive integer";
+  const char* kDecimal = "expected a decimal integer";
+  const char* kFinite = "expected a finite number";
   const Row rows[] = {
       {"LG_FLEET_TARGETS",
        [](const char* k) {
          return static_cast<double>(util::env_size_knob(k, 1000));
        },
-       {"garbage", "1O00", "0", "-5", " 500", "+500"},
+       {{"garbage", kPositive},
+        {"1O00", kPositive},
+        {"0", kPositive},
+        {"-5", kPositive},
+        {" 500", kPositive},
+        {"+500", kPositive}},
        "250",
        250.0},
       {"LG_FAULTS",
        [](const char* k) { return util::env_fraction_knob(k, 0.0); },
-       {"abc", "1.5"},
+       {{"abc", kFinite}, {"1.5", "must be in [0, 1]"}},
        "0.5",
        0.5},
       {"LG_FAULTS_SEED",
        [](const char* k) {
          return static_cast<double>(util::env_u64_knob(k, 0x666c7453ULL));
        },
-       {"12x", "-3", "0x12"},
+       {{"12x", kDecimal}, {"-3", kDecimal}, {"0x12", kDecimal}},
        "77",
        77.0},
       {"LG_SERVICE_ANNOUNCE_BUDGET",
        [](const char* k) { return util::env_double_knob(k, 60.0, 0.0); },
-       {"12.5x", "-1"},
+       {{"12.5x", kFinite}, {"-1", "must be >= 0"}},
        "12.5",
        12.5},
+      {"LG_SERVICE_HORIZON",
+       [](const char* k) { return util::env_double_knob(k, 7200.0, 1.0); },
+       {{"0.5", "must be >= 1"}},
+       "3600",
+       3600.0},
   };
   for (const Row& row : rows) {
-    for (const char* value : row.malformed) {
-      const EnvGuard env(row.knob, value);
+    for (const Bad& bad : row.malformed) {
+      const EnvGuard env(row.knob, bad.value);
       try {
         (void)row.parse(row.knob);
-        ADD_FAILURE() << row.knob << "='" << value << "' was accepted";
+        ADD_FAILURE() << row.knob << "='" << bad.value << "' was accepted";
       } catch (const std::invalid_argument& e) {
-        EXPECT_TRUE(std::string(e.what()).starts_with(
-            std::string(row.knob) + ": "))
-            << e.what();
+        EXPECT_EQ(std::string(e.what()), std::string(row.knob) + ": " +
+                                             bad.rule + ", got '" +
+                                             bad.value + "'");
       }
     }
     const EnvGuard env(row.knob, row.valid);

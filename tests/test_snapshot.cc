@@ -4,8 +4,11 @@
 //  * util: Rng and Scheduler state round-trips (restore refuses live events);
 //  * fleet/checkpoint: metrics / span / trace registry round-trips restore
 //    saved contents verbatim;
+//  * util/codec: LEB128 varints and ascending index lists reject overlong,
+//    truncated, repeated and out-of-range input;
 //  * bgp/snapshot: a quiesced engine re-serializes byte-identically after a
-//    load into a fresh engine over the same topology;
+//    load into a fresh engine over the same topology and clock; running
+//    MRAI timers survive the load; a pending deferred flush refuses to save;
 //  * golden digests: the bytes of a service shard's checkpoint and of an
 //    engine snapshot that fills every optional field are pinned, so a codec
 //    change that alters the format fails here, not in a restore diff.
@@ -15,6 +18,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +28,7 @@
 #include "faults/fault_plane.h"
 #include "fleet/checkpoint.h"
 #include "fleet/service_plane.h"
+#include "obs/metrics.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "util/codec.h"
@@ -111,6 +117,93 @@ TEST(CodecTest, FailsLoudlyOnCorruption) {
   const std::string huge = w2.take();
   util::BinReader r2(huge);
   EXPECT_THROW(r2.str(), std::runtime_error);
+}
+
+TEST(CodecTest, VarintsRoundTripAtEveryWidth) {
+  const std::uint64_t values[] = {0,          1,          0x7f,
+                                  0x80,       0x3fff,     0x4000,
+                                  0xffffffff, 1ULL << 63, ~0ULL};
+  util::BinWriter w;
+  for (const std::uint64_t v : values) w.var(v);
+  const std::string blob = w.take();
+  // One byte per started group of seven bits: 1+1+1+2+2+3+5+10+10.
+  EXPECT_EQ(blob.size(), 35u);
+  util::BinReader r(blob);
+  for (const std::uint64_t v : values) EXPECT_EQ(r.var(), v);
+  EXPECT_TRUE(r.at_end());
+}
+
+std::string codec_error(const std::string& blob,
+                        void (*read)(util::BinReader&)) {
+  util::BinReader r(blob);
+  try {
+    read(r);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CodecTest, VarintRejectsOverlongAndTruncatedInput) {
+  const auto read = [](util::BinReader& r) { (void)r.var(); };
+  // Eleven bytes, every one continued: past the ten a u64 can need.
+  EXPECT_NE(codec_error(std::string(10, '\x80') + '\x01', read)
+                .find("varint longer than 10 bytes"),
+            std::string::npos);
+  // Ten bytes whose last one sets bits past bit 63.
+  EXPECT_NE(codec_error(std::string(9, '\xff') + '\x02', read)
+                .find("past 64 bits"),
+            std::string::npos);
+  // A continued byte at the end of the blob.
+  EXPECT_NE(codec_error(std::string("\x96\x80", 2), read).find("truncated"),
+            std::string::npos);
+  // A varint count is bounded by the bytes left, like a fixed-width one.
+  util::BinWriter w;
+  w.var(3);
+  w.u32(7u);
+  EXPECT_NE(codec_error(w.blob(),
+                        [](util::BinReader& r) { (void)r.var_count(4); })
+                .find("record count exceeds blob length"),
+            std::string::npos);
+}
+
+// ascending() over a 6-entry table, loading these steps.
+std::string ascending_error(const std::vector<std::uint64_t>& steps) {
+  util::BinWriter w;
+  w.var(steps.size());
+  for (const std::uint64_t step : steps) w.var(step);
+  return codec_error(w.blob(), [](util::BinReader& r) {
+    util::ascending(r, 6, 1, "test slot", [](std::size_t) { return true; },
+                    [](std::size_t) {});
+  });
+}
+
+TEST(CodecTest, AscendingIndicesRoundTripAndRejectBadSteps) {
+  const std::vector<bool> occupied = {false, true, true, false, false, true};
+  util::BinWriter w;
+  util::ascending(w, occupied.size(), 1, "test slot",
+                  [&](std::size_t i) { return occupied[i]; },
+                  [&](std::size_t i) { w.u8(i); });
+  // Count 3, then (step, entry) per index: 1, 1+1 = 2, 2+3 = 5.
+  EXPECT_EQ(w.blob(), std::string("\x03\x01\x01\x01\x02\x03\x05", 7));
+  const std::string blob = w.take();
+  util::BinReader r(blob);
+  std::vector<std::size_t> got;
+  util::ascending(r, occupied.size(), 1, "test slot",
+                  [](std::size_t) { return true; },
+                  [&](std::size_t i) {
+                    EXPECT_EQ(r.u8(), i);
+                    got.push_back(i);
+                  });
+  EXPECT_EQ(got, (std::vector<std::size_t>{1, 2, 5}));
+  EXPECT_TRUE(r.at_end());
+
+  EXPECT_EQ(ascending_error({0, 5}), "");
+  EXPECT_EQ(ascending_error({6}), "snapshot: test slot index at or past 6");
+  EXPECT_EQ(ascending_error({2, 4}), "snapshot: test slot index at or past 6");
+  EXPECT_EQ(ascending_error({2, 0}), "snapshot: test slot indices do not ascend");
+  EXPECT_EQ(ascending_error({1, ~0ULL}),
+            "snapshot: test slot index at or past 6");
 }
 
 // -------------------------------------------------------------------- rng
@@ -263,6 +356,7 @@ TEST(EngineSnapshotTest, QuiescedEngineReserializesByteIdentically) {
 
   workload::SimWorld fresh(wc);
   fresh.converge();
+  fresh.scheduler().restore_state(world.scheduler().save_state());
   util::BinReader r(blob);
   fresh.engine().serialize(r);
 
@@ -306,6 +400,7 @@ TEST(EngineSnapshotTest, LoadsIntoEngineWithOtherPrefixIdOrder) {
   bgp::BgpEngine other(topo.graph, other_sched);
   for (const topo::Prefix& p : {c, b, a}) originate(other, p);
   other_sched.run();
+  other_sched.restore_state(sched.save_state());
   util::BinReader r(blob);
   other.serialize(r);
 
@@ -427,9 +522,10 @@ TEST(EngineSnapshotTest, FaultFreeBlobLoadsUnderTheFaultPlane) {
             nullptr);
 }
 
-// Version 2 engine blobs carried per-(session, prefix) sequence counters;
-// this build reads version 3 only and says so.
-TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
+// An engine blob relabelled with an older section version: this build
+// reads version 4 only, and the version header turns the blob away before
+// any of it is misread.
+std::string older_version_error(char version) {
   const topo::AsGraph chain = chain_graph();
   util::Scheduler sched;
   bgp::BgpEngine engine(chain, sched, bgp::EngineConfig{});
@@ -437,10 +533,219 @@ TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
   engine.serialize(w);
   std::string blob = w.take();
   // The section opens with its tag, then its version as a little-endian u32.
-  ASSERT_EQ(static_cast<unsigned char>(blob[4]), 3u);
-  blob[4] = 2;
-  EXPECT_NE(load_error(engine, blob).find("section version 2"),
+  EXPECT_EQ(static_cast<unsigned char>(blob[4]), 4u);
+  blob[4] = version;
+  return load_error(engine, blob);
+}
+
+// Version 2 engine blobs carried per-(session, prefix) sequence counters.
+TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
+  EXPECT_NE(older_version_error(2).find("section version 2"),
             std::string::npos);
+}
+
+// Version 3 engine blobs stored every RIB slot and MRAI entry densely.
+TEST(EngineSnapshotTest, RejectsVersionThreeEngineBlob) {
+  EXPECT_EQ(older_version_error(3),
+            "snapshot: section version 3, this build reads version 4");
+}
+
+// AS 4 is the provider of ASes 1, 2 and 3, and the last speaker.
+topo::AsGraph hub_last_graph() {
+  topo::AsGraph g;
+  for (topo::AsId as = 1; as <= 4; ++as) g.add_as(as);
+  for (topo::AsId as = 1; as <= 3; ++as) {
+    g.add_link(4, as, topo::Rel::kCustomer);
+  }
+  return g;
+}
+
+// A corrupt Adj-RIB-Out slot list is rejected, not indexed. AS 1's prefix
+// reaches the hub, which advertises it on to its other customers; the hub's
+// section ends with that state's Adj-RIB-Out entries (slot step, tag, path
+// id, communities id: one byte each), then 76 fixed bytes: two empty
+// side-tables (out hints, damping), an absent forced egress, 33
+// prefix-length flags and five u64 counters.
+TEST(EngineSnapshotTest, RejectsCorruptAdjRibOutSlots) {
+  const topo::AsGraph g = hub_last_graph();
+  util::Scheduler sched;
+  bgp::EngineConfig ec;
+  ec.default_mrai = 0.0;
+  bgp::BgpEngine engine(g, sched, ec);
+  bgp::OriginPolicy pol;
+  pol.default_path = bgp::PathRef(bgp::AsPath{1});
+  engine.originate(1, topo::AddressPlan::production_prefix(1), std::move(pol));
+  sched.run();
+  ASSERT_EQ(engine.speaker(4).adj_out_state(
+                topo::AddressPlan::production_prefix(1), 3),
+            bgp::BgpSpeaker::AdjOutState::kAdvertised);
+  util::BinWriter w;
+  engine.serialize(w);
+  const std::string blob = w.take();
+  const std::size_t last_step = blob.size() - 76 - 4;
+  ASSERT_EQ(blob[last_step + 1], 2) << "not an advertised slot's tag";
+
+  util::Scheduler load_sched;
+  bgp::BgpEngine loaded(g, load_sched, ec);
+  ASSERT_EQ(load_error(loaded, blob), "");
+  std::string bad = blob;
+  bad[last_step] = 0;  // the slot before, again
+  EXPECT_EQ(load_error(loaded, bad),
+            "snapshot: Adj-RIB-Out slot indices do not ascend");
+  bad[last_step] = 9;  // past the hub's three neighbours
+  EXPECT_EQ(load_error(loaded, bad),
+            "snapshot: Adj-RIB-Out slot index at or past 3");
+}
+
+// A two-AS engine at a jitter-free 30 s MRAI whose customer AS 2 announced
+// a prefix at time 0: the session from AS 2 runs a timer to exactly 30 s.
+struct TwoAsEngine {
+  topo::AsGraph graph;
+  util::Scheduler sched;
+  std::unique_ptr<bgp::BgpEngine> engine;
+  topo::Prefix prefix = topo::AddressPlan::production_prefix(2);
+
+  TwoAsEngine() {
+    graph.add_as(1);
+    graph.add_as(2);
+    graph.add_link(1, 2, topo::Rel::kCustomer);
+    bgp::EngineConfig ec;
+    ec.default_mrai = 30.0;
+    ec.mrai_jitter_frac = 0.0;
+    engine = std::make_unique<bgp::BgpEngine>(graph, sched, ec);
+    announce(bgp::AsPath{2});
+    sched.run(1.0);
+  }
+  void announce(bgp::AsPath path) {
+    bgp::OriginPolicy pol;
+    pol.default_path = bgp::PathRef(std::move(path));
+    engine->originate(2, prefix, std::move(pol));
+  }
+};
+
+// A corrupt MRAI session index is rejected, not indexed. Directed sessions
+// are 0 (AS 1 to AS 2) and 1 (AS 2 to AS 1); the one running timer is
+// session 1's, written as its index then its deadline.
+TEST(EngineSnapshotTest, RejectsMraiSessionPastSessionCount) {
+  TwoAsEngine two;
+  util::BinWriter w;
+  two.engine->serialize(w);
+  const std::string blob = w.take();
+  util::BinWriter deadline;
+  deadline.f64(30.0);
+  const std::size_t at = blob.find(deadline.blob());
+  ASSERT_NE(at, std::string::npos) << "AS 2's timer was not saved";
+  ASSERT_EQ(at, blob.rfind(deadline.blob()));
+  ASSERT_EQ(blob[at - 1], 1) << "the timer is not session 1's";
+
+  TwoAsEngine other;
+  other.sched.restore_state(two.sched.save_state());
+  ASSERT_EQ(load_error(*other.engine, blob), "");
+  std::string bad = blob;
+  bad[at - 1] = 2;  // past the two directed sessions
+  EXPECT_EQ(load_error(*other.engine, bad),
+            "snapshot: MRAI session index at or past 2");
+}
+
+// A deferred send's flush closure lives in the scheduler, which no snapshot
+// carries, so an engine with one pending refuses to save and says why.
+TEST(EngineSnapshotTest, SaveRefusesPendingMraiFlush) {
+  TwoAsEngine two;
+  util::BinWriter before;
+  two.engine->serialize(before);  // timers running, nothing deferred
+  // A new path while AS 2's timer runs to 30 s: the send waits for it.
+  two.announce(bgp::baseline_path(2, 2));
+  util::BinWriter w;
+  try {
+    two.engine->serialize(w);
+    ADD_FAILURE() << "saved with a deferred flush pending";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("deferred MRAI flush is pending"),
+              std::string::npos)
+        << e.what();
+  }
+  // Once the flush has run, the engine saves again.
+  two.sched.run();
+  util::BinWriter after;
+  EXPECT_NO_THROW(two.engine->serialize(after));
+}
+
+// Everything observable about an engine's routes, in ascending AS and
+// prefix order: every Adj-RIB-In entry, best route and advertised unit.
+std::string rib_dump(const bgp::BgpEngine& engine) {
+  std::ostringstream out;
+  const topo::AsGraph& g = engine.graph();
+  for (const topo::AsId as : g.as_ids()) {
+    const bgp::BgpSpeaker& sp = engine.speaker(as);
+    for (const topo::Prefix& p : sp.known_prefixes()) {
+      out << as << " " << p.str();
+      for (const bgp::Route& r : sp.rib_in(p)) {
+        out << " in " << r.neighbor << "[" << bgp::path_str(r.path) << "]";
+      }
+      if (const bgp::Route* best = sp.best_route(p)) {
+        out << " best " << best->neighbor << "["
+            << bgp::path_str(best->path) << "]";
+      }
+      for (const topo::Neighbor& nbr : g.neighbors(as)) {
+        if (const auto unit = sp.adj_out_unit(p, nbr.id)) {
+          out << " out " << nbr.id << "[" << bgp::path_str(unit->path)
+              << "]";
+        }
+      }
+      out << "\n";
+    }
+  }
+  return out.str();
+}
+
+// Timers still running at the save defer the restored engine's sends just
+// as they defer the original's.
+TEST(EngineSnapshotTest, LiveMraiTimersSurviveRestore) {
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetricsRegistry scope(reg);
+  const auto count = [&](const char* name) {
+    return reg.counter(name).value();
+  };
+  workload::SimWorldConfig wc = workload::SimWorld::small_config(7);
+  ASSERT_EQ(wc.engine.default_mrai, 30.0);
+  workload::SimWorld world(wc);
+  const topo::AsId origin = world.topology().first_multihomed_stub();
+  const topo::Prefix prefix = topo::AddressPlan::production_prefix(origin);
+  bgp::OriginPolicy pol;
+  pol.default_path = bgp::PathRef(bgp::AsPath{origin});
+  world.engine().originate(origin, prefix, pol);
+  world.converge();
+  util::BinWriter w;
+  world.engine().serialize(w);
+  const std::string blob = w.take();
+
+  wc.announce_infrastructure = false;
+  workload::SimWorld restored(wc);
+  restored.scheduler().restore_state(world.scheduler().save_state());
+  util::BinReader r(blob);
+  restored.engine().serialize(r);
+  ASSERT_EQ(rib_dump(restored.engine()), rib_dump(world.engine()));
+
+  // The same poisoning on both, at the same instant, timers still running.
+  const topo::AsId poison = world.graph().providers(origin).front();
+  bgp::OriginPolicy poisoned;
+  poisoned.default_path =
+      bgp::PathRef(bgp::poisoned_path(origin, {poison}, 3));
+  const auto repair = [&](workload::SimWorld& wd) {
+    const std::uint64_t deferrals = count("lg.bgp.mrai_deferrals");
+    const std::uint64_t delivered = count("lg.bgp.updates_delivered");
+    wd.engine().originate(origin, prefix, poisoned);
+    wd.converge();
+    return std::pair{count("lg.bgp.mrai_deferrals") - deferrals,
+                     count("lg.bgp.updates_delivered") - delivered};
+  };
+  const auto want = repair(world);
+  const auto got = repair(restored);
+  EXPECT_GT(want.first, 0u) << "no send met a running timer";
+  EXPECT_EQ(got.first, want.first) << "deferrals";
+  EXPECT_EQ(got.second, want.second) << "delivered updates";
+  EXPECT_EQ(rib_dump(restored.engine()), rib_dump(world.engine()));
+  EXPECT_EQ(restored.scheduler().now(), world.scheduler().now());
 }
 
 // ---------------------------------------------------------- golden bytes
@@ -448,8 +753,8 @@ TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
 // FNV-1a digests of checkpoint blobs as the format stands. Tags, versions
 // and field order are all part of the canon: existing checkpoints must keep
 // loading, so a change here is a format change.
-constexpr std::uint64_t kShardBlobDigest = 0x50496ed9551a177dULL;
-constexpr std::uint64_t kEngineBlobDigest = 0x5fc5ef7a607bf977ULL;
+constexpr std::uint64_t kShardBlobDigest = 0x32db8278e0a5b206ULL;
+constexpr std::uint64_t kEngineBlobDigest = 0x4e15fb181d1ad727ULL;
 
 TEST(GoldenCheckpointTest, ServiceShardBlobIsPinned) {
   // The small config of tests/test_service_plane.cc, checkpointed mid-stream.

@@ -167,7 +167,7 @@ TEST(TrialRunnerTest, DisabledObservabilityStaysDisabledInTrials) {
   const obs::ScopedMetricsRegistry scope(dst);
 
   TrialRunner runner(TrialRunnerConfig{.threads = 2});
-  runner.run(4, [](TrialContext& ctx) {
+  runner.run(4, [](TrialContext&) {
     // Trial registries inherit the destination's enabled flag.
     EXPECT_FALSE(obs::MetricsRegistry::current().enabled());
     obs::MetricsRegistry::current().counter("t.off").inc();
