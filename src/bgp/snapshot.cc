@@ -11,10 +11,10 @@
 // load directions cannot drift apart.
 //
 // A snapshot holds only the state a restore needs. Each RIB side stores its
-// slot count and then only its occupied slots, and each MRAI table only the
-// timers still running; counts, slot steps and intern ids are LEB128
-// varints. A converged RIB leaves most slots empty and every timer expired,
-// so this is a fraction of the dense in-memory tables.
+// slot count and then only its occupied slots, each MRAI table only the
+// timers still running, and a best route no prefix (it is its state's). A
+// converged RIB leaves most slots empty and every timer expired, so this is
+// a fraction of the dense in-memory tables.
 //
 // Shared buffers: PathRef/CommunitiesRef deliberately share one immutable
 // buffer across every holder (Adj-RIB-In, Loc-RIB best, export cache,
@@ -54,7 +54,8 @@ constexpr std::uint32_t kSpeakerTag = 0x4b505342;  // "BSPK"
 // v4: sparse RIB sides (occupied slots only, learned-from derived from the
 // session), running MRAI timers only (the flush flag left the format), and
 // varint counts and intern ids.
-constexpr std::uint32_t kVersion = 4;
+// v5: every integer a varint; a best route's prefix left the format.
+constexpr std::uint32_t kVersion = 5;
 
 // One intern table: buffer address -> id when saving, id -> ref when
 // loading.
@@ -73,7 +74,7 @@ class InternPool {
         throw std::runtime_error("snapshot: intern id out of order");
       }
       Values values;
-      ar.var_vec(values, 4, [&](auto& v) { ar.u32(v); });
+      ar.vec(values, 1, [&](auto& v) { ar.var(v); });
       ref = refs_.emplace_back(std::move(values));
     } else {
       if (ref.empty()) {
@@ -83,7 +84,7 @@ class InternPool {
       const auto [it, fresh] = ids_.try_emplace(
           &ref.get(), static_cast<std::uint32_t>(ids_.size() + 1));
       ar.var(it->second);
-      if (fresh) ar.var_vec(ref.get(), 4, [&](auto v) { ar.u32(v); });
+      if (fresh) ar.vec(ref.get(), 1, [&](auto v) { ar.var(v); });
     }
   }
 
@@ -96,21 +97,21 @@ template <class Ar, util::MaybeConst<Prefix> P>
 void prefix(Ar& ar, P& p) {
   topo::Ipv4 addr = p.addr();
   std::uint8_t len = p.length();
-  ar.u32(addr);
-  ar.u8(len);
+  ar.var(addr);
+  ar.var(len);
   if constexpr (Ar::kLoading) p = Prefix(addr, len);
 }
 
 template <class Ar, util::MaybeConst<AvoidHint> H>
 void avoid_hint(Ar& ar, H& h) {
-  ar.u32(h.as);
+  ar.var(h.as);
   ar.opt(h.link, [&](auto& link) { topo::AsLinkKey::layout(ar, link); });
 }
 
 template <class Ar, class Table>
 void hint_table(Ar& ar, Table& t) {
-  ar.var_vec(t, 9, [&](auto& entry) {
-    ar.u32(entry.first);
+  ar.vec(t, 3, [&](auto& entry) {
+    ar.var(entry.first);
     avoid_hint(ar, entry.second);
   });
 }
@@ -124,7 +125,7 @@ template <class Ar, class Ids, class Has, class Fn>
 void by_prefix(Ar& ar, Ids& ids, const std::vector<std::uint32_t>& order,
                std::size_t min_entry_bytes, Has&& has, Fn&& fn) {
   if constexpr (Ar::kLoading) {
-    const std::size_t n = ar.var_count(min_entry_bytes);
+    const std::size_t n = ar.count(min_entry_bytes);
     for (std::size_t i = 0; i < n; ++i) {
       Prefix p;
       prefix(ar, p);
@@ -137,12 +138,14 @@ void by_prefix(Ar& ar, Ids& ids, const std::vector<std::uint32_t>& order,
   } else {
     std::size_t n = 0;
     for (const std::uint32_t pid : order) n += has(pid) ? 1 : 0;
-    ar.var(n);
+    ar.count(n, min_entry_bytes);
     for (const std::uint32_t pid : order) {
       if (!has(pid)) continue;
-      const Prefix p = ids.prefix(pid);
-      prefix(ar, p);
-      fn(pid);
+      ar.record(min_entry_bytes, [&] {
+        const Prefix p = ids.prefix(pid);
+        prefix(ar, p);
+        fn(pid);
+      });
     }
   }
 }
@@ -158,12 +161,14 @@ struct SnapshotPools {
 
 namespace {
 
+// A best route. Its prefix is its prefix state's own, so loading sets it
+// from the state instead of reading it.
 template <class Ar, util::MaybeConst<Route> R>
-void route(Ar& ar, SnapshotPools& pools, R& rt) {
-  prefix(ar, rt.prefix);
+void route(Ar& ar, SnapshotPools& pools, const Prefix& p, R& rt) {
+  if constexpr (Ar::kLoading) rt.prefix = p;
   pools.path(ar, rt.path);
-  ar.u32(rt.neighbor);
-  ar.u8(rt.learned);
+  ar.var(rt.neighbor);
+  ar.enum8(rt.learned, LearnedFrom::kLocal, "learned-from");
   pools.comm(ar, rt.communities);
   ar.opt(rt.avoid_hint, [&](auto& h) { avoid_hint(ar, h); });
 }
@@ -171,11 +176,11 @@ void route(Ar& ar, SnapshotPools& pools, R& rt) {
 template <class Ar, util::MaybeConst<OriginPolicy> P>
 void policy(Ar& ar, SnapshotPools& pools, P& pol) {
   ar.opt(pol.default_path, [&](auto& p) { pools.path(ar, p); });
-  util::sorted_map(ar, pol.per_neighbor, 5, [&](auto& as, auto& entry) {
-    ar.u32(as);
+  util::sorted_map(ar, pol.per_neighbor, 2, [&](auto& as, auto& entry) {
+    ar.var(as);
     ar.opt(entry, [&](auto& p) { pools.path(ar, p); });
   });
-  ar.var_vec(pol.communities, 4, [&](auto& c) { ar.u32(c); });
+  ar.vec(pol.communities, 1, [&](auto& c) { ar.var(c); });
   ar.opt(pol.avoid_hint, [&](auto& h) { avoid_hint(ar, h); });
 }
 
@@ -185,7 +190,7 @@ template <class Ar, class Self>
 void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   ar.magic(kSpeakerTag, kVersion);
   AsId id = self.id_;
-  ar.u32(id);
+  ar.var(id);
   if (id != self.id_) {
     throw std::runtime_error("snapshot: speaker AS mismatch (snapshot " +
                              std::to_string(id) + ", engine " +
@@ -206,7 +211,7 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   // Runtime-mutable config (mutable_config() lets harnesses flip policy
   // flags after construction, so the snapshot carries them).
   auto& cfg = self.cfg_;
-  ar.u64(cfg.loop_threshold);
+  ar.var(cfg.loop_threshold);
   ar.b(cfg.loop_detection_disabled);
   ar.b(cfg.reject_customer_routes_containing_my_peers);
   ar.b(cfg.has_default_route);
@@ -218,14 +223,14 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
   ar.f64(cfg.damping_reuse_threshold);
   ar.f64(cfg.damping_half_life_seconds);
   ar.f64(cfg.mrai_seconds);
-  ar.u64(cfg.path_length_limit);
+  ar.var(cfg.path_length_limit);
   ar.b(cfg.peerlock_filter);
 
   if constexpr (Ar::kLoading) self.states_.clear();
   const auto has = [&](std::uint32_t pid) {
     return self.state_at(pid) != nullptr;
   };
-  by_prefix(ar, *self.ids_, pools.order, 15, has, [&](std::uint32_t pid) {
+  by_prefix(ar, *self.ids_, pools.order, 12, has, [&](std::uint32_t pid) {
     if constexpr (Ar::kLoading) self.state_for(pid);
     auto& st = *self.state_at(pid);
 
@@ -249,7 +254,9 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
     }
     hint_table(ar, st.in_hints);
 
-    ar.opt(st.best, [&](auto& rt) { route(ar, pools, rt); });
+    ar.opt(st.best, [&](auto& rt) {
+      route(ar, pools, self.ids_->prefix(pid), rt);
+    });
     // The cold part is written whether or not the state has one (an absent
     // one as empty); loading keeps it only if something in it is set.
     static const ColdState kNoCold;
@@ -278,7 +285,7 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
           ar, n_out, 2, "Adj-RIB-Out slot",
           [&](std::size_t s) { return tag[s] != kOutUnset; },
           [&](std::size_t s) {
-            ar.u8(tag[s]);
+            ar.var(tag[s]);
             if constexpr (Ar::kLoading) {
               if (tag[s] != kOutNone && tag[s] != kOutUnit) {
                 throw std::runtime_error(
@@ -295,8 +302,8 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
     }
     hint_table(ar, st.out_hints);
 
-    ar.var_vec(cold.damping, 21, [&](auto& entry) {
-      ar.u32(entry.first);
+    ar.vec(cold.damping, 18, [&](auto& entry) {
+      ar.var(entry.first);
       ar.f64(entry.second.penalty);
       ar.f64(entry.second.last_update);
       ar.b(entry.second.suppressed);
@@ -315,13 +322,13 @@ void BgpSpeaker::layout(Ar& ar, Self& self, SnapshotPools& pools) {
     }
   });
 
-  ar.opt(self.forced_egress_, [&](auto& as) { ar.u32(as); });
+  ar.opt(self.forced_egress_, [&](auto& as) { ar.var(as); });
   for (auto& present : self.len_present_) ar.b(present);
-  ar.u64(self.rejected_loop_);
-  ar.u64(self.rejected_peer_filter_);
-  ar.u64(self.rejected_pathlen_);
-  ar.u64(self.rejected_peerlock_);
-  ar.u64(self.avoid_notifications_);
+  ar.var(self.rejected_loop_);
+  ar.var(self.rejected_peer_filter_);
+  ar.var(self.rejected_pathlen_);
+  ar.var(self.rejected_peerlock_);
+  ar.var(self.avoid_notifications_);
 }
 
 template <class Ar, class Self>
@@ -344,12 +351,12 @@ void BgpEngine::layout(Ar& ar, Self& self) {
   }
   ar.magic(kEngineTag, kVersion);
   util::serialize(ar, self.rng_);
-  ar.u64(self.total_messages_);
+  ar.var(self.total_messages_);
   ar.f64(self.last_activity_);
-  ar.u64(self.delivered_total_);
-  ar.u64(self.pump_delivered_start_);
-  ar.var_vec(self.sent_by_, 8, [&](auto& v) { ar.u64(v); });
-  ar.var_vec(self.best_changes_, 8, [&](auto& v) { ar.u64(v); });
+  ar.var(self.delivered_total_);
+  ar.var(self.pump_delivered_start_);
+  ar.vec(self.sent_by_, 1, [&](auto& v) { ar.var(v); });
+  ar.vec(self.best_changes_, 1, [&](auto& v) { ar.var(v); });
   const std::size_t n_speakers = self.speakers_.size();
   if (self.sent_by_.size() != n_speakers ||
       self.best_changes_.size() != n_speakers) {
@@ -388,7 +395,7 @@ void BgpEngine::layout(Ar& ar, Self& self) {
       return std::any_of(table.begin(), table.end(), running);
     }
   };
-  by_prefix(ar, self.prefix_ids_, pools.order, 6, has, [&](std::uint32_t pid) {
+  by_prefix(ar, self.prefix_ids_, pools.order, 3, has, [&](std::uint32_t pid) {
     auto& table = [&]() -> auto& {
       if constexpr (Ar::kLoading) {
         return self.mrai_table(pid);

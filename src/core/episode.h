@@ -249,17 +249,21 @@ class EpisodeMachine {
 // ---------------------------------------------------------------- layout
 
 inline constexpr std::uint32_t kEpisodeTag = 0x44535045;  // "EPSD"
-inline constexpr std::uint32_t kEpisodeVersion = 1;
+// v2: every integer a varint.
+inline constexpr std::uint32_t kEpisodeVersion = 2;
 
 template <class Ar, class Self>
 void EpisodeMachine::layout(Ar& ar, Self& self) {
   ar.magic(kEpisodeTag, kEpisodeVersion);
-  ar.u64(self.opened_);
-  ar.u64(self.closed_);
-  ar.u64(self.flap_reentries_);
-  for (auto& n : self.outcomes_) ar.u64(n);
+  ar.var(self.opened_);
+  ar.var(self.closed_);
+  ar.var(self.flap_reentries_);
+  for (auto& n : self.outcomes_) ar.var(n);
+  // A slot without an open episode: a state and two flags, three varints
+  // and three doubles.
+  constexpr std::size_t kMinSlotBytes = 3 + 3 + 3 * 8;
   std::size_t slots = self.slots_.size();
-  ar.count(slots, 47);
+  ar.count(slots, kMinSlotBytes);
   if (slots != self.slots_.size()) {
     throw std::runtime_error(
         "episode checkpoint: slot count mismatch (different config?)");
@@ -270,55 +274,57 @@ void EpisodeMachine::layout(Ar& ar, Self& self) {
   }
   std::size_t open = 0;
   for (auto& s : self.slots_) {
-    ar.enum8(s.state, kLastEpisodeState, "episode state");
-    ar.b(s.stalled);
-    ar.u32(s.flaps);
-    ar.f64(s.entered_at);
-    ar.f64(s.holddown_until);
-    ar.f64(s.last_closed_at);
-    ar.u64(s.episode_span);
-    ar.u64(s.state_span);
-    bool has_open = false;
-    if constexpr (!Ar::kLoading) {
-      has_open = s.record != kNoRecord &&
-                 self.records_[s.record].outcome == EpisodeOutcome::kOpen;
-    }
-    ar.b(has_open);
-    const bool idle = s.state == EpisodeState::kMonitor ||
-                      s.state == EpisodeState::kHolddown;
-    const bool busy = s.state != EpisodeState::kSuspect && !idle;
-    if ((has_open && idle) || (!has_open && busy)) {
-      throw std::runtime_error(
-          std::string("episode checkpoint: a slot in ") +
-          episode_state_name(s.state) +
-          (has_open ? " holds an open episode" : " has no open episode"));
-    }
-    if (!has_open) {
-      if constexpr (Ar::kLoading) s.record = kNoRecord;
-      continue;
-    }
-    ++open;
-    if constexpr (Ar::kLoading) {
-      s.record = static_cast<std::uint32_t>(self.records_.size());
-      self.records_.push_back(
-          EpisodeRecord{.target = s.target, .target_as = s.target_as});
-    }
-    auto& rec = self.records_[s.record];
-    ar.f64(rec.opened_at);
-    ar.f64(rec.detected_at);
-    ar.f64(rec.isolated_at);
-    ar.f64(rec.remediated_at);
-    ar.f64(rec.repaired_at);
-    ar.u32(rec.blamed);
-    ar.enum8(rec.action, RepairAction::kEgressShift, "repair action");
-    ar.u32(rec.probe_deferrals);
-    ar.u32(rec.budget_deferrals);
-    ar.u32(rec.reisolations);
-    ar.u32(rec.escalations);
-    ar.u32(rec.flap_generation);
+    ar.record(kMinSlotBytes, [&] {
+      ar.enum8(s.state, kLastEpisodeState, "episode state");
+      ar.b(s.stalled);
+      ar.var(s.flaps);
+      ar.f64(s.entered_at);
+      ar.f64(s.holddown_until);
+      ar.f64(s.last_closed_at);
+      ar.var(s.episode_span);
+      ar.var(s.state_span);
+      bool has_open = false;
+      if constexpr (!Ar::kLoading) {
+        has_open = s.record != kNoRecord &&
+                   self.records_[s.record].outcome == EpisodeOutcome::kOpen;
+      }
+      ar.b(has_open);
+      const bool idle = s.state == EpisodeState::kMonitor ||
+                        s.state == EpisodeState::kHolddown;
+      const bool busy = s.state != EpisodeState::kSuspect && !idle;
+      if ((has_open && idle) || (!has_open && busy)) {
+        throw std::runtime_error(
+            std::string("episode checkpoint: a slot in ") +
+            episode_state_name(s.state) +
+            (has_open ? " holds an open episode" : " has no open episode"));
+      }
+      if (!has_open) {
+        if constexpr (Ar::kLoading) s.record = kNoRecord;
+        return;
+      }
+      ++open;
+      if constexpr (Ar::kLoading) {
+        s.record = static_cast<std::uint32_t>(self.records_.size());
+        self.records_.push_back(
+            EpisodeRecord{.target = s.target, .target_as = s.target_as});
+      }
+      auto& rec = self.records_[s.record];
+      ar.f64(rec.opened_at);
+      ar.f64(rec.detected_at);
+      ar.f64(rec.isolated_at);
+      ar.f64(rec.remediated_at);
+      ar.f64(rec.repaired_at);
+      ar.var(rec.blamed);
+      ar.enum8(rec.action, RepairAction::kEgressShift, "repair action");
+      ar.var(rec.probe_deferrals);
+      ar.var(rec.budget_deferrals);
+      ar.var(rec.reisolations);
+      ar.var(rec.escalations);
+      ar.var(rec.flap_generation);
+    });
   }
   std::size_t open_count = self.open_;
-  ar.u64(open_count);
+  ar.var(open_count);
   if (open_count != open) {
     throw std::runtime_error(
         "episode checkpoint: open-episode count " + std::to_string(open_count) +

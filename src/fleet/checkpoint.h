@@ -29,7 +29,8 @@ inline constexpr std::uint32_t kBucketTag = 0x544b4342;   // "BCKT"
 inline constexpr std::uint32_t kMetricsTag = 0x5254454d;  // "METR"
 inline constexpr std::uint32_t kSpansTag = 0x4e415053;    // "SPAN"
 inline constexpr std::uint32_t kTraceTag = 0x43415254;    // "TRAC"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+// v2: every integer a varint.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 // TokenBucket mutable state (rate/burst are configuration, rebuilt on
 // restore).
@@ -40,8 +41,8 @@ void serialize(Ar& ar, B& bucket) {
   ar.f64(s.tokens);
   ar.f64(s.last);
   ar.f64(s.spent);
-  ar.u64(s.granted);
-  ar.u64(s.denied);
+  ar.var(s.granted);
+  ar.var(s.denied);
   if constexpr (Ar::kLoading) bucket.restore_state(s);
 }
 
@@ -84,18 +85,18 @@ void serialize(Ar& ar, R& reg) {
   }
 
   ar.magic(kMetricsTag, kCheckpointVersion);
-  ar.vec(counters, 16, [&](auto& c) {
+  ar.vec(counters, 2, [&](auto& c) {
     ar.str(c.name);
-    ar.u64(c.value);
+    ar.var(c.value);
   });
-  ar.vec(gauges, 24, [&](auto& g) {
+  ar.vec(gauges, 17, [&](auto& g) {
     ar.str(g.name);
     ar.f64(g.value);
     ar.f64(g.max);
   });
-  ar.vec(dists, 48, [&](auto& d) {
+  ar.vec(dists, 35, [&](auto& d) {
     ar.str(d.name);
-    ar.u64(d.n);
+    ar.var(d.n);
     ar.f64(d.mean);
     ar.f64(d.m2);
     ar.f64(d.min);
@@ -128,10 +129,10 @@ void serialize(Ar& ar, R& reg) {
   std::uint64_t epoch = reg.epoch();
   std::uint32_t track = reg.track();
   ar.b(enabled);
-  ar.u64(seed);
-  ar.u64(sequence);
-  ar.u64(epoch);
-  ar.u32(track);
+  ar.var(seed);
+  ar.var(sequence);
+  ar.var(epoch);
+  ar.var(track);
   if constexpr (Ar::kLoading) {
     reg.set_enabled(enabled);
     reg.restore_stream(seed, sequence, epoch, track);
@@ -144,29 +145,33 @@ void serialize(Ar& ar, R& reg) {
     ar.str(s);
     if constexpr (Ar::kLoading) n = obs::SpanRegistry::intern_name(s);
   };
+  // Five varints, an empty name and notes, and the two times.
+  constexpr std::size_t kMinRecordBytes = 5 + 2 + 2 * 8;
   const auto record = [&](auto& rec) {
-    ar.u64(rec.id);
-    ar.u64(rec.parent);
-    name(rec.name);
-    ar.f64(rec.begin);
-    ar.f64(rec.end);
-    ar.u64(rec.a);
-    ar.u64(rec.b);
-    ar.u32(rec.track);
-    ar.vec(rec.notes, 16, [&](auto& note) {
-      name(note.first);
-      ar.f64(note.second);
+    ar.record(kMinRecordBytes, [&] {
+      ar.var(rec.id);
+      ar.var(rec.parent);
+      name(rec.name);
+      ar.f64(rec.begin);
+      ar.f64(rec.end);
+      ar.var(rec.a);
+      ar.var(rec.b);
+      ar.var(rec.track);
+      ar.vec(rec.notes, 9, [&](auto& note) {
+        name(note.first);
+        ar.f64(note.second);
+      });
     });
   };
   if constexpr (Ar::kLoading) {
-    const std::size_t n = ar.count(64);
+    const std::size_t n = ar.count(kMinRecordBytes);
     for (std::size_t i = 0; i < n; ++i) {
       obs::SpanRecord rec;
       record(rec);
       reg.restore_record(rec);
     }
   } else {
-    ar.size(reg.records().size());
+    ar.count(reg.records().size(), kMinRecordBytes);
     for (const obs::SpanRecord& rec : reg.records()) record(rec);
   }
 }
@@ -184,15 +189,15 @@ void serialize(Ar& ar, T& ring) {
   std::vector<obs::TraceEvent> events;
   if constexpr (!Ar::kLoading) events = ring.events();
   ar.b(enabled);
-  ar.u64(recorded);
-  ar.vec(events, 33, [&](auto& e) {
+  ar.var(recorded);
+  ar.vec(events, 19, [&](auto& e) {
     ar.f64(e.t);
     ar.enum8(e.kind,
              static_cast<obs::TraceKind>(
                  static_cast<int>(obs::TraceKind::kCount) - 1),
              "trace kind");
-    ar.u64(e.a);
-    ar.u64(e.b);
+    ar.var(e.a);
+    ar.var(e.b);
     ar.f64(e.value);
   });
   if constexpr (Ar::kLoading) {

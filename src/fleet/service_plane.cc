@@ -31,8 +31,12 @@ constexpr std::uint32_t kFileTag = 0x46435653;   // "SVCF"
 // v2: outcome array grew a kCaptive slot (lg::adversary).
 // v3: per-prefix lifecycle state moved into the core::EpisodeMachine section.
 // v4: the scheduler section lost its cancellation counters.
-constexpr std::uint32_t kVersion = 4;
+// v5: every integer a varint; a record's slot is stored plus one.
+constexpr std::uint32_t kVersion = 5;
 
+// Physical /28 slots a shard can lease: the production /24's sixteen, less
+// the one holding the production host.
+constexpr std::size_t kMaxSlots = 15;
 constexpr std::uint8_t kNoSlot = 0xff;
 constexpr std::uint32_t kFreeSlot = 0xffffffffu;
 
@@ -182,79 +186,91 @@ class ServicePlane {
   static void layout(Ar& ar, Self& self) {
     ar.magic(kPlaneTag, kVersion);
     std::uint64_t shard = self.shard_;
-    ar.u64(shard);
+    ar.var(shard);
     if (shard != self.shard_) {
       throw std::runtime_error("service checkpoint: blob is for shard " +
                                std::to_string(shard) + ", restoring shard " +
                                std::to_string(self.shard_));
     }
     AsId origin = self.origin_;
-    ar.u32(origin);
+    ar.var(origin);
     if (origin != self.origin_) {
       throw std::runtime_error(
           "service checkpoint: origin mismatch (different topology/config?)");
     }
-    ar.u64(self.ticks_);
-    ar.u64(self.outages_injected_);
+    ar.var(self.ticks_);
+    ar.var(self.outages_injected_);
     ar.magic(kRngTag, kCheckpointVersion);
     util::serialize(ar, self.rng_);
     self.stream_.serialize(ar);
-    ar.vec(self.clients_, 34, [&](auto& cl) {
-      ar.u32(cl.info.addr);
-      ar.u32(cl.info.as);
+    ar.vec(self.clients_, 15, [&](auto& cl) {
+      ar.var(cl.info.addr);
+      ar.var(cl.info.as);
       ar.f64(cl.info.weight);
-      ar.vec(cl.baseline, 4, [&](auto& as) { ar.u32(as); });
-      ar.u32(cl.fails);
+      ar.vec(cl.baseline, 1, [&](auto& as) { ar.var(as); });
+      ar.var(cl.fails);
       ar.b(cl.down);
       ar.b(cl.isolated);
-      ar.u32(cl.blamed);
+      ar.var(cl.blamed);
     });
     if constexpr (Ar::kLoading) self.build_universe();
-    ar.vec(self.states_, 5, [&](auto& st) {
-      ar.u8(st.slot);
+    ar.vec(self.states_, 2, [&](auto& st) {
+      ar.var(st.slot);
       if (st.slot != kNoSlot && st.slot >= self.slots_) {
         throw std::runtime_error(
             "service checkpoint: a prefix holds slot " +
             std::to_string(st.slot) + ", but the config has " +
             std::to_string(self.slots_) + " slots (different config?)");
       }
-      ar.u32(st.verify_fails);
+      ar.var(st.verify_fails);
     });
     if (self.states_.size() != self.universe_.size()) {
       throw std::runtime_error(
           "service checkpoint: universe size mismatch (different config?)");
     }
     core::EpisodeMachine::layout(ar, self.machine_);
-    ar.vec(self.slot_owner_, 4, [&](auto& owner) { ar.u32(owner); });
+    ar.vec(self.slot_owner_, 1, [&](auto& owner) { ar.var(owner); });
     if (self.slot_owner_.size() != self.slots_) {
       throw std::runtime_error(
           "service checkpoint: slot count mismatch (different config?)");
     }
-    ar.vec(self.active_, 16, [&](auto& a) {
-      ar.u64(a.id);
+    ar.vec(self.active_, 9, [&](auto& a) {
+      ar.var(a.id);
       ar.f64(a.until);
     });
-    ar.u64(self.fnv_.state);
-    ar.u64(self.slot_leases_);
-    ar.u64(self.slot_waits_);
-    ar.u64(self.total_records_);
+    ar.var(self.fnv_.state);
+    ar.var(self.slot_leases_);
+    ar.var(self.slot_waits_);
+    ar.var(self.total_records_);
     bounded_ring(ar, self.records_, self.total_records_,
-                 kRecordRing, 61, [&](auto& rec) {
-                   ar.u32(rec.key);
-                   ar.u32(rec.client);
-                   ar.u32(rec.client_as);
-                   ar.u32(rec.blamed);
+                 kRecordRing, 33, [&](auto& rec) {
+                   ar.var(rec.key);
+                   ar.var(rec.client);
+                   ar.var(rec.client_as);
+                   ar.var(rec.blamed);
                    ar.f64(rec.opened_at);
                    ar.f64(rec.remediated_at);
                    ar.f64(rec.closed_at);
                    ar.enum8(rec.outcome, EpisodeOutcome::kCaptive,
                             "episode outcome");
-                   ar.i64(rec.slot);
-                   ar.u32(rec.flap_generation);
-                   ar.u32(rec.probe_deferrals);
-                   ar.u32(rec.budget_deferrals);
+                   // The slot plus one, so never leased (-1) is 0.
+                   std::uint64_t slot =
+                       static_cast<std::uint64_t>(rec.slot + 1);
+                   ar.var(slot);
+                   if constexpr (Ar::kLoading) {
+                     if (slot > kMaxSlots) {
+                       throw std::runtime_error(
+                           "service checkpoint: an episode record holds slot " +
+                           std::to_string(slot - 1) + ", past the " +
+                           std::to_string(kMaxSlots) + " a shard can hold");
+                     }
+                     rec.slot = static_cast<std::int16_t>(slot - 1);
+                   }
+                   ar.var(rec.flap_generation);
+                   ar.var(rec.probe_deferrals);
+                   ar.var(rec.budget_deferrals);
                  });
-    ar.u64(self.total_latencies_);
+    ar.var(self.total_latencies_);
     bounded_ring(ar, self.latencies_, self.total_latencies_,
                  kLatencyRing, 8, [&](auto& v) { ar.f64(v); });
     if constexpr (Ar::kLoading) self.culprits_ = self.world_->feed_ases(20);
@@ -604,7 +620,7 @@ class ServicePlane {
 
 template <class Ar, util::MaybeConst<dp::Failure> F>
 void failure(Ar& ar, F& f) {
-  const auto as = [&](auto& v) { ar.u32(v); };
+  const auto as = [&](auto& v) { ar.var(v); };
   ar.opt(f.at_as, as);
   ar.opt(f.at_link, [&](auto& k) { topo::AsLinkKey::layout(ar, k); });
   ar.opt(f.direction_from, as);
@@ -621,8 +637,8 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
   ar.magic(kShardTag, kVersion);
   std::uint64_t blob_shard = shard;
   std::uint64_t blob_seed = seed;
-  ar.u64(blob_shard);
-  ar.u64(blob_seed);
+  ar.var(blob_shard);
+  ar.var(blob_seed);
   if (blob_shard != shard || blob_seed != seed) {
     throw std::runtime_error(
         "service checkpoint: shard/seed mismatch (wrong blob for this "
@@ -630,17 +646,17 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
   }
   util::Scheduler::State ss = world.scheduler().save_state();
   ar.f64(ss.now);
-  ar.u64(ss.executed);
-  ar.u64(ss.max_pending);
+  ar.var(ss.executed);
+  ar.var(ss.max_pending);
   if constexpr (Ar::kLoading) world.scheduler().restore_state(ss);
   world.engine().serialize(ar);
   ServicePlane::layout(ar, plane);
   dp::FailureId next_id = world.failures().next_id();
   std::vector<std::pair<dp::FailureId, dp::Failure>> active;
   if constexpr (!Ar::kLoading) active = world.failures().active();
-  ar.u64(next_id);
-  ar.vec(active, 12, [&](auto& e) {
-    ar.u64(e.first);
+  ar.var(next_id);
+  ar.vec(active, 5, [&](auto& e) {
+    ar.var(e.first);
     failure(ar, e.second);
   });
   if constexpr (Ar::kLoading) world.failures().restore(std::move(active), next_id);
@@ -650,11 +666,11 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
   ar.f64(estimate);
   if constexpr (Ar::kLoading) admission.restore_estimate(estimate);
   measure::ProbeBudget& pb = world.prober().budget();
-  ar.u64(pb.pings);
-  ar.u64(pb.traceroute_probes);
-  ar.u64(pb.spoofed_pings);
-  ar.u64(pb.spoofed_traceroute_probes);
-  ar.u64(pb.option_probes);
+  ar.var(pb.pings);
+  ar.var(pb.traceroute_probes);
+  ar.var(pb.spoofed_pings);
+  ar.var(pb.spoofed_traceroute_probes);
+  ar.var(pb.option_probes);
   ar.magic(kRngTag, kCheckpointVersion);
   util::serialize(ar, world.responsiveness().rng());
   // Registries last: whatever building the world registered or counted is
@@ -674,14 +690,14 @@ void container_layout(Ar& ar, Shards& shards, std::size_t expect_shards,
                       Blob&& blob) {
   ar.magic(kFileTag, kVersion);
   std::size_t n = shards.size();
-  ar.count(n, 8);
+  ar.count(n, 1);
   if (n != expect_shards) {
     throw std::runtime_error(
         "service checkpoint: file holds " + std::to_string(n) +
         " shards, config expects " + std::to_string(expect_shards));
   }
   if constexpr (Ar::kLoading) shards.resize(n);
-  for (auto& s : shards) ar.str(blob(s));
+  for (auto& s : shards) ar.record(1, [&] { ar.str(blob(s)); });
 }
 
 }  // namespace
@@ -701,7 +717,7 @@ ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
 ServiceShardReport run_service_shard(const ServiceConfig& cfg,
                                      std::size_t shard, std::uint64_t seed,
                                      const ServiceRun& run) {
-  if (cfg.slots > 15) {
+  if (cfg.slots > kMaxSlots) {
     throw std::invalid_argument(
         "ServiceConfig::slots: at most 15 /28 slots fit beside the "
         "production host's, got " + std::to_string(cfg.slots));

@@ -162,7 +162,7 @@ TracerouteResult Prober::traceroute_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
   const obs::SpanId span =
       spans.begin(sim_now(), spoofed ? "probe.spoofed_traceroute"
                                      : "probe.traceroute",
-                  spans.scope_top(), src_as, dst);
+                  0, src_as, dst);
   const std::uint64_t probes_before = budget_.total();
   TracerouteResult result;
   if (faults_->enabled() && !faults_->vantage_up(src_as, sim_now())) {
@@ -242,7 +242,7 @@ std::optional<dp::ForwardResult> Prober::reverse_traceroute(Ipv4 from,
   auto& spans = obs::SpanRegistry::current();
   const auto owner = topo::AddressPlan::owner_of(from);
   const obs::SpanId span = spans.begin(
-      sim_now(), "probe.reverse_traceroute", spans.scope_top(),
+      sim_now(), "probe.reverse_traceroute", 0,
       owner ? static_cast<std::uint64_t>(*owner) : 0, from);
   const auto finish = [&](std::optional<dp::ForwardResult> path) {
     spans.annotate(span, "measured", path.has_value() ? 1.0 : 0.0);

@@ -79,7 +79,6 @@ std::size_t SpanRegistry::open_count() const {
 void SpanRegistry::clear() {
   records_.clear();
   index_.clear();
-  scope_.clear();
   sequence_ = 0;
   epoch_ = 0;
 }

@@ -99,19 +99,6 @@ class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
   // owner appears later (a SUSPECT residency that predates its episode).
   void reparent(SpanId id, SpanId parent);
 
-  // ---- Implicit parenting for call-tree scopes ----
-  // Explicit parents serve interleaved long-lived spans (episodes); the
-  // scope stack serves strictly nested ones (a convergence pump inside a
-  // trial body). begin() does NOT consult the stack — callers opt in by
-  // passing scope_top() as the parent.
-  void push_scope(SpanId id) { scope_.push_back(id); }
-  void pop_scope() {
-    if (!scope_.empty()) scope_.pop_back();
-  }
-  SpanId scope_top() const noexcept {
-    return scope_.empty() ? 0 : scope_.back();
-  }
-
   // Append `other`'s records (in their recording order) to this registry.
   // Ids are preserved — they are unique per (seed, sequence) by
   // construction — so parent links keep resolving after the merge. Callers
@@ -158,7 +145,6 @@ class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
   std::uint32_t track_ = 0;
   std::deque<SpanRecord> records_;
   std::unordered_map<SpanId, std::size_t> index_;
-  std::vector<SpanId> scope_;
 };
 
 // Makes a registry the thread-current span registry.

@@ -46,8 +46,8 @@ struct AsLinkKey {
   // when saving); a loaded key is put back in canonical order.
   template <class Ar, class K>
   static void layout(Ar& ar, K& k) {
-    ar.u32(k.a);
-    ar.u32(k.b);
+    ar.var(k.a);
+    ar.var(k.b);
     if constexpr (Ar::kLoading) k = AsLinkKey(k.a, k.b);
   }
 };

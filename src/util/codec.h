@@ -5,9 +5,11 @@
 // and a restored process must resume *byte-identically*. That rules out any
 // text round-trip (printf/parse loses the low bits of a double) and any
 // pointer- or hash-order-dependent encoding. BinWriter/BinReader therefore
-// serialize fixed-width little-endian integers, LEB128 varints and bit-exact
-// doubles into a std::string blob, with a magic+version header so an old
-// snapshot fails loudly instead of misparsing.
+// have one encoding per kind of value: every integer, count and length is an
+// unsigned LEB128 varint, a flag or enum is one byte, and a double is its
+// bit-exact IEEE-754 pattern in 8 bytes. Only a section's magic tag and
+// version are fixed-width, so an old snapshot fails loudly at its header
+// instead of misparsing.
 //
 // Each checkpointed type declares its layout once, as one function template
 // that both archives drive:
@@ -15,7 +17,7 @@
 //   template <class Ar, util::MaybeConst<Foo> F>
 //   void serialize(Ar& ar, F& foo) {
 //     ar.magic(kFooTag, kVersion);
-//     ar.u64(foo.count);
+//     ar.var(foo.count);
 //     ar.vec(foo.levels, 8, [&](auto& x) { ar.f64(x); });
 //   }
 //
@@ -27,6 +29,13 @@
 // `if constexpr (Ar::kLoading)`. Dispatch is static throughout: two concrete
 // archive classes, no virtual call or std::function per field.
 //
+// A run of records (vec, or count then one record() per record) states the
+// fewest bytes one record can take. The reader bounds the run's count by the
+// bytes left over that minimum, so a corrupt count cannot size an
+// allocation; the writer throws std::logic_error on a record shorter than
+// it, since a minimum above a real record would make a valid blob
+// unloadable.
+//
 // Decode errors throw std::runtime_error: a snapshot is operator input, and
 // the topology loader set the convention that malformed input gets a
 // diagnostic, not undefined behaviour.
@@ -36,6 +45,7 @@
 #include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -50,10 +60,6 @@ namespace lg::util {
 template <class S, class T>
 concept MaybeConst = std::same_as<std::remove_const_t<S>, T>;
 
-// Integers and enums: stored at the wire width the call names.
-template <class T>
-concept WireInt = std::integral<T> || std::is_enum_v<T>;
-
 class BinWriter {
  public:
   static constexpr bool kLoading = false;
@@ -61,36 +67,17 @@ class BinWriter {
   // Every snapshot section starts with a magic tag + version, so a reader
   // can verify it is looking at the section it expects.
   void magic(std::uint32_t tag, std::uint32_t version) {
-    u32(tag);
-    u32(version);
+    put(tag, 4);
+    put(version, 4);
   }
 
-  template <WireInt T>
-  void u8(T v) {
-    buf_.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
-  }
-  void b(bool v) { u8(v ? 1 : 0); }
+  void b(bool v) { buf_.push_back(v ? 1 : 0); }
   // An enum stored as one byte; the reader rejects values past `last`.
   template <class E>
     requires std::is_enum_v<E>
   void enum8(E v, E /*last*/, const char* /*what*/) {
-    u8(v);
+    buf_.push_back(static_cast<char>(static_cast<std::uint8_t>(v)));
   }
-  template <WireInt T>
-  void u32(T v) {
-    put(static_cast<std::uint32_t>(v), 4);
-  }
-  template <WireInt T>
-  void u64(T v) {
-    put(static_cast<std::uint64_t>(v), 8);
-  }
-  template <WireInt T>
-  void i64(T v) {
-    put(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)), 8);
-  }
-  void size(std::size_t v) { u64(v); }
-  // A record count; the reader bounds it by `min_record_bytes` per record.
-  void count(std::size_t n, std::size_t /*min_record_bytes*/) { u64(n); }
   // Unsigned LEB128: seven bits a byte, low group first, the high bit set on
   // every byte but the last; a u64 takes one to ten bytes.
   void var(std::uint64_t v) {
@@ -99,29 +86,36 @@ class BinWriter {
     }
     buf_.push_back(static_cast<char>(v));
   }
+  // A record count; each record follows under record().
+  void count(std::size_t n, std::size_t /*min_record_bytes*/) { var(n); }
+  // One record, as `fn` writes it, checked against its stated minimum.
+  template <class Fn>
+  void record(std::size_t min_record_bytes, Fn&& fn) {
+    const std::size_t start = buf_.size();
+    fn();
+    const std::size_t wrote = buf_.size() - start;
+    if (wrote < min_record_bytes) {
+      throw std::logic_error(
+          "snapshot: a " + std::to_string(wrote) +
+          "-byte record under a stated minimum of " +
+          std::to_string(min_record_bytes) + " bytes");
+    }
+  }
   // Bit-exact: doubles round-trip through their IEEE-754 representation.
   void f64(double v) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+    put(bits, 8);
   }
   void str(const std::string& s) {
-    size(s.size());
+    var(s.size());
     buf_.append(s);
   }
 
   template <class T, class Fn>
-  void vec(const std::vector<T>& v, std::size_t /*min_record_bytes*/,
-           Fn&& fn) {
-    size(v.size());
-    for (const T& x : v) fn(x);
-  }
-  // vec() with the count as a varint, which the reader bounds like count().
-  template <class T, class Fn>
-  void var_vec(const std::vector<T>& v, std::size_t /*min_record_bytes*/,
-               Fn&& fn) {
-    var(v.size());
-    for (const T& x : v) fn(x);
+  void vec(const std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
+    count(v.size(), min_record_bytes);
+    for (const T& x : v) record(min_record_bytes, [&] { fn(x); });
   }
   template <class T, class Fn>
   void opt(const std::optional<T>& v, Fn&& fn) {
@@ -149,8 +143,8 @@ class BinReader {
   explicit BinReader(const std::string& blob) : buf_(&blob) {}
 
   void magic(std::uint32_t tag, std::uint32_t version) {
-    const std::uint32_t got_tag = u32();
-    const std::uint32_t got_version = u32();
+    const std::uint64_t got_tag = get(4);
+    const std::uint64_t got_version = get(4);
     if (got_tag != tag) {
       throw std::runtime_error("snapshot: bad section tag (corrupt or "
                                "truncated snapshot)");
@@ -162,111 +156,82 @@ class BinReader {
     }
   }
 
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>((*buf_)[pos_++]);
-  }
-  bool b() { return u8() != 0; }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
-  std::uint64_t u64() { return get(8); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::size_t size() {
-    const std::uint64_t v = u64();
-    if (v > remaining()) {
-      // Every size prefixes at least one byte per element downstream, so a
-      // size beyond the remaining blob is always corruption; failing here keeps an
-      // attacker-sized allocation from happening at all.
-      throw std::runtime_error("snapshot: size field exceeds blob length");
-    }
-    return static_cast<std::size_t>(v);
-  }
-  // A count of multi-byte records: validated against what could possibly fit.
-  std::size_t count(std::size_t min_record_bytes) {
-    return bounded(u64(), min_record_bytes);
-  }
+  bool b() { return get(1) != 0; }
   std::uint64_t var() {
     std::uint64_t v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-      const std::uint8_t byte = u8();
+      const std::uint64_t byte = get(1);
       // The tenth byte holds bit 63 alone.
       if (shift == 63 && byte > 1) {
         throw std::runtime_error(
             "snapshot: varint longer than 10 bytes or past 64 bits");
       }
-      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      v |= (byte & 0x7f) << shift;
       if ((byte & 0x80) == 0) return v;
     }
     return v;  // unreachable: the tenth byte either ends it or throws
   }
-  std::size_t var_count(std::size_t min_record_bytes) {
-    return bounded(var(), min_record_bytes);
+  // A count of records, validated against what could possibly fit.
+  std::size_t count(std::size_t min_record_bytes) {
+    const std::uint64_t n = var();
+    if (min_record_bytes != 0 && n > remaining() / min_record_bytes) {
+      throw std::runtime_error("snapshot: record count exceeds blob length");
+    }
+    return static_cast<std::size_t>(n);
   }
   double f64() {
-    const std::uint64_t bits = u64();
+    const std::uint64_t bits = get(8);
     double v = 0.0;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
   std::string str() {
-    const std::size_t n = size();
-    need(n);
+    const std::size_t n = count(1);  // one byte per character
     std::string s = buf_->substr(pos_, n);
     pos_ += n;
     return s;
   }
 
-  // The same calls as BinWriter's, reading into the field (converted from
-  // the wire width).
-  template <WireInt T>
-  void u8(T& v) {
-    v = static_cast<T>(u8());
-  }
+  // The same calls as BinWriter's, reading into the field.
   void b(bool& v) { v = b(); }
   // A byte cast into an enum is only as good as its range check: a
   // corrupt byte must fail the load, not become a state no switch handles.
   template <class E>
     requires std::is_enum_v<E>
   void enum8(E& v, E last, const char* what) {
-    const std::uint8_t raw = u8();
+    const std::uint64_t raw = get(1);
     if (raw > static_cast<std::uint8_t>(last)) {
       throw std::runtime_error(std::string("snapshot: ") + what + " byte " +
                                std::to_string(raw) + " is out of range");
     }
     v = static_cast<E>(raw);
   }
-  template <WireInt T>
-  void u32(T& v) {
-    v = static_cast<T>(u32());
+  // A value past what the field's type holds is corruption, not a number
+  // to truncate.
+  template <std::integral T>
+  void var(T& v) {
+    const std::uint64_t raw = var();
+    if (raw > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+      throw std::runtime_error("snapshot: varint " + std::to_string(raw) +
+                               " does not fit its field");
+    }
+    v = static_cast<T>(raw);
   }
-  template <WireInt T>
-  void u64(T& v) {
-    v = static_cast<T>(u64());
-  }
-  template <WireInt T>
-  void i64(T& v) {
-    v = static_cast<T>(i64());
-  }
-  void size(std::size_t& v) { v = size(); }
   void count(std::size_t& n, std::size_t min_record_bytes) {
     n = count(min_record_bytes);
   }
+  template <class Fn>
+  void record(std::size_t /*min_record_bytes*/, Fn&& fn) {
+    fn();
+  }
   void f64(double& v) { v = f64(); }
   void str(std::string& s) { s = str(); }
-  template <WireInt T>
-  void var(T& v) {
-    v = static_cast<T>(var());
-  }
 
   // Loading replaces the container: a fresh vector of exactly the saved
   // length, each element read in place.
   template <class T, class Fn>
   void vec(std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
     v = std::vector<T>(count(min_record_bytes));
-    for (T& x : v) fn(x);
-  }
-  template <class T, class Fn>
-  void var_vec(std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
-    v = std::vector<T>(var_count(min_record_bytes));
     for (T& x : v) fn(x);
   }
   template <class T, class Fn>
@@ -279,19 +244,11 @@ class BinReader {
   std::size_t remaining() const noexcept { return buf_->size() - pos_; }
 
  private:
-  void need(std::size_t n) const {
-    if (buf_->size() - pos_ < n) {
+  // `bytes` little-endian bytes, at most 8.
+  std::uint64_t get(int bytes) {
+    if (remaining() < static_cast<std::size_t>(bytes)) {
       throw std::runtime_error("snapshot: truncated blob");
     }
-  }
-  std::size_t bounded(std::uint64_t n, std::size_t min_record_bytes) const {
-    if (min_record_bytes != 0 && n > remaining() / min_record_bytes) {
-      throw std::runtime_error("snapshot: record count exceeds blob length");
-    }
-    return static_cast<std::size_t>(n);
-  }
-  std::uint64_t get(int bytes) {
-    need(static_cast<std::size_t>(bytes));
     std::uint64_t v = 0;
     for (int i = 0; i < bytes; ++i) {
       v |= static_cast<std::uint64_t>(
@@ -306,13 +263,13 @@ class BinReader {
 };
 
 // A hash map, saved in ascending key order so the bytes never depend on
-// hash-table iteration order; loading replaces the map. The entry count is a
-// varint; `fn(key, value)` declares the entry layout.
+// hash-table iteration order; loading replaces the map. `fn(key, value)`
+// declares the entry layout.
 template <class Ar, class Map, class Fn>
 void sorted_map(Ar& ar, Map& m, std::size_t min_entry_bytes, Fn&& fn) {
   if constexpr (Ar::kLoading) {
     m.clear();
-    const std::size_t n = ar.var_count(min_entry_bytes);
+    const std::size_t n = ar.count(min_entry_bytes);
     for (std::size_t i = 0; i < n; ++i) {
       typename Map::key_type key{};
       typename Map::mapped_type value{};
@@ -325,8 +282,10 @@ void sorted_map(Ar& ar, Map& m, std::size_t min_entry_bytes, Fn&& fn) {
     for (const auto& e : m) entries.push_back(&e);
     std::sort(entries.begin(), entries.end(),
               [](const auto* a, const auto* b) { return a->first < b->first; });
-    ar.var(entries.size());
-    for (const auto* e : entries) fn(e->first, e->second);
+    ar.count(entries.size(), min_entry_bytes);
+    for (const auto* e : entries) {
+      ar.record(min_entry_bytes, [&] { fn(e->first, e->second); });
+    }
   }
 }
 
@@ -340,7 +299,7 @@ template <class Ar, class Occupied, class Fn>
 void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
                const char* what, Occupied&& occupied, Fn&& fn) {
   if constexpr (Ar::kLoading) {
-    const std::size_t k = ar.var_count(min_entry_bytes);
+    const std::size_t k = ar.count(min_entry_bytes);
     std::uint64_t i = 0;
     for (std::size_t j = 0; j < k; ++j) {
       const std::uint64_t step = ar.var();
@@ -358,24 +317,27 @@ void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
   } else {
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) k += occupied(i) ? 1 : 0;
-    ar.var(k);
+    ar.count(k, min_entry_bytes);
     std::size_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!occupied(i)) continue;
-      ar.var(i - prev);
+      ar.record(min_entry_bytes, [&] {
+        ar.var(i - prev);
+        fn(i);
+      });
       prev = i;
-      fn(i);
     }
   }
 }
 
-// The one Rng layout (8+8+1+8 bytes, bit-exact cached normal), shared by
-// every checkpointed generator. Owners that tag it do so at the call site.
+// The one Rng layout (two varints, a flag and the bit-exact cached normal),
+// shared by every checkpointed generator. Owners that tag it do so at the
+// call site.
 template <class Ar, MaybeConst<Rng> R>
 void serialize(Ar& ar, R& rng) {
   Rng::State s = rng.save_state();
-  ar.u64(s.state);
-  ar.u64(s.inc);
+  ar.var(s.state);
+  ar.var(s.inc);
   ar.b(s.have_cached_normal);
   ar.f64(s.cached_normal);
   if constexpr (Ar::kLoading) rng.restore_state(s);

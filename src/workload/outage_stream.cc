@@ -8,7 +8,8 @@ namespace lg::workload {
 
 namespace {
 constexpr std::uint32_t kStreamTag = 0x52545354;  // "TSTR"
-constexpr std::uint32_t kVersion = 1;
+// v2: every integer a varint.
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kRngStream = 0x6f757473ULL;  // "outs"
 }  // namespace
 
@@ -51,7 +52,7 @@ void OutageStream::layout(Ar& ar, Self& self) {
   ar.magic(kStreamTag, kVersion);
   util::serialize(ar, self.rng_);
   ar.f64(self.clock_);
-  ar.u64(self.generated_);
+  ar.var(self.generated_);
   ar.b(self.has_pending_);
   ar.f64(self.pending_.start_seconds);
   ar.f64(self.pending_.duration_seconds);

@@ -200,9 +200,10 @@ std::string save(const EpisodeMachine& m) {
   return w.take();
 }
 
-// Offset of slot 0's state byte: tag and version, three counters, seven
-// outcome counts, the slot count.
-constexpr std::size_t kFirstStateByte = 8 + 3 * 8 + 7 * 8 + 8;
+// Offset of slot 0's state byte: tag and version, then three counters,
+// seven outcome counts and the slot count, each below 128 and so one varint
+// byte.
+constexpr std::size_t kFirstStateByte = 8 + 3 + 7 + 1;
 
 std::string load_error(std::string blob) {
   EpisodeMachine fresh(fleet_timing());
@@ -254,7 +255,7 @@ TEST(EpisodeMachineTest, LayoutRejectsStateWithoutItsOpenEpisode) {
 
 TEST(EpisodeMachineTest, LayoutRejectsDisagreeingOpenCount) {
   std::string blob = save(checkpointed_machine());
-  blob[blob.size() - 8] = 3;  // the trailing open-episode count
+  blob[blob.size() - 1] = 3;  // the trailing open-episode count
   EXPECT_NE(load_error(blob).find("open-episode count 3"), std::string::npos);
 }
 

@@ -9,6 +9,7 @@
 //    finishes with exactly the state an uninterrupted run reaches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -300,14 +301,17 @@ TEST(ServicePlaneTest, RestoreRejectsCorruptEpisodeStateByte) {
   const auto half = fleet::run_service_shard(cfg, 0, 91, checkpoint);
   ASSERT_FALSE(half.checkpoint.empty());
 
-  // The machine section opens with its tag and version ("EPSD", 1); slot
-  // 0's state byte follows three counters, seven outcome counts and the
-  // slot count.
-  const std::string header("EPSD\x01\x00\x00\x00", 8);
+  // The machine section opens with its tag and version ("EPSD", 2); slot
+  // 0's state byte follows eleven varints: three counters, seven outcome
+  // counts and the slot count.
+  const std::string header("EPSD\x02\x00\x00\x00", 8);
   const std::size_t at = half.checkpoint.find(header);
   ASSERT_NE(at, std::string::npos);
+  const std::string section = half.checkpoint.substr(at + 8);
+  util::BinReader counters(section);
+  for (int i = 0; i < 11; ++i) (void)counters.var();
   std::string blob = half.checkpoint;
-  blob[at + 8 + 3 * 8 + 7 * 8 + 8] = 9;
+  blob[at + 8 + section.size() - counters.remaining()] = 9;
 
   fleet::ServiceRun resume;
   resume.restore_blob = &blob;
@@ -318,6 +322,49 @@ TEST(ServicePlaneTest, RestoreRejectsCorruptEpisodeStateByte) {
     EXPECT_NE(std::string(e.what()).find("episode state byte 9"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// A closed episode's slot is stored plus one (0 = never leased), and a
+// value past the 15 slots a shard can hold is rejected. The record is found
+// by its key, client, client AS, blamed AS and three timestamps; its
+// outcome byte and its slot follow them.
+TEST(ServicePlaneTest, RestoreRejectsRecordSlotPastShardSlots) {
+  fleet::ServiceConfig cfg = small_service_config();
+  cfg.outages_per_hour = 480.0;
+  cfg.announce_per_hour = 600.0;
+  fleet::ServiceRun checkpoint;
+  checkpoint.checkpoint_at = 1200.0;  // two closed episodes have held slots
+  const auto half = fleet::run_service_shard(cfg, 0, 91, checkpoint);
+  const auto leased =
+      std::find_if(half.records.begin(), half.records.end(),
+                   [](const auto& rec) { return rec.slot >= 0; });
+  ASSERT_NE(leased, half.records.end());
+  util::BinWriter head;
+  head.var(leased->key);
+  head.var(leased->client);
+  head.var(leased->client_as);
+  head.var(leased->blamed);
+  head.f64(leased->opened_at);
+  head.f64(leased->remediated_at);
+  head.f64(leased->closed_at);
+  const std::size_t at = half.checkpoint.find(head.blob());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(at, half.checkpoint.rfind(head.blob()));
+  const std::size_t slot_at = at + head.blob().size() + 1;
+  ASSERT_EQ(half.checkpoint[slot_at], leased->slot + 1);
+
+  std::string blob = half.checkpoint;
+  fleet::ServiceRun resume;
+  resume.restore_blob = &blob;
+  blob[slot_at] = 16;
+  try {
+    fleet::run_service_shard(cfg, 0, 91, resume);
+    ADD_FAILURE() << "restore accepted a record slot past the shard's 15";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "service checkpoint: an episode record holds slot 15, past "
+                 "the 15 a shard can hold");
   }
 }
 

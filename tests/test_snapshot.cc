@@ -1,6 +1,7 @@
 // Checkpoint/restore substrate:
-//  * util/codec: fixed-width little-endian round-trips, bit-exact doubles,
-//    loud failure on truncation and version drift;
+//  * util/codec: varint, flag, enum and bit-exact double round-trips, loud
+//    failure on truncation and version drift, and a stated record minimum
+//    checked on save;
 //  * util: Rng and Scheduler state round-trips (restore refuses live events);
 //  * fleet/checkpoint: metrics / span / trace registry round-trips restore
 //    saved contents verbatim;
@@ -20,7 +21,9 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/engine.h"
@@ -42,38 +45,49 @@ namespace {
 
 // ------------------------------------------------------------------ codec
 
+enum class Hue : std::uint8_t { kRed, kGreen, kBlue };
+
 TEST(CodecTest, RoundTripsEveryScalarType) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   util::BinWriter w;
   w.magic(0x54534554u, 3);
-  w.u8(0xab);
   w.b(true);
   w.b(false);
-  w.u32(0xdeadbeefu);
-  w.u64(0x0123456789abcdefULL);
-  w.i64(-42);
+  w.enum8(Hue::kBlue, Hue::kBlue, "hue");
+  w.var(0xdeadbeefu);
+  w.var(kMax);
   w.f64(-0.1);
   w.f64(std::numeric_limits<double>::infinity());
   w.str("hello\0world");  // embedded NUL truncates at the literal, fine
-  w.vec(std::vector<std::uint32_t>{1, 2, 3}, 4,
-        [&](std::uint32_t v) { w.u32(v); });
+  w.vec(std::vector<std::uint32_t>{1, 2, 300}, 1,
+        [&](std::uint32_t v) { w.var(v); });
+  w.count(1, 8);
+  w.record(8, [&] { w.f64(0.5); });
   w.opt(std::optional<double>{2.5}, [&](double v) { w.f64(v); });
   w.opt(std::optional<double>{}, [&](double v) { w.f64(v); });
 
   const std::string blob = w.take();
   util::BinReader r(blob);
   r.magic(0x54534554u, 3);
-  EXPECT_EQ(r.u8(), 0xab);
   EXPECT_TRUE(r.b());
   EXPECT_FALSE(r.b());
-  EXPECT_EQ(r.u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.i64(), -42);
+  Hue hue = Hue::kRed;
+  r.enum8(hue, Hue::kBlue, "hue");
+  EXPECT_EQ(hue, Hue::kBlue);
+  std::uint32_t u32 = 0;
+  r.var(u32);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  std::uint64_t u64 = 0;
+  r.var(u64);
+  EXPECT_EQ(u64, kMax);
   EXPECT_DOUBLE_EQ(r.f64(), -0.1);
   EXPECT_TRUE(std::isinf(r.f64()));
   EXPECT_EQ(r.str(), "hello");
   std::vector<std::uint32_t> v;
-  r.vec(v, 4, [&](std::uint32_t& x) { r.u32(x); });
-  EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 2, 3}));
+  r.vec(v, 1, [&](std::uint32_t& x) { r.var(x); });
+  EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 2, 300}));
+  ASSERT_EQ(r.count(8), 1u);
+  r.record(8, [&] { EXPECT_EQ(r.f64(), 0.5); });
   std::optional<double> some, none{7.0};
   r.opt(some, [&](double& x) { r.f64(x); });
   r.opt(none, [&](double& x) { r.f64(x); });
@@ -97,7 +111,7 @@ TEST(CodecTest, DoublesAreBitExact) {
 TEST(CodecTest, FailsLoudlyOnCorruption) {
   util::BinWriter w;
   w.magic(0x31474154u, 1);
-  w.u64(7);
+  w.f64(7.0);
   const std::string blob = w.take();
 
   util::BinReader wrong_tag(blob);
@@ -108,12 +122,12 @@ TEST(CodecTest, FailsLoudlyOnCorruption) {
   const std::string truncated = blob.substr(0, blob.size() - 4);
   util::BinReader r(truncated);
   r.magic(0x31474154u, 1);
-  EXPECT_THROW(r.u64(), std::runtime_error);
+  EXPECT_THROW(r.f64(), std::runtime_error);
 
   // A length prefix larger than the remaining blob must throw before any
   // allocation, not attempt an attacker-sized reserve.
   util::BinWriter w2;
-  w2.u64(std::numeric_limits<std::uint64_t>::max());
+  w2.var(std::numeric_limits<std::uint64_t>::max());
   const std::string huge = w2.take();
   util::BinReader r2(huge);
   EXPECT_THROW(r2.str(), std::runtime_error);
@@ -157,14 +171,56 @@ TEST(CodecTest, VarintRejectsOverlongAndTruncatedInput) {
   // A continued byte at the end of the blob.
   EXPECT_NE(codec_error(std::string("\x96\x80", 2), read).find("truncated"),
             std::string::npos);
-  // A varint count is bounded by the bytes left, like a fixed-width one.
+  // A count is bounded by the bytes left: three records of at least four
+  // bytes cannot fit in eight.
   util::BinWriter w;
   w.var(3);
-  w.u32(7u);
-  EXPECT_NE(codec_error(w.blob(),
-                        [](util::BinReader& r) { (void)r.var_count(4); })
-                .find("record count exceeds blob length"),
-            std::string::npos);
+  w.f64(7.0);
+  EXPECT_EQ(codec_error(w.blob(), [](util::BinReader& r) { (void)r.count(2); }),
+            "");
+  EXPECT_EQ(codec_error(w.blob(), [](util::BinReader& r) { (void)r.count(4); }),
+            "snapshot: record count exceeds blob length");
+  // A value is bounded by its field: 2^32 does not fit 32 bits.
+  util::BinWriter wide;
+  wide.var(1ULL << 32);
+  EXPECT_EQ(codec_error(wide.blob(),
+                        [](util::BinReader& r) {
+                          std::uint32_t v = 0;
+                          r.var(v);
+                        }),
+            "snapshot: varint 4294967296 does not fit its field");
+}
+
+// A stated minimum is a claim the writer checks: a record shorter than it
+// throws on save, whichever helper writes the record, because the reader's
+// count bound would turn the valid blob away.
+TEST(CodecTest, StatedMinimumAboveRecordThrowsOnSave) {
+  const std::vector<std::uint32_t> v = {1, 300};  // one and two bytes
+  util::BinWriter exact;
+  EXPECT_NO_THROW(exact.vec(v, 1, [&](std::uint32_t x) { exact.var(x); }));
+  util::BinWriter w;
+  try {
+    w.vec(v, 2, [&](std::uint32_t x) { w.var(x); });
+    ADD_FAILURE() << "a 1-byte record passed a 2-byte minimum";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "snapshot: a 1-byte record under a stated minimum of 2 bytes");
+  }
+  const std::unordered_map<std::uint32_t, double> m = {{7, 0.5}};
+  util::BinWriter map_w;
+  EXPECT_THROW(util::sorted_map(map_w, m, 10,
+                                [&](std::uint32_t k, double x) {
+                                  map_w.var(k);
+                                  map_w.f64(x);
+                                }),
+               std::logic_error);
+  util::BinWriter asc_w;
+  EXPECT_THROW(util::ascending(asc_w, 3, 3, "test slot",
+                               [](std::size_t i) { return i == 1; },
+                               [&](std::size_t i) { asc_w.var(i); }),
+               std::logic_error);
+  util::BinWriter rec_w;
+  EXPECT_THROW(rec_w.record(9, [&] { rec_w.f64(1.0); }), std::logic_error);
 }
 
 // ascending() over a 6-entry table, loading these steps.
@@ -183,7 +239,7 @@ TEST(CodecTest, AscendingIndicesRoundTripAndRejectBadSteps) {
   util::BinWriter w;
   util::ascending(w, occupied.size(), 1, "test slot",
                   [&](std::size_t i) { return occupied[i]; },
-                  [&](std::size_t i) { w.u8(i); });
+                  [&](std::size_t i) { w.var(i); });
   // Count 3, then (step, entry) per index: 1, 1+1 = 2, 2+3 = 5.
   EXPECT_EQ(w.blob(), std::string("\x03\x01\x01\x01\x02\x03\x05", 7));
   const std::string blob = w.take();
@@ -192,7 +248,7 @@ TEST(CodecTest, AscendingIndicesRoundTripAndRejectBadSteps) {
   util::ascending(r, occupied.size(), 1, "test slot",
                   [](std::size_t) { return true; },
                   [&](std::size_t i) {
-                    EXPECT_EQ(r.u8(), i);
+                    EXPECT_EQ(r.var(), i);
                     got.push_back(i);
                   });
   EXPECT_EQ(got, (std::vector<std::size_t>{1, 2, 5}));
@@ -523,7 +579,7 @@ TEST(EngineSnapshotTest, FaultFreeBlobLoadsUnderTheFaultPlane) {
 }
 
 // An engine blob relabelled with an older section version: this build
-// reads version 4 only, and the version header turns the blob away before
+// reads version 5 only, and the version header turns the blob away before
 // any of it is misread.
 std::string older_version_error(char version) {
   const topo::AsGraph chain = chain_graph();
@@ -533,7 +589,7 @@ std::string older_version_error(char version) {
   engine.serialize(w);
   std::string blob = w.take();
   // The section opens with its tag, then its version as a little-endian u32.
-  EXPECT_EQ(static_cast<unsigned char>(blob[4]), 4u);
+  EXPECT_EQ(static_cast<unsigned char>(blob[4]), 5u);
   blob[4] = version;
   return load_error(engine, blob);
 }
@@ -547,7 +603,14 @@ TEST(EngineSnapshotTest, RejectsVersionTwoEngineBlob) {
 // Version 3 engine blobs stored every RIB slot and MRAI entry densely.
 TEST(EngineSnapshotTest, RejectsVersionThreeEngineBlob) {
   EXPECT_EQ(older_version_error(3),
-            "snapshot: section version 3, this build reads version 4");
+            "snapshot: section version 3, this build reads version 5");
+}
+
+// Version 4 engine blobs wrote path elements, AS numbers and counters at a
+// fixed width.
+TEST(EngineSnapshotTest, RejectsVersionFourEngineBlob) {
+  EXPECT_EQ(older_version_error(4),
+            "snapshot: section version 4, this build reads version 5");
 }
 
 // AS 4 is the provider of ASes 1, 2 and 3, and the last speaker.
@@ -563,9 +626,9 @@ topo::AsGraph hub_last_graph() {
 // A corrupt Adj-RIB-Out slot list is rejected, not indexed. AS 1's prefix
 // reaches the hub, which advertises it on to its other customers; the hub's
 // section ends with that state's Adj-RIB-Out entries (slot step, tag, path
-// id, communities id: one byte each), then 76 fixed bytes: two empty
-// side-tables (out hints, damping), an absent forced egress, 33
-// prefix-length flags and five u64 counters.
+// id, communities id: one byte each), then 41 bytes: two empty side-tables
+// (out hints, damping), an absent forced egress, 33 prefix-length flags and
+// five zero counters, one varint byte each.
 TEST(EngineSnapshotTest, RejectsCorruptAdjRibOutSlots) {
   const topo::AsGraph g = hub_last_graph();
   util::Scheduler sched;
@@ -582,7 +645,9 @@ TEST(EngineSnapshotTest, RejectsCorruptAdjRibOutSlots) {
   util::BinWriter w;
   engine.serialize(w);
   const std::string blob = w.take();
-  const std::size_t last_step = blob.size() - 76 - 4;
+  ASSERT_EQ(blob.substr(blob.size() - 5), std::string(5, '\0'))
+      << "the hub rejected a route, so a counter is not zero";
+  const std::size_t last_step = blob.size() - 41 - 4;
   ASSERT_EQ(blob[last_step + 1], 2) << "not an advertised slot's tag";
 
   util::Scheduler load_sched;
@@ -595,6 +660,53 @@ TEST(EngineSnapshotTest, RejectsCorruptAdjRibOutSlots) {
   bad[last_step] = 9;  // past the hub's three neighbours
   EXPECT_EQ(load_error(loaded, bad),
             "snapshot: Adj-RIB-Out slot index at or past 3");
+}
+
+// A best route's learned-from byte is range-checked like every enum byte.
+// AS 2 originates a prefix to AS 1 over a customer link in one engine and a
+// peer link in the other, so the two blobs differ only in that byte of AS
+// 1's best route: kCustomer (0) against kPeer (1).
+TEST(EngineSnapshotTest, RejectsLearnedFromPastItsEnum) {
+  const auto save = [](topo::Rel rel, topo::AsGraph& g, util::Scheduler& sched,
+                       std::unique_ptr<bgp::BgpEngine>& engine) {
+    g.add_as(1);
+    g.add_as(2);
+    g.add_link(1, 2, rel);
+    bgp::EngineConfig ec;
+    ec.default_mrai = 0.0;
+    engine = std::make_unique<bgp::BgpEngine>(g, sched, ec);
+    bgp::OriginPolicy pol;
+    pol.default_path = bgp::PathRef(bgp::AsPath{2});
+    engine->originate(2, topo::AddressPlan::production_prefix(2),
+                      std::move(pol));
+    sched.run();
+    util::BinWriter w;
+    engine->serialize(w);
+    return w.take();
+  };
+  topo::AsGraph customer_graph, peer_graph;
+  util::Scheduler customer_sched, peer_sched;
+  std::unique_ptr<bgp::BgpEngine> customer, peer;
+  const std::string blob =
+      save(topo::Rel::kCustomer, customer_graph, customer_sched, customer);
+  const std::string peer_blob =
+      save(topo::Rel::kPeer, peer_graph, peer_sched, peer);
+  ASSERT_EQ(blob.size(), peer_blob.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    if (blob[i] != peer_blob[i]) differ.push_back(i);
+  }
+  ASSERT_EQ(differ.size(), 1u);
+  const std::size_t at = differ.front();
+  ASSERT_EQ(blob[at], static_cast<char>(bgp::LearnedFrom::kCustomer));
+  ASSERT_EQ(peer_blob[at], static_cast<char>(bgp::LearnedFrom::kPeer));
+
+  std::string bad = blob;
+  bad[at] = static_cast<char>(bgp::LearnedFrom::kLocal);
+  EXPECT_EQ(load_error(*customer, bad), "");
+  bad[at] = 4;
+  EXPECT_EQ(load_error(*customer, bad),
+            "snapshot: learned-from byte 4 is out of range");
 }
 
 // A two-AS engine at a jitter-free 30 s MRAI whose customer AS 2 announced
@@ -753,8 +865,8 @@ TEST(EngineSnapshotTest, LiveMraiTimersSurviveRestore) {
 // FNV-1a digests of checkpoint blobs as the format stands. Tags, versions
 // and field order are all part of the canon: existing checkpoints must keep
 // loading, so a change here is a format change.
-constexpr std::uint64_t kShardBlobDigest = 0x32db8278e0a5b206ULL;
-constexpr std::uint64_t kEngineBlobDigest = 0x4e15fb181d1ad727ULL;
+constexpr std::uint64_t kShardBlobDigest = 0x1a13736e25af4adaULL;
+constexpr std::uint64_t kEngineBlobDigest = 0x28fc6faaa05f4bdbULL;
 
 TEST(GoldenCheckpointTest, ServiceShardBlobIsPinned) {
   // The small config of tests/test_service_plane.cc, checkpointed mid-stream.

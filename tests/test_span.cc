@@ -96,24 +96,6 @@ TEST(Span, ReparentRelinksAfterTheFact) {
   EXPECT_EQ(spans.records()[1].parent, 0u);
 }
 
-TEST(Span, ScopeStackIsOptIn) {
-  SpanRegistry spans;
-  spans.set_enabled(true);
-  EXPECT_EQ(spans.scope_top(), 0u);
-  const SpanId outer = spans.begin(0.0, "outer");
-  spans.push_scope(outer);
-  // begin() does not consult the stack: parent comes only from the caller.
-  const SpanId implicit_root = spans.begin(1.0, "not_nested");
-  EXPECT_EQ(spans.records()[1].parent, 0u);
-  const SpanId nested = spans.begin(1.0, "nested", spans.scope_top());
-  EXPECT_EQ(spans.records()[2].parent, outer);
-  spans.pop_scope();
-  EXPECT_EQ(spans.scope_top(), 0u);
-  spans.pop_scope();  // empty pop is a no-op
-  (void)implicit_root;
-  (void)nested;
-}
-
 TEST(Span, MergePreservesIdsAndParentLinks) {
   SpanRegistry trial;
   trial.set_enabled(true);
