@@ -12,6 +12,14 @@
    idiom) must have a row in docs/OPERATORS.md's knob table, and every
    documented knob must still exist in the code, so the operator doc can
    neither lag nor accumulate stale rows.
+4. Every backticked repo path in README.md, DESIGN.md, EXPERIMENTS.md and
+   docs/*.md must name an existing file or directory: `src/...`,
+   `bench/...`, `tests/...`, `scripts/...` and `examples/...` paths, and
+   `<module>/<file>.h` or `.cc` for a src/ module. A brace form such as
+   `fleet/service_plane.{h,cc}` names each file it expands to, a
+   `:<line>` suffix is dropped, and a path without an extension may name
+   the program built from `<path>.cc` or `<path>.cpp`. ROADMAP.md is
+   exempt: it names files still to be written.
 
 Exit status 0 = clean, 1 = problems (each printed on its own line).
 """
@@ -100,6 +108,58 @@ def check_knob_table() -> list:
     return problems
 
 
+PATH_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+TOP_DIRS = ("src/", "bench/", "tests/", "scripts/", "examples/")
+BRACES_RE = re.compile(r"\{([^{}]*)\}")
+
+
+def expand_braces(token: str) -> list:
+    match = BRACES_RE.search(token)
+    if not match:
+        return [token]
+    out = []
+    for alt in match.group(1).split(","):
+        out += expand_braces(token[:match.start()] + alt +
+                             token[match.end():])
+    return out
+
+
+def repo_path(token: str, modules: set):
+    """The repo-relative path a code-span token names, or None."""
+    token = re.sub(r":\d+$", "", token)
+    if any(c in token for c in "<>*$"):
+        return None
+    if token.startswith(TOP_DIRS):
+        return token
+    module, _, rest = token.partition("/")
+    if module in modules and re.fullmatch(r"[\w./]+\.(h|cc)", rest):
+        return f"src/{token}"
+    return None
+
+
+def check_paths(path: Path, modules: set) -> list:
+    problems = []
+    text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for span in CODE_SPAN_RE.findall(line):
+            for word in span.split():
+                for token in expand_braces(word):
+                    rel = repo_path(token, modules)
+                    if rel is None:
+                        continue
+                    target = REPO / rel
+                    if target.exists() or (
+                            not target.suffix and
+                            any(target.with_suffix(ext).exists()
+                                for ext in (".cc", ".cpp"))):
+                        continue
+                    problems.append(
+                        f"{path.relative_to(REPO)}:{lineno}: no such file "
+                        f"-> {token}")
+    return problems
+
+
 def main() -> int:
     problems = []
     targets = [REPO / name for name in DOC_FILES]
@@ -112,13 +172,19 @@ def main() -> int:
                             f"{path.relative_to(REPO)}")
     problems.extend(check_module_map())
     problems.extend(check_knob_table())
+    modules = {p.name for p in (REPO / "src").iterdir() if p.is_dir()}
+    path_docs = [REPO / name for name in PATH_DOCS]
+    path_docs += sorted((REPO / "docs").glob("*.md"))
+    for path in path_docs:
+        if path.exists():
+            problems.extend(check_paths(path, modules))
 
     for p in problems:
         print(p)
     if not problems:
         print(f"docs OK: {len(targets)} files link-checked, "
               f"module map covers all of src/, knob table covers every "
-              f"LG_* read site")
+              f"LG_* read site, every backticked repo path exists")
     return 1 if problems else 0
 
 

@@ -200,7 +200,7 @@ class BgpEngine {
   // scheduler's now, the engine RNG mid-stream (link-delay / MRAI jitter
   // consumption), and the resettable counters. A snapshot loads only into
   // an engine built over the same topology with the same configuration,
-  // whose scheduler has the saving one's clock (Scheduler::restore_state):
+  // whose scheduler has the saving one's clock (Scheduler::layout):
   // a timer is running or expired by that clock. Existing speaker state is
   // replaced wholesale, so the loading engine need not have converged
   // anything. Precondition for both: the engine is quiesced — no frontier

@@ -350,7 +350,7 @@ void BgpEngine::layout(Ar& ar, Self& self) {
     }
   }
   ar.magic(kEngineTag, kVersion);
-  util::serialize(ar, self.rng_);
+  util::Rng::layout(ar, self.rng_);
   ar.var(self.total_messages_);
   ar.f64(self.last_activity_);
   ar.var(self.delivered_total_);

@@ -61,13 +61,23 @@ class FailureInjector {
     return active_;
   }
 
-  // Checkpoint support: the id counter must survive a restore so ids issued
-  // after resume match the ids the original process would have issued.
-  FailureId next_id() const noexcept { return next_id_; }
-  void restore(std::vector<std::pair<FailureId, Failure>> active,
-               FailureId next_id) {
-    active_ = std::move(active);
-    next_id_ = next_id;
+  // ---- checkpoint ----
+  // The id counter, then each active failure with its id (util/codec.h
+  // archives). The counter survives a restore, so ids issued after resume
+  // match the ids the original process would have issued.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.var(self.next_id_);
+    const auto as = [&](auto& v) { ar.var(v); };
+    // An id and four absent fields.
+    ar.vec(self.active_, 5, [&](auto& e) {
+      ar.var(e.first);
+      ar.opt(e.second.at_as, as);
+      ar.opt(e.second.at_link,
+             [&](auto& k) { topo::AsLinkKey::layout(ar, k); });
+      ar.opt(e.second.direction_from, as);
+      ar.opt(e.second.toward_as, as);
+    });
   }
 
  private:

@@ -46,12 +46,8 @@ double TokenBucket::level(double now) {
   return tokens_;
 }
 
-ProbeAdmission::ProbeAdmission(double probe_rate_per_second, double burst,
-                               double initial_cost_estimate,
-                               double cost_floor_fraction)
-    : bucket_(probe_rate_per_second, burst),
-      estimate_(std::max(1.0, initial_cost_estimate)),
-      floor_(std::max(1.0, estimate_ * std::clamp(cost_floor_fraction, 0.0, 1.0))) {}
+ProbeAdmission::ProbeAdmission(double probe_rate_per_second, double burst)
+    : bucket_(probe_rate_per_second, burst) {}
 
 bool ProbeAdmission::try_admit(double now) {
   return bucket_.try_spend(now, estimate_);
@@ -66,10 +62,10 @@ void ProbeAdmission::settle(double now, double measured_probes) {
     bucket_.debit(now, measured_probes - estimate_);
   }
   const double ewma =
-      (1.0 - ewma_alpha_) * estimate_ + ewma_alpha_ * measured_probes;
+      (1.0 - kEwmaAlpha) * estimate_ + kEwmaAlpha * measured_probes;
   // Clamp at the floor: cheap isolations adapt the estimate down, but never
   // so far that admission stops reserving meaningful probe capacity.
-  estimate_ = std::max(floor_, ewma);
+  estimate_ = std::max(cost_floor(), ewma);
 }
 
 }  // namespace lg::fleet

@@ -66,27 +66,24 @@ class TokenBucket {
     return burst_ + rate_ * horizon_seconds;
   }
 
-  // Checkpointable mutable state (configuration — rate/burst — is rebuilt
-  // from config on restore, not serialized).
-  struct State {
-    double tokens;
-    double last;
-    double spent;
-    std::uint64_t granted;
-    std::uint64_t denied;
-  };
-  State save_state() const noexcept {
-    return {tokens_, last_, spent_, granted_, denied_};
-  }
-  void restore_state(const State& s) noexcept {
-    tokens_ = s.tokens;
-    last_ = s.last;
-    spent_ = s.spent;
-    granted_ = s.granted;
-    denied_ = s.denied;
+  // ---- checkpoint ----
+  // The mutable state (util/codec.h archives); rate and burst are
+  // configuration, which the constructor rebuilds on restore.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.magic(kTag, kVersion);
+    ar.f64(self.tokens_);
+    ar.f64(self.last_);
+    ar.f64(self.spent_);
+    ar.var(self.granted_);
+    ar.var(self.denied_);
   }
 
  private:
+  static constexpr std::uint32_t kTag = 0x544b4342;  // "BCKT"
+  // v2: every integer a varint.
+  static constexpr std::uint32_t kVersion = 2;
+
   void refill(double now);
 
   double rate_;
@@ -145,17 +142,8 @@ class AnnouncementBudget {
 // deferring the rest (graceful degradation instead of a probe stampede).
 class ProbeAdmission {
  public:
-  // `initial_cost_estimate` defaults to the paper's ~280 probes per
-  // isolated outage (§5.4). `cost_floor_fraction` bounds how far the EWMA
-  // may decay below that prior: a run of trivially cheap isolations (e.g.
-  // the first traceroute already fails, costing a handful of probes) must
-  // not drive the estimate toward zero, or admission becomes free and the
-  // next real isolation stampedes the probe budget with no reservation
-  // backing it. The floor is a fraction of the *initial* estimate, so the
-  // paper prior keeps anchoring admission even after heavy adaptation.
-  ProbeAdmission(double probe_rate_per_second, double burst,
-                 double initial_cost_estimate = 280.0,
-                 double cost_floor_fraction = 0.25);
+  // The estimate starts at the §5.4 prior of ~280 probes per isolation.
+  ProbeAdmission(double probe_rate_per_second, double burst);
 
   // Reserve one isolation's estimated probe cost. False = defer.
   bool try_admit(double now);
@@ -163,21 +151,37 @@ class ProbeAdmission {
   void settle(double now, double measured_probes);
 
   double cost_estimate() const noexcept { return estimate_; }
-  double cost_floor() const noexcept { return floor_; }
+  double cost_floor() const noexcept {
+    return kInitialCostEstimate * kCostFloorFraction;
+  }
   std::uint64_t admitted() const noexcept { return bucket_.granted(); }
   std::uint64_t deferred() const noexcept { return bucket_.denied(); }
 
   TokenBucket& bucket() noexcept { return bucket_; }
   const TokenBucket& bucket() const noexcept { return bucket_; }
 
-  double save_estimate() const noexcept { return estimate_; }
-  void restore_estimate(double estimate) noexcept { estimate_ = estimate; }
+  // ---- checkpoint ----
+  // The bucket, then the adapted cost estimate.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    TokenBucket::layout(ar, self.bucket_);
+    ar.f64(self.estimate_);
+  }
 
  private:
+  // The paper's ~280 probes per isolated outage (§5.4).
+  static constexpr double kInitialCostEstimate = 280.0;
+  // How far the EWMA may decay below that prior: a run of trivially cheap
+  // isolations (e.g. the first traceroute already fails, costing a handful
+  // of probes) must not drive the estimate toward zero, or admission
+  // becomes free and the next real isolation stampedes the probe budget
+  // with no reservation backing it. The floor is a fraction of the prior,
+  // so the prior keeps anchoring admission even after heavy adaptation.
+  static constexpr double kCostFloorFraction = 0.25;
+  static constexpr double kEwmaAlpha = 0.3;
+
   TokenBucket bucket_;
-  double estimate_;
-  double floor_;
-  double ewma_alpha_ = 0.3;
+  double estimate_ = kInitialCostEstimate;
 };
 
 }  // namespace lg::fleet

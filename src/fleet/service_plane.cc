@@ -8,7 +8,6 @@
 
 #include "bgp/types.h"
 #include "core/remediation.h"
-#include "fleet/checkpoint.h"
 #include "obs/trace.h"
 #include "run/trial_runner.h"
 #include "util/codec.h"
@@ -28,6 +27,10 @@ namespace {
 constexpr std::uint32_t kShardTag = 0x53435653;  // "SVCS"
 constexpr std::uint32_t kPlaneTag = 0x4c505653;  // "SVPL"
 constexpr std::uint32_t kFileTag = 0x46435653;   // "SVCF"
+// The plane's and the responsiveness model's RNG sections; v2: every
+// integer a varint.
+constexpr std::uint32_t kRngTag = 0x20474e52;  // "RNG "
+constexpr std::uint32_t kRngVersion = 2;
 // v2: outcome array grew a kCaptive slot (lg::adversary).
 // v3: per-prefix lifecycle state moved into the core::EpisodeMachine section.
 // v4: the scheduler section lost its cancellation counters.
@@ -200,8 +203,8 @@ class ServicePlane {
     }
     ar.var(self.ticks_);
     ar.var(self.outages_injected_);
-    ar.magic(kRngTag, kCheckpointVersion);
-    util::serialize(ar, self.rng_);
+    ar.magic(kRngTag, kRngVersion);
+    util::Rng::layout(ar, self.rng_);
     self.stream_.serialize(ar);
     ar.vec(self.clients_, 15, [&](auto& cl) {
       ar.var(cl.info.addr);
@@ -234,6 +237,7 @@ class ServicePlane {
       throw std::runtime_error(
           "service checkpoint: slot count mismatch (different config?)");
     }
+    if constexpr (Ar::kLoading) self.check_slot_owners();
     ar.vec(self.active_, 9, [&](auto& a) {
       ar.var(a.id);
       ar.f64(a.until);
@@ -242,41 +246,63 @@ class ServicePlane {
     ar.var(self.slot_leases_);
     ar.var(self.slot_waits_);
     ar.var(self.total_records_);
-    bounded_ring(ar, self.records_, self.total_records_,
-                 kRecordRing, 33, [&](auto& rec) {
-                   ar.var(rec.key);
-                   ar.var(rec.client);
-                   ar.var(rec.client_as);
-                   ar.var(rec.blamed);
-                   ar.f64(rec.opened_at);
-                   ar.f64(rec.remediated_at);
-                   ar.f64(rec.closed_at);
-                   ar.enum8(rec.outcome, EpisodeOutcome::kCaptive,
-                            "episode outcome");
-                   // The slot plus one, so never leased (-1) is 0.
-                   std::uint64_t slot =
-                       static_cast<std::uint64_t>(rec.slot + 1);
-                   ar.var(slot);
-                   if constexpr (Ar::kLoading) {
-                     if (slot > kMaxSlots) {
-                       throw std::runtime_error(
-                           "service checkpoint: an episode record holds slot " +
-                           std::to_string(slot - 1) + ", past the " +
-                           std::to_string(kMaxSlots) + " a shard can hold");
-                     }
-                     rec.slot = static_cast<std::int16_t>(slot - 1);
+    util::ring(ar, self.records_, self.total_records_, kRecordRing, 33,
+               "episode record ring", [&](auto& rec) {
+                 ar.var(rec.key);
+                 ar.var(rec.client);
+                 ar.var(rec.client_as);
+                 ar.var(rec.blamed);
+                 ar.f64(rec.opened_at);
+                 ar.f64(rec.remediated_at);
+                 ar.f64(rec.closed_at);
+                 ar.enum8(rec.outcome, EpisodeOutcome::kCaptive,
+                          "episode outcome");
+                 // The slot plus one, so never leased (-1) is 0.
+                 std::uint64_t slot =
+                     static_cast<std::uint64_t>(rec.slot + 1);
+                 ar.var(slot);
+                 if constexpr (Ar::kLoading) {
+                   if (slot > kMaxSlots) {
+                     throw std::runtime_error(
+                         "service checkpoint: an episode record holds slot " +
+                         std::to_string(slot - 1) + ", past the " +
+                         std::to_string(kMaxSlots) + " a shard can hold");
                    }
-                   ar.var(rec.flap_generation);
-                   ar.var(rec.probe_deferrals);
-                   ar.var(rec.budget_deferrals);
-                 });
+                   rec.slot = static_cast<std::int16_t>(slot - 1);
+                 }
+                 ar.var(rec.flap_generation);
+                 ar.var(rec.probe_deferrals);
+                 ar.var(rec.budget_deferrals);
+               });
     ar.var(self.total_latencies_);
-    bounded_ring(ar, self.latencies_, self.total_latencies_,
-                 kLatencyRing, 8, [&](auto& v) { ar.f64(v); });
+    util::ring(ar, self.latencies_, self.total_latencies_, kLatencyRing, 8,
+               "latency ring", [&](auto& v) { ar.f64(v); });
     if constexpr (Ar::kLoading) self.culprits_ = self.world_->feed_ases(20);
   }
 
  private:
+  // A loaded owner table must mirror the prefixes' leases: each leased slot
+  // owned by the one prefix holding it, every other slot free. A held slot
+  // marked free would be leased twice, and its first holder's close would
+  // withdraw the second's announcement.
+  void check_slot_owners() const {
+    std::vector<std::uint32_t> want(slots_, kFreeSlot);
+    const auto reject = [](std::size_t slot) {
+      return std::runtime_error(
+          "service checkpoint: slot " + std::to_string(slot) +
+          "'s owner does not match the prefix leasing it");
+    };
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const std::uint8_t slot = states_[i].slot;
+      if (slot == kNoSlot) continue;
+      if (want[slot] != kFreeSlot) throw reject(slot);
+      want[slot] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t slot = 0; slot < slots_; ++slot) {
+      if (slot_owner_[slot] != want[slot]) throw reject(slot);
+    }
+  }
+
   void build_universe() {
     TargetTable ptable(cfg_->prefixes, cfg_->shards);
     universe_ = ptable.shard_universe(shard_, clients_.size());
@@ -544,24 +570,6 @@ class ServicePlane {
     return out;
   }
 
-  // A bounded ring in a checkpoint: its held entries, oldest first. Loading
-  // reinstates them at the slots the original process used, so the next
-  // insert lands exactly where it would have.
-  template <class Ar, class Ring, class Fn>
-  static void bounded_ring(Ar& ar, Ring& ring, std::uint64_t total,
-                           std::size_t cap, std::size_t min_entry_bytes,
-                           Fn&& fn) {
-    std::vector<typename Ring::value_type> entries;
-    if constexpr (!Ar::kLoading) entries = held(ring, total, cap);
-    ar.vec(entries, min_entry_bytes, fn);
-    if constexpr (Ar::kLoading) {
-      ring.assign(cap, {});
-      for (std::size_t i = 0; i < entries.size() && cap > 0; ++i) {
-        ring[(total - entries.size() + i) % cap] = entries[i];
-      }
-    }
-  }
-
   // Append to a bounded ring of capacity `cap` holding `total` entries so
   // far; the ring is sized on first use.
   template <class T>
@@ -618,15 +626,6 @@ class ServicePlane {
   obs::TraceRing* trace_;
 };
 
-template <class Ar, util::MaybeConst<dp::Failure> F>
-void failure(Ar& ar, F& f) {
-  const auto as = [&](auto& v) { ar.var(v); };
-  ar.opt(f.at_as, as);
-  ar.opt(f.at_link, [&](auto& k) { topo::AsLinkKey::layout(ar, k); });
-  ar.opt(f.direction_from, as);
-  ar.opt(f.toward_as, as);
-}
-
 // One shard's full state. Sections are applied in save order, with the
 // observability registries LAST so nothing the restore path itself does
 // leaks into the restored metric values.
@@ -644,41 +643,26 @@ void shard_layout(Ar& ar, std::size_t shard, std::uint64_t seed,
         "service checkpoint: shard/seed mismatch (wrong blob for this "
         "shard?)");
   }
-  util::Scheduler::State ss = world.scheduler().save_state();
-  ar.f64(ss.now);
-  ar.var(ss.executed);
-  ar.var(ss.max_pending);
-  if constexpr (Ar::kLoading) world.scheduler().restore_state(ss);
+  util::Scheduler::layout(ar, world.scheduler());
   world.engine().serialize(ar);
   ServicePlane::layout(ar, plane);
-  dp::FailureId next_id = world.failures().next_id();
-  std::vector<std::pair<dp::FailureId, dp::Failure>> active;
-  if constexpr (!Ar::kLoading) active = world.failures().active();
-  ar.var(next_id);
-  ar.vec(active, 5, [&](auto& e) {
-    ar.var(e.first);
-    failure(ar, e.second);
-  });
-  if constexpr (Ar::kLoading) world.failures().restore(std::move(active), next_id);
-  serialize(ar, announce.bucket());
-  serialize(ar, admission.bucket());
-  double estimate = admission.save_estimate();
-  ar.f64(estimate);
-  if constexpr (Ar::kLoading) admission.restore_estimate(estimate);
+  dp::FailureInjector::layout(ar, world.failures());
+  TokenBucket::layout(ar, announce.bucket());
+  ProbeAdmission::layout(ar, admission);
   measure::ProbeBudget& pb = world.prober().budget();
   ar.var(pb.pings);
   ar.var(pb.traceroute_probes);
   ar.var(pb.spoofed_pings);
   ar.var(pb.spoofed_traceroute_probes);
   ar.var(pb.option_probes);
-  ar.magic(kRngTag, kCheckpointVersion);
-  util::serialize(ar, world.responsiveness().rng());
+  ar.magic(kRngTag, kRngVersion);
+  measure::Responsiveness::layout(ar, world.responsiveness());
   // Registries last: whatever building the world registered or counted is
   // overwritten by the checkpointed truth, which already accounts for the
   // original setup.
-  serialize(ar, obs::MetricsRegistry::current());
-  serialize(ar, obs::SpanRegistry::current());
-  serialize(ar, obs::TraceRing::current());
+  obs::MetricsRegistry::layout(ar, obs::MetricsRegistry::current());
+  obs::SpanRegistry::layout(ar, obs::SpanRegistry::current());
+  obs::TraceRing::layout(ar, obs::TraceRing::current());
   if constexpr (Ar::kLoading) world.sync_scheduler_baseline();
 }
 

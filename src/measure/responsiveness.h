@@ -37,10 +37,14 @@ class Responsiveness {
 
   const ResponsivenessConfig& config() const noexcept { return cfg_; }
 
-  // Checkpoint support. rate_limited() only draws from the RNG when
+  // ---- checkpoint ----
+  // The rate-limit RNG. rate_limited() only draws from it when
   // rate_limit_drop_prob > 0, but the stream position must still survive a
   // restore for configs that enable it.
-  util::Rng& rng() noexcept { return rng_; }
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    util::Rng::layout(ar, self.rng_);
+  }
 
  private:
   ResponsivenessConfig cfg_;

@@ -44,9 +44,6 @@ class Counter {
   // instrumented subsystem with its own resettable counters (e.g.
   // BgpEngine::reset_counters) keep the registry in lockstep.
   void reset() noexcept { value_ = 0; }
-  // Checkpoint/restore: set the exact saved value, bypassing the enabled
-  // flag (a restore is not an observation).
-  void restore(std::uint64_t v) noexcept { value_ = v; }
   std::uint64_t value() const noexcept { return value_; }
   const std::string& name() const noexcept { return name_; }
 
@@ -71,11 +68,6 @@ class Gauge {
   void maximize(double v) noexcept {
     if (!*enabled_) return;
     if (v > max_) max_ = v;
-  }
-  // Checkpoint/restore: set saved value and high-water mark directly.
-  void restore(double value, double max) noexcept {
-    value_ = value;
-    max_ = max;
   }
   double value() const noexcept { return value_; }
   double max() const noexcept { return max_; }
@@ -103,14 +95,6 @@ class Distribution {
   }
   const util::Summary& summary() const noexcept { return summary_; }
   const util::EmpiricalCdf& cdf() const noexcept { return cdf_; }
-  // Checkpoint/restore: the Welford accumulator is carried bit-exactly (it
-  // is FP-order dependent, so it cannot be recomputed from the samples), and
-  // the CDF keeps its insertion-order samples.
-  void restore(std::size_t n, double mean, double m2, double min, double max,
-               std::vector<double> samples) {
-    summary_.restore(n, mean, m2, min, max);
-    cdf_.restore(std::move(samples));
-  }
   const std::string& name() const noexcept { return name_; }
 
  private:
@@ -157,12 +141,27 @@ class MetricsRegistry : public util::ThreadCurrent<MetricsRegistry> {
   // Zero every metric while keeping registrations (handles stay valid).
   void reset();
 
-  // Name-sorted views for serialization.
+  // Name-sorted views.
   std::vector<const Counter*> counters() const;
   std::vector<const Gauge*> gauges() const;
   std::vector<const Distribution*> distributions() const;
 
+  // ---- checkpoint ----
+  // Every counter, gauge and distribution by name, each kind name-sorted; a
+  // distribution carries its Welford accumulator and its samples. A loaded
+  // registry reproduces the saved one's contents verbatim instead of
+  // replaying history: loading resets the registry, then find-or-creates
+  // each named handle and sets its value as saved, whatever the enabled
+  // flag. Handles live instrumented objects hold stay valid and see the
+  // loaded values.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self);
+
  private:
+  static constexpr std::uint32_t kTag = 0x5254454d;  // "METR"
+  // v2: every integer a varint.
+  static constexpr std::uint32_t kVersion = 2;
+
   bool enabled_ = true;
   // deque: stable element addresses as the registry grows.
   std::deque<Counter> counters_;
@@ -172,6 +171,40 @@ class MetricsRegistry : public util::ThreadCurrent<MetricsRegistry> {
   std::unordered_map<std::string, Gauge*> gauge_by_name_;
   std::unordered_map<std::string, Distribution*> distribution_by_name_;
 };
+
+template <class Ar, class Self>
+void MetricsRegistry::layout(Ar& ar, Self& self) {
+  ar.magic(kTag, kVersion);
+  if constexpr (Ar::kLoading) self.reset();
+  // One kind: its count, then each metric's name and `fields`.
+  const auto kind = [&](auto view, auto find, std::size_t min_entry_bytes,
+                        auto&& fields) {
+    if constexpr (Ar::kLoading) {
+      const std::size_t n = ar.count(min_entry_bytes);
+      for (std::size_t i = 0; i < n; ++i) fields((self.*find)(ar.str()));
+    } else {
+      const auto sorted = (self.*view)();
+      ar.count(sorted.size(), min_entry_bytes);
+      for (const auto* m : sorted) {
+        ar.record(min_entry_bytes, [&] {
+          ar.str(m->name());
+          fields(*m);
+        });
+      }
+    }
+  };
+  kind(&MetricsRegistry::counters, &MetricsRegistry::counter, 2,
+       [&](auto& c) { ar.var(c.value_); });
+  kind(&MetricsRegistry::gauges, &MetricsRegistry::gauge, 17, [&](auto& g) {
+    ar.f64(g.value_);
+    ar.f64(g.max_);
+  });
+  kind(&MetricsRegistry::distributions, &MetricsRegistry::distribution, 35,
+       [&](auto& d) {
+         util::Summary::layout(ar, d.summary_);
+         util::EmpiricalCdf::layout(ar, d.cdf_);
+       });
+}
 
 // Makes a registry thread-current, so everything the enclosed code
 // instruments (SimWorld, BgpEngine, Prober, ...) reports into it instead of

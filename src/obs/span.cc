@@ -83,11 +83,6 @@ void SpanRegistry::clear() {
   epoch_ = 0;
 }
 
-void SpanRegistry::restore_record(const SpanRecord& rec) {
-  index_.emplace(rec.id, records_.size());
-  records_.push_back(rec);
-}
-
 const char* SpanRegistry::intern_name(const std::string& name) {
   // Deliberately leaked: interned names must outlive every registry,
   // including the global one (static destruction order is not knowable).

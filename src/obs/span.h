@@ -115,29 +115,25 @@ class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
   // byte-identical span trees (the determinism tests diff this).
   std::string digest() const;
 
-  // ---- Checkpoint/restore ----
-  // A restored registry must continue the exact id stream of the
-  // checkpointed one: same seed, same sequence position, same epoch and
-  // track. Records are replayed in recording order via restore_record so
-  // ids (and therefore parent links and SpanIds held by live episode
-  // machines) stay valid across the restore.
-  std::uint64_t sequence() const noexcept { return sequence_; }
-  std::uint64_t epoch() const noexcept { return epoch_; }
-  void restore_stream(std::uint64_t seed, std::uint64_t sequence,
-                      std::uint64_t epoch, std::uint32_t track) noexcept {
-    seed_ = seed;
-    sequence_ = sequence;
-    epoch_ = epoch;
-    track_ = track;
-  }
-  // Append a deserialized record (id preserved, index rebuilt).
-  void restore_record(const SpanRecord& rec);
+  // ---- checkpoint ----
+  // The id-stream position (seed, sequence, epoch, track), then every record
+  // in recording order. A loaded registry continues the exact id stream of
+  // the saved one, and its records keep their ids, so parent links and the
+  // SpanIds live episode machines hold keep resolving. Loading clears the
+  // registry first.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self);
+
+ private:
+  static constexpr std::uint32_t kTag = 0x4e415053;  // "SPAN"
+  // v2: every integer a varint.
+  static constexpr std::uint32_t kVersion = 2;
+
   // Span names are `const char*` with static duration by contract; a
-  // deserialized name is interned into a process-lifetime pool so restored
+  // deserialized name is interned into a process-lifetime pool so loaded
   // records satisfy the same contract (and equal names compare cheaply).
   static const char* intern_name(const std::string& name);
 
- private:
   bool enabled_ = false;
   std::uint64_t seed_ = 0;
   std::uint64_t sequence_ = 0;
@@ -146,6 +142,47 @@ class SpanRegistry : public util::ThreadCurrent<SpanRegistry> {
   std::deque<SpanRecord> records_;
   std::unordered_map<SpanId, std::size_t> index_;
 };
+
+template <class Ar, class Self>
+void SpanRegistry::layout(Ar& ar, Self& self) {
+  ar.magic(kTag, kVersion);
+  if constexpr (Ar::kLoading) self.clear();
+  ar.b(self.enabled_);
+  ar.var(self.seed_);
+  ar.var(self.sequence_);
+  ar.var(self.epoch_);
+  ar.var(self.track_);
+  const auto name = [&](auto& n) {
+    if constexpr (Ar::kLoading) {
+      n = intern_name(ar.str());
+    } else {
+      ar.str(n);
+    }
+  };
+  // Five varints, an empty name and notes, and the two times.
+  constexpr std::size_t kMinRecordBytes = 5 + 2 + 2 * 8;
+  std::size_t records = self.records_.size();
+  ar.count(records, kMinRecordBytes);
+  if constexpr (Ar::kLoading) self.records_.resize(records);
+  for (std::size_t i = 0; i < records; ++i) {
+    auto& rec = self.records_[i];
+    ar.record(kMinRecordBytes, [&] {
+      ar.var(rec.id);
+      ar.var(rec.parent);
+      name(rec.name);
+      ar.f64(rec.begin);
+      ar.f64(rec.end);
+      ar.var(rec.a);
+      ar.var(rec.b);
+      ar.var(rec.track);
+      ar.vec(rec.notes, 9, [&](auto& note) {
+        name(note.first);
+        ar.f64(note.second);
+      });
+    });
+    if constexpr (Ar::kLoading) self.index_.emplace(rec.id, i);
+  }
+}
 
 // Makes a registry the thread-current span registry.
 using ScopedSpanRegistry = util::Scoped<SpanRegistry>;

@@ -1,7 +1,5 @@
 #include "obs/trace.h"
 
-#include <stdexcept>
-
 #include "util/env_knobs.h"
 
 namespace lg::obs {
@@ -120,22 +118,6 @@ std::vector<TraceEvent> TraceRing::events() const {
 void TraceRing::clear() {
   recorded_ = 0;
   merge_dropped_ = 0;
-}
-
-void TraceRing::restore(std::uint64_t recorded, std::uint64_t merge_dropped,
-                        const std::vector<TraceEvent>& events) {
-  if (events.size() > capacity_ || events.size() > recorded) {
-    throw std::runtime_error("TraceRing::restore: inconsistent snapshot");
-  }
-  recorded_ = recorded;
-  merge_dropped_ = merge_dropped;
-  ring_.assign(capacity_, TraceEvent{});
-  // Place the held events where the live ring would have them, so the next
-  // record() overwrites the same slot it would have in the original process.
-  const std::uint64_t first = recorded_ - events.size();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ring_[(first + i) % capacity_] = events[i];
-  }
 }
 
 }  // namespace lg::obs

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/codec.h"
 #include "util/thread_current.h"
 
 namespace lg::obs {
@@ -149,14 +150,41 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
 
   void clear();
 
-  // ---- Checkpoint/restore ----
-  // Reinstate a snapshotted ring: lifetime counters plus the held events
-  // (oldest first, as produced by events()). Throws std::runtime_error on an
-  // inconsistent snapshot (more events than capacity or than were recorded).
-  void restore(std::uint64_t recorded, std::uint64_t merge_dropped,
-               const std::vector<TraceEvent>& events);
+  // ---- checkpoint ----
+  // The enabled flag, the lifetime total recorded() and the held events,
+  // oldest first (util::ring). recorded() already folds merge-inherited
+  // drops in and dropped() is always recorded() - size(), so the total and
+  // the held events reproduce both public counters: loading keeps the total
+  // as the ring's own count.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.magic(kTag, kVersion);
+    ar.b(self.enabled_);
+    std::uint64_t recorded = self.recorded();
+    ar.var(recorded);
+    if constexpr (Ar::kLoading) {
+      self.recorded_ = recorded;
+      self.merge_dropped_ = 0;
+    }
+    // A time, a kind byte, two varints and a value.
+    util::ring(ar, self.ring_, self.recorded_, self.capacity_, 19,
+               "trace ring", [&](auto& e) {
+                 ar.f64(e.t);
+                 ar.enum8(e.kind,
+                          static_cast<TraceKind>(
+                              static_cast<int>(TraceKind::kCount) - 1),
+                          "trace kind");
+                 ar.var(e.a);
+                 ar.var(e.b);
+                 ar.f64(e.value);
+               });
+  }
 
  private:
+  static constexpr std::uint32_t kTag = 0x43415254;  // "TRAC"
+  // v2: every integer a varint.
+  static constexpr std::uint32_t kVersion = 2;
+
   bool enabled_ = false;
   std::size_t capacity_;
   std::uint64_t recorded_ = 0;

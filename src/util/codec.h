@@ -11,23 +11,29 @@
 // version are fixed-width, so an old snapshot fails loudly at its header
 // instead of misparsing.
 //
-// Each checkpointed type declares its layout once, as one function template
-// that both archives drive:
+// Each checkpointed type declares its layout once, as a static member
+// template that both archives drive and that reaches its private state
+// directly:
 //
-//   template <class Ar, util::MaybeConst<Foo> F>
-//   void serialize(Ar& ar, F& foo) {
-//     ar.magic(kFooTag, kVersion);
-//     ar.var(foo.count);
-//     ar.vec(foo.levels, 8, [&](auto& x) { ar.f64(x); });
-//   }
+//   class Foo {
+//    public:
+//     template <class Ar, class Self>
+//     static void layout(Ar& ar, Self& self) {
+//       ar.magic(kTag, kVersion);
+//       ar.var(self.count_);
+//       ar.vec(self.levels_, 8, [&](auto& x) { ar.f64(x); });
+//     }
+//    ...
+//   };
 //
-// With a BinWriter, F is const Foo and every call writes its field; with a
-// BinReader, F is Foo and the same call reads into it. A field added to the
-// format is added in one place, so the two directions cannot drift. Steps
-// only one direction needs — a mismatch check, state rebuilt through an API
-// rather than assigned — sit in the same function under
-// `if constexpr (Ar::kLoading)`. Dispatch is static throughout: two concrete
-// archive classes, no virtual call or std::function per field.
+// Saving passes a BinWriter and Self is usually const Foo: every call writes
+// its field. Loading passes a BinReader and Self is Foo: the same call reads
+// into it. A field added to the format is added in one place, so the two
+// directions cannot drift, and no getter or setter exists only for the
+// checkpoint. Steps only one direction needs — a mismatch check, an index
+// rebuilt — sit in the same function under `if constexpr (Ar::kLoading)`.
+// Dispatch is static throughout: two concrete archive classes, no virtual
+// call or std::function per field.
 //
 // A run of records (vec, or count then one record() per record) states the
 // fewest bytes one record can take. The reader bounds the run's count by the
@@ -51,8 +57,6 @@
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "util/rng.h"
 
 namespace lg::util {
 
@@ -330,17 +334,30 @@ void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
   }
 }
 
-// The one Rng layout (two varints, a flag and the bit-exact cached normal),
-// shared by every checkpointed generator. Owners that tag it do so at the
-// call site.
-template <class Ar, MaybeConst<Rng> R>
-void serialize(Ar& ar, R& rng) {
-  Rng::State s = rng.save_state();
-  ar.var(s.state);
-  ar.var(s.inc);
-  ar.b(s.have_cached_normal);
-  ar.f64(s.cached_normal);
-  if constexpr (Ar::kLoading) rng.restore_state(s);
+// A bounded ring of `cap` slots after `total` pushes: push k went to slot
+// k % cap, so the last min(total, cap) pushes are held. Saved as their count
+// and then each entry, oldest first, as `fn` lays it out. Loading sizes
+// `slots` to `cap`, rejects a count above min(total, cap) (`what` names the
+// ring in the diagnostic) and puts each entry back in its slot, so the next
+// push lands where it would have.
+template <class Ar, class Slots, class Fn>
+void ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
+          std::size_t min_entry_bytes, const char* what, Fn&& fn) {
+  const std::uint64_t held = std::min<std::uint64_t>(total, cap);
+  std::size_t n = static_cast<std::size_t>(held);
+  ar.count(n, min_entry_bytes);
+  if constexpr (Ar::kLoading) {
+    if (n > held) {
+      throw std::runtime_error(
+          std::string("snapshot: ") + what + " holds " + std::to_string(n) +
+          " entries, past the " + std::to_string(held) +
+          " its push total and capacity allow");
+    }
+    slots.assign(cap, {});
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ar.record(min_entry_bytes, [&] { fn(slots[(total - n + i) % cap]); });
+  }
 }
 
 }  // namespace lg::util

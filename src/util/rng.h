@@ -124,25 +124,18 @@ class Rng {
     return Rng{next_u64(), stream_tag};
   }
 
-  // ---- Checkpoint/restore ----
-  // The complete generator state, exposed so a snapshotted simulation can
-  // resume its random streams mid-sequence (lg::fleet checkpoint/restore).
-  // The cached Box-Muller variate is part of the state: dropping it would
-  // desynchronize every draw after the next normal().
-  struct State {
-    std::uint64_t state = 0;
-    std::uint64_t inc = 0;
-    bool have_cached_normal = false;
-    double cached_normal = 0.0;
-  };
-  State save_state() const noexcept {
-    return State{state_, inc_, have_cached_normal_, cached_normal_};
-  }
-  void restore_state(const State& s) noexcept {
-    state_ = s.state;
-    inc_ = s.inc;
-    have_cached_normal_ = s.have_cached_normal;
-    cached_normal_ = s.cached_normal;
+  // ---- checkpoint ----
+  // The complete generator state, so a snapshotted simulation resumes its
+  // random streams mid-sequence (util/codec.h archives). The cached
+  // Box-Muller variate is part of it: dropping it would desynchronize every
+  // draw after the next normal(). Owners that tag the section do so at the
+  // call site.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.var(self.state_);
+    ar.var(self.inc_);
+    ar.b(self.have_cached_normal_);
+    ar.f64(self.cached_normal_);
   }
 
  private:

@@ -67,15 +67,4 @@ std::size_t Scheduler::run(SimTime until) {
   return n;
 }
 
-void Scheduler::restore_state(const State& s) {
-  if (!heap_.empty()) {
-    throw std::runtime_error(
-        "Scheduler::restore_state: queue not drained (" +
-        std::to_string(heap_.size()) + " pending events)");
-  }
-  now_ = s.now;
-  executed_ = s.executed;
-  max_pending_ = s.max_pending;
-}
-
 }  // namespace lg::util

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -67,21 +69,25 @@ class Scheduler {
 
   static constexpr SimTime kForever = 1e300;
 
-  // ---- Checkpoint/restore ----
+  // ---- checkpoint ----
   // A checkpoint barrier is only taken with the queue drained (BGP quiesced,
-  // every tick closure retired), so scheduler state reduces to the clock and
-  // the lifetime counters. restore_state() throws if events are pending —
-  // closures cannot be serialized, and silently dropping them would be a
-  // correctness bug, not a restore.
-  struct State {
-    SimTime now = 0.0;
-    std::uint64_t executed = 0;
-    std::size_t max_pending = 0;
-  };
-  State save_state() const noexcept {
-    return State{now_, executed_, max_pending_};
+  // every tick closure retired), so the layout is the clock and the two
+  // lifetime counters. Loading throws std::runtime_error if events are
+  // pending: closures cannot be serialized, and silently dropping them would
+  // be a correctness bug, not a restore.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    if constexpr (Ar::kLoading) {
+      if (!self.heap_.empty()) {
+        throw std::runtime_error(
+            "scheduler checkpoint: queue not drained (" +
+            std::to_string(self.heap_.size()) + " pending events)");
+      }
+    }
+    ar.f64(self.now_);
+    ar.var(self.executed_);
+    ar.var(self.max_pending_);
   }
-  void restore_state(const State& s);
 
  private:
   struct Event {

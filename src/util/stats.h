@@ -22,18 +22,17 @@ class Summary {
   double max() const noexcept { return n_ ? max_ : 0.0; }
   double sum() const noexcept { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
-  // ---- Checkpoint/restore ----
+  // ---- checkpoint ----
   // Welford accumulation is floating-point-order dependent, so a snapshot
-  // must carry the raw accumulator (including m2) bit-exactly rather than
-  // recompute it from summary statistics.
-  double m2() const noexcept { return m2_; }
-  void restore(std::size_t n, double mean, double m2, double min,
-               double max) noexcept {
-    n_ = n;
-    mean_ = mean;
-    m2_ = m2;
-    min_ = min;
-    max_ = max;
+  // carries the raw accumulator (m2 included) bit-exactly rather than
+  // recompute it from summary statistics (util/codec.h archives).
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.var(self.n_);
+    ar.f64(self.mean_);
+    ar.f64(self.m2_);
+    ar.f64(self.min_);
+    ar.f64(self.max_);
   }
 
  private:
@@ -80,14 +79,14 @@ class EmpiricalCdf {
 
   const std::vector<double>& sorted_samples() const;
 
-  // ---- Checkpoint/restore ----
-  // Insertion-order samples, for serialization. sorted_samples() must NOT be
-  // used here: it sorts in place, and a restored CDF has to replay the same
-  // insertion order so any downstream Welford pass stays bit-exact.
-  const std::vector<double>& raw_samples() const noexcept { return samples_; }
-  void restore(std::vector<double> samples) {
-    samples_ = std::move(samples);
-    sorted_ = samples_.empty();
+  // ---- checkpoint ----
+  // The samples as stored, without sorting them first (sorted_samples()
+  // sorts in place): a loaded CDF holds them in the same order, so any
+  // downstream Welford pass over them stays bit-exact.
+  template <class Ar, class Self>
+  static void layout(Ar& ar, Self& self) {
+    ar.vec(self.samples_, 8, [&](auto& x) { ar.f64(x); });
+    if constexpr (Ar::kLoading) self.sorted_ = self.samples_.empty();
   }
 
  private:

@@ -50,7 +50,7 @@ OutageEvent OutageStream::next() {
 template <class Ar, class Self>
 void OutageStream::layout(Ar& ar, Self& self) {
   ar.magic(kStreamTag, kVersion);
-  util::serialize(ar, self.rng_);
+  util::Rng::layout(ar, self.rng_);
   ar.f64(self.clock_);
   ar.var(self.generated_);
   ar.b(self.has_pending_);

@@ -86,7 +86,7 @@ class SimWorld {
   // Stub ASes usable as PlanetLab-style vantage points.
   std::vector<AsId> stub_vantage_ases(std::size_t n) const;
 
-  // Checkpoint support: after Scheduler::restore_state rewrites the executed
+  // Checkpoint support: after Scheduler::layout loads the executed
   // counter underneath us, re-baseline the delta publisher so the next
   // publish does not replay (or negate) history. The restored metrics
   // registry already carries the original run's lg.scheduler.* totals.

@@ -88,7 +88,7 @@ TEST(TokenBucketTest, DebitAndCreditAreSettlementOnly) {
 }
 
 TEST(ProbeAdmissionTest, EstimateTracksMeasuredCostAndDefers) {
-  ProbeAdmission adm(0.0, 600.0, 280.0);
+  ProbeAdmission adm(0.0, 600.0);
   EXPECT_DOUBLE_EQ(adm.cost_estimate(), 280.0);
   ASSERT_TRUE(adm.try_admit(0.0));
   // The isolation turned out cheaper: the difference is credited back and
@@ -578,7 +578,7 @@ TEST(ServiceConfigTest, FromEnvValidatesServiceKnobs) {
 // it. The estimate must floor at a fraction of the initial (paper-prior)
 // estimate.
 TEST(ProbeAdmissionTest, EstimateNeverCollapsesBelowFloor) {
-  ProbeAdmission adm(0.0, 1e9, 280.0, 0.25);
+  ProbeAdmission adm(0.0, 1e9);
   EXPECT_DOUBLE_EQ(adm.cost_floor(), 70.0);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(adm.try_admit(0.0));

@@ -368,6 +368,97 @@ TEST(ServicePlaneTest, RestoreRejectsRecordSlotPastShardSlots) {
   }
 }
 
+// The slot-owner table must mirror the prefixes' leases. It holds one
+// varint per configured slot: the index of the prefix leasing it, or
+// 0xffffffff (five bytes) when free. A blob that marked a held slot free
+// used to load, so a second prefix could lease the slot and the first
+// one's close withdrew the second's announcement. The table is found as
+// the one run of a count byte equal to the slot count followed by that many
+// owners, each free or a prefix of the shard, at least one leased; a run
+// starting inside the one before it (a leased owner equal to the slot
+// count) is not another table.
+TEST(ServicePlaneTest, RestoreRejectsSlotOwnerThatDisagreesWithLeases) {
+  fleet::ServiceConfig cfg = small_service_config();
+  cfg.outages_per_hour = 480.0;
+  cfg.announce_per_hour = 600.0;
+  fleet::ServiceRun checkpoint;
+  checkpoint.checkpoint_at = 900.0;  // two slots are leased
+  const auto half = fleet::run_service_shard(cfg, 0, 91, checkpoint);
+  const std::string& blob = half.checkpoint;
+  constexpr std::uint64_t kFree = 0xffffffffu;
+  struct Owner {
+    std::size_t at = 0;
+    std::size_t bytes = 0;
+    std::uint64_t prefix = 0;
+  };
+  std::vector<std::size_t> tables;
+  std::vector<Owner> owners;
+  for (std::size_t at = 0; at < blob.size(); ++at) {
+    if (static_cast<unsigned char>(blob[at]) != cfg.slots) continue;
+    const std::string rest = blob.substr(at + 1, 5 * cfg.slots);
+    util::BinReader r(rest);
+    std::vector<Owner> table;
+    try {
+      for (std::size_t s = 0; s < cfg.slots; ++s) {
+        const std::size_t start = rest.size() - r.remaining();
+        const std::uint64_t prefix = r.var();
+        if (prefix != kFree && prefix >= half.prefixes) break;
+        table.push_back({at + 1 + start, rest.size() - r.remaining() - start,
+                         prefix});
+      }
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    const auto n_leased = std::count_if(
+        table.begin(), table.end(),
+        [&](const Owner& o) { return o.prefix != kFree; });
+    if (table.size() == cfg.slots && n_leased != 0 &&
+        n_leased != static_cast<std::ptrdiff_t>(cfg.slots)) {
+      tables.push_back(at);
+      owners = table;
+      at = table.back().at + table.back().bytes - 1;
+    }
+  }
+  ASSERT_EQ(tables.size(), 1u) << "the owner table is not unique";
+  const auto leased = std::find_if(
+      owners.begin(), owners.end(),
+      [&](const Owner& o) { return o.prefix != kFree; });
+  const auto unleased = std::find_if(
+      owners.begin(), owners.end(),
+      [&](const Owner& o) { return o.prefix == kFree; });
+  const std::size_t leased_slot = leased - owners.begin();
+  const std::size_t unleased_slot = unleased - owners.begin();
+  ASSERT_EQ(leased->bytes, 1u);
+
+  const auto load_error = [&](const std::string& bad) {
+    fleet::ServiceRun resume;
+    resume.restore_blob = &bad;
+    try {
+      fleet::run_service_shard(cfg, 0, 91, resume);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto rejects = [](std::size_t slot) {
+    return "service checkpoint: slot " + std::to_string(slot) +
+           "'s owner does not match the prefix leasing it";
+  };
+  // A leased slot marked free.
+  std::string bad = blob;
+  bad.replace(leased->at, leased->bytes, "\xff\xff\xff\xff\x0f");
+  EXPECT_EQ(load_error(bad), rejects(leased_slot));
+  // A leased slot owned by another prefix.
+  bad = blob;
+  bad[leased->at] = static_cast<char>((leased->prefix + 1) % half.prefixes);
+  EXPECT_EQ(load_error(bad), rejects(leased_slot));
+  // A free slot owned by the prefix leasing another one.
+  bad = blob;
+  bad.replace(unleased->at, unleased->bytes, 1,
+              static_cast<char>(leased->prefix));
+  EXPECT_EQ(load_error(bad), rejects(unleased_slot));
+}
+
 // Slots beyond 15 used to be cut silently.
 TEST(ServiceConfigTest, RunRejectsConfigsItCannotRun) {
   const auto expect_rejected = [](const fleet::ServiceConfig& cfg,

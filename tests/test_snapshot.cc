@@ -2,11 +2,14 @@
 //  * util/codec: varint, flag, enum and bit-exact double round-trips, loud
 //    failure on truncation and version drift, and a stated record minimum
 //    checked on save;
-//  * util: Rng and Scheduler state round-trips (restore refuses live events);
-//  * fleet/checkpoint: metrics / span / trace registry round-trips restore
-//    saved contents verbatim;
-//  * util/codec: LEB128 varints and ascending index lists reject overlong,
-//    truncated, repeated and out-of-range input;
+//  * util: Rng and Scheduler layouts round-trip (loading refuses live
+//    events);
+//  * every other type with its own layout — metrics / span / trace
+//    registries, distributions, token buckets, probe admission, the failure
+//    injector, the responsiveness model — re-saves a loaded copy
+//    byte-identically, and the copy behaves like the original;
+//  * util/codec: LEB128 varints, ascending index lists and bounded rings
+//    reject overlong, truncated, repeated and out-of-range input;
 //  * bgp/snapshot: a quiesced engine re-serializes byte-identically after a
 //    load into a fresh engine over the same topology and clock; running
 //    MRAI timers survive the load; a pending deferred flush refuses to save;
@@ -28,10 +31,14 @@
 
 #include "bgp/engine.h"
 #include "bgp/types.h"
+#include "dataplane/failures.h"
 #include "faults/fault_plane.h"
-#include "fleet/checkpoint.h"
+#include "fleet/budget.h"
 #include "fleet/service_plane.h"
+#include "measure/responsiveness.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "util/codec.h"
@@ -42,6 +49,28 @@
 
 namespace lg {
 namespace {
+
+// `t` saved through its layout.
+template <class T>
+std::string save(const T& t) {
+  util::BinWriter w;
+  T::layout(w, t);
+  return w.take();
+}
+
+// `blob` loaded into `t` through its layout, which must read all of it.
+template <class T>
+void load(const std::string& blob, T& t) {
+  util::BinReader r(blob);
+  T::layout(r, t);
+  EXPECT_TRUE(r.at_end());
+}
+
+// Gives `to` the clock of `from`, as a shard restore does before it loads
+// the engine.
+void copy_clock(const util::Scheduler& from, util::Scheduler& to) {
+  load(save(from), to);
+}
 
 // ------------------------------------------------------------------ codec
 
@@ -262,17 +291,67 @@ TEST(CodecTest, AscendingIndicesRoundTripAndRejectBadSteps) {
             "snapshot: test slot index at or past 6");
 }
 
+// util::ring over eight slots after `total` pushes, loading a blob that
+// holds `count` one-byte entries.
+std::string ring_error(std::uint64_t total, std::size_t count) {
+  util::BinWriter w;
+  w.var(count);
+  for (std::size_t i = 0; i < count; ++i) w.var(i);
+  const std::string blob = w.take();
+  util::BinReader r(blob);
+  std::vector<std::uint32_t> slots;
+  try {
+    util::ring(r, slots, total, 8, 1, "test ring",
+               [&](std::uint32_t& x) { r.var(x); });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CodecTest, RingRoundTripsAndRejectsCountsItCannotHold) {
+  // Twelve pushes into eight slots: push k sits at slot k % 8, and pushes
+  // 4 to 11 are held.
+  std::vector<std::uint32_t> slots(8);
+  for (std::uint32_t k = 0; k < 12; ++k) slots[k % 8] = k;
+  util::BinWriter w;
+  util::ring(w, slots, 12, 8, 1, "test ring",
+             [&](std::uint32_t x) { w.var(x); });
+  EXPECT_EQ(w.blob(),
+            std::string("\x08\x04\x05\x06\x07\x08\x09\x0a\x0b", 9));
+  const std::string blob = w.take();
+  util::BinReader r(blob);
+  std::vector<std::uint32_t> back;
+  util::ring(r, back, 12, 8, 1, "test ring",
+             [&](std::uint32_t& x) { r.var(x); });
+  EXPECT_EQ(back, slots);
+  EXPECT_TRUE(r.at_end());
+
+  EXPECT_EQ(ring_error(12, 8), "");
+  EXPECT_EQ(ring_error(3, 3), "");
+  // Fewer than held: a merged trace ring holds fewer than its total counts.
+  EXPECT_EQ(ring_error(3, 2), "");
+  // More entries than pushes were made.
+  EXPECT_EQ(ring_error(3, 4),
+            "snapshot: test ring holds 4 entries, past the 3 its push total "
+            "and capacity allow");
+  // More entries than the ring has slots.
+  EXPECT_EQ(ring_error(12, 9),
+            "snapshot: test ring holds 9 entries, past the 8 its push total "
+            "and capacity allow");
+}
+
 // -------------------------------------------------------------------- rng
 
 TEST(RngStateTest, RestoreContinuesIdenticalSequence) {
   util::Rng a(123, 456);
   (void)a.normal(0.0, 1.0);  // populate the cached-normal half
-  const auto state = a.save_state();
+  const std::string blob = save(a);
   std::vector<double> expect;
   for (int i = 0; i < 8; ++i) expect.push_back(a.normal(0.0, 1.0));
 
-  util::Rng b;  // different seed entirely; restore must overwrite all of it
-  b.restore_state(state);
+  util::Rng b;  // different seed entirely; loading must overwrite all of it
+  load(blob, b);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(b.normal(0.0, 1.0), expect[i]);
 }
 
@@ -285,20 +364,23 @@ TEST(SchedulerStateTest, RoundTripsCountersAndRefusesLiveEvents) {
   s.at(2.0, [&] { ++fired; });
   s.run();
   EXPECT_EQ(fired, 2);
-  const auto state = s.save_state();
-  EXPECT_DOUBLE_EQ(state.now, 2.0);
-  EXPECT_EQ(state.executed, 2u);
+  const std::string blob = save(s);
+  // The clock, then the executed counter.
+  util::BinReader fields(blob);
+  EXPECT_DOUBLE_EQ(fields.f64(), 2.0);
+  EXPECT_EQ(fields.var(), 2u);
 
   util::Scheduler fresh;
-  fresh.restore_state(state);
+  load(blob, fresh);
   EXPECT_DOUBLE_EQ(fresh.now(), 2.0);
   EXPECT_EQ(fresh.executed(), 2u);
 
-  // Closures cannot be serialized: restoring over pending events would
+  // Closures cannot be serialized: loading over pending events would
   // silently drop them, so it must throw instead.
   util::Scheduler busy;
   busy.at(5.0, [] {});
-  EXPECT_THROW(busy.restore_state(state), std::runtime_error);
+  util::BinReader r(blob);
+  EXPECT_THROW(util::Scheduler::layout(r, busy), std::runtime_error);
 }
 
 // ------------------------------------------------------------- registries
@@ -313,24 +395,22 @@ TEST(CheckpointTest, MetricsRegistryRoundTripsVerbatim) {
   auto& d = reg.distribution("c.dist");
   for (const double v : {1.0, 2.0, 7.5, -3.0}) d.observe(v);
 
-  util::BinWriter w;
-  fleet::serialize(w, reg);
-  const std::string blob = w.take();
+  const std::string blob = save(reg);
 
   // Restore targets a fresh registry (the service-plane restore path always
-  // does); merge-into-nonempty is not part of the contract.
+  // does); merge-into-nonempty is not part of the contract. A handle taken
+  // before the load stays valid and sees the loaded value.
   obs::MetricsRegistry back;
   back.set_enabled(true);
-  util::BinReader r(blob);
-  fleet::serialize(r, back);
+  const obs::Counter& live = back.counter("a.count");
+  load(blob, back);
 
   EXPECT_EQ(back.counter("a.count").value(), 42u);
+  EXPECT_EQ(live.value(), 42u);
   EXPECT_DOUBLE_EQ(back.gauge("b.gauge").value(), 3.25);
   // Byte-level check: re-saving the restored registry reproduces the blob
   // exactly (same names, same order, same bit patterns).
-  util::BinWriter w2;
-  fleet::serialize(w2, back);
-  EXPECT_EQ(blob, w2.blob());
+  EXPECT_EQ(blob, save(back));
 }
 
 TEST(CheckpointTest, SpanRegistryRoundTripsVerbatim) {
@@ -344,18 +424,13 @@ TEST(CheckpointTest, SpanRegistryRoundTripsVerbatim) {
   const auto open = reg.begin(5.0, "still-open");
   (void)open;
 
-  util::BinWriter w;
-  fleet::serialize(w, reg);
-  const std::string blob = w.take();
+  const std::string blob = save(reg);
 
   obs::SpanRegistry back;
-  util::BinReader r(blob);
-  fleet::serialize(r, back);
+  load(blob, back);
   ASSERT_EQ(back.records().size(), reg.records().size());
 
-  util::BinWriter w2;
-  fleet::serialize(w2, back);
-  EXPECT_EQ(blob, w2.blob());
+  EXPECT_EQ(blob, save(back));
 
   // The restored id stream continues where the original would have: the
   // next span begun on either registry gets the same id.
@@ -371,14 +446,11 @@ TEST(CheckpointTest, TraceRingRoundTripsVerbatim) {
     ring.record(static_cast<double>(i), obs::TraceKind::kEpisodeOpened,
                 static_cast<std::uint64_t>(i), 0, 0.5 * i);
   }
-  util::BinWriter w;
-  fleet::serialize(w, ring);
-  const std::string blob = w.take();
+  const std::string blob = save(ring);
 
   obs::TraceRing back(8);
   back.set_enabled(true);
-  util::BinReader r(blob);
-  fleet::serialize(r, back);
+  load(blob, back);
   EXPECT_EQ(back.recorded(), ring.recorded());
   EXPECT_EQ(back.dropped(), ring.dropped());
   const auto a = ring.events();
@@ -389,6 +461,137 @@ TEST(CheckpointTest, TraceRingRoundTripsVerbatim) {
     EXPECT_EQ(a[i].kind, b[i].kind);
     EXPECT_EQ(a[i].a, b[i].a);
   }
+}
+
+// A distribution's Welford accumulator and samples load bit-exactly, and
+// the loaded one keeps accumulating as the original does.
+TEST(CheckpointTest, DistributionRoundTripsItsSummary) {
+  obs::MetricsRegistry reg;
+  obs::Distribution& d = reg.distribution("d");
+  for (const double v : {0.1, 0.2, 0.7, 1e6, -3.5}) d.observe(v);
+  const std::string blob = save(reg);
+
+  obs::MetricsRegistry back;
+  load(blob, back);
+  EXPECT_EQ(save(back), blob);
+  obs::Distribution& got = back.distribution("d");
+  const auto same = [&] {
+    EXPECT_EQ(got.summary().count(), d.summary().count());
+    EXPECT_EQ(got.summary().mean(), d.summary().mean());
+    EXPECT_EQ(got.summary().variance(), d.summary().variance());
+    EXPECT_EQ(got.summary().min(), d.summary().min());
+    EXPECT_EQ(got.summary().max(), d.summary().max());
+    EXPECT_EQ(got.cdf().sorted_samples(), d.cdf().sorted_samples());
+  };
+  same();
+  d.observe(2.5);
+  got.observe(2.5);
+  same();
+}
+
+// Loading a bucket's tokens, clock and counters: the loaded bucket grants
+// and denies the next requests exactly as the original does.
+TEST(CheckpointTest, TokenBucketRoundTripsAndGrantsTheSame) {
+  fleet::TokenBucket bucket(0.5, 3.0);
+  ASSERT_TRUE(bucket.try_spend(1.0, 2.0));
+  ASSERT_FALSE(bucket.try_spend(1.5, 2.0));
+  const std::string blob = save(bucket);
+
+  fleet::TokenBucket back(0.5, 3.0);
+  load(blob, back);
+  EXPECT_EQ(save(back), blob);
+  std::vector<bool> want, got;
+  for (const double t : {2.0, 2.5, 4.0, 9.0, 9.1}) {
+    want.push_back(bucket.try_spend(t, 1.5));
+    got.push_back(back.try_spend(t, 1.5));
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want, (std::vector<bool>{true, false, false, true, true}));
+  EXPECT_EQ(back.granted(), bucket.granted());
+  EXPECT_EQ(back.denied(), bucket.denied());
+  EXPECT_EQ(back.spent(), bucket.spent());
+}
+
+// The admission controller's bucket and adapted estimate load together:
+// the loaded controller admits and defers the same next isolations.
+TEST(CheckpointTest, ProbeAdmissionRoundTripsAndAdmitsTheSame) {
+  fleet::ProbeAdmission adm(10.0, 600.0);
+  ASSERT_TRUE(adm.try_admit(0.0));
+  adm.settle(0.0, 100.0);  // a cheap isolation pulls the estimate down
+  ASSERT_TRUE(adm.try_admit(1.0));
+  const std::string blob = save(adm);
+
+  fleet::ProbeAdmission back(10.0, 600.0);
+  load(blob, back);
+  EXPECT_EQ(save(back), blob);
+  EXPECT_EQ(back.cost_estimate(), adm.cost_estimate());
+  std::vector<bool> want, got;
+  for (const double t : {1.0, 1.5, 2.0, 30.0}) {
+    want.push_back(adm.try_admit(t));
+    got.push_back(back.try_admit(t));
+    if (want.back()) adm.settle(t, 400.0);
+    if (got.back()) back.settle(t, 400.0);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want, (std::vector<bool>{true, false, false, true}));
+  EXPECT_EQ(back.cost_estimate(), adm.cost_estimate());
+  EXPECT_EQ(back.admitted(), adm.admitted());
+  EXPECT_EQ(back.deferred(), adm.deferred());
+}
+
+// The failure injector loads its active failures and its id counter: the
+// next failure injected gets the id the original would have issued, which
+// no other check catches unless two ids collide.
+TEST(CheckpointTest, FailureInjectorRoundTripsAndIssuesTheSameNextId) {
+  dp::FailureInjector inj;
+  dp::Failure at_as;
+  at_as.at_as = 7;
+  at_as.toward_as = 3;
+  dp::Failure at_link;
+  at_link.at_link = topo::AsLinkKey(5, 2);
+  at_link.direction_from = 5;
+  const dp::FailureId first = inj.inject(at_as);
+  inj.inject(at_link);
+  inj.inject(at_as);
+  ASSERT_TRUE(inj.clear(first));
+  const std::string blob = save(inj);
+
+  dp::FailureInjector back;
+  load(blob, back);
+  EXPECT_EQ(save(back), blob);
+  ASSERT_EQ(back.active().size(), inj.active().size());
+  for (std::size_t i = 0; i < inj.active().size(); ++i) {
+    EXPECT_EQ(back.active()[i].first, inj.active()[i].first);
+    EXPECT_EQ(back.active()[i].second.str(), inj.active()[i].second.str());
+  }
+  EXPECT_EQ(back.drops_on_link(5, 2, 9), inj.drops_on_link(5, 2, 9));
+  EXPECT_EQ(back.drops_on_link(2, 5, 9), inj.drops_on_link(2, 5, 9));
+  const dp::FailureId next = inj.inject(at_link);
+  EXPECT_EQ(next, 4u);
+  EXPECT_EQ(back.inject(at_link), next);
+}
+
+// The responsiveness model's rate-limit stream loads mid-sequence: the
+// loaded model draws the same next verdicts, which a fresh one does not.
+TEST(CheckpointTest, ResponsivenessRoundTripsAndDrawsTheSame) {
+  measure::ResponsivenessConfig cfg;
+  cfg.rate_limit_drop_prob = 0.5;
+  measure::Responsiveness resp(cfg);
+  for (int i = 0; i < 7; ++i) (void)resp.rate_limited();
+  const std::string blob = save(resp);
+
+  measure::Responsiveness back(cfg);
+  load(blob, back);
+  EXPECT_EQ(save(back), blob);
+  measure::Responsiveness fresh(cfg);
+  std::vector<bool> want, got, from_start;
+  for (int i = 0; i < 32; ++i) {
+    want.push_back(resp.rate_limited());
+    got.push_back(back.rate_limited());
+    from_start.push_back(fresh.rate_limited());
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_NE(from_start, want);
 }
 
 // ---------------------------------------------------------- bgp snapshot
@@ -412,7 +615,7 @@ TEST(EngineSnapshotTest, QuiescedEngineReserializesByteIdentically) {
 
   workload::SimWorld fresh(wc);
   fresh.converge();
-  fresh.scheduler().restore_state(world.scheduler().save_state());
+  copy_clock(world.scheduler(), fresh.scheduler());
   util::BinReader r(blob);
   fresh.engine().serialize(r);
 
@@ -456,7 +659,7 @@ TEST(EngineSnapshotTest, LoadsIntoEngineWithOtherPrefixIdOrder) {
   bgp::BgpEngine other(topo.graph, other_sched);
   for (const topo::Prefix& p : {c, b, a}) originate(other, p);
   other_sched.run();
-  other_sched.restore_state(sched.save_state());
+  copy_clock(sched, other_sched);
   util::BinReader r(blob);
   other.serialize(r);
 
@@ -751,7 +954,7 @@ TEST(EngineSnapshotTest, RejectsMraiSessionPastSessionCount) {
   ASSERT_EQ(blob[at - 1], 1) << "the timer is not session 1's";
 
   TwoAsEngine other;
-  other.sched.restore_state(two.sched.save_state());
+  copy_clock(two.sched, other.sched);
   ASSERT_EQ(load_error(*other.engine, blob), "");
   std::string bad = blob;
   bad[at - 1] = 2;  // past the two directed sessions
@@ -833,7 +1036,7 @@ TEST(EngineSnapshotTest, LiveMraiTimersSurviveRestore) {
 
   wc.announce_infrastructure = false;
   workload::SimWorld restored(wc);
-  restored.scheduler().restore_state(world.scheduler().save_state());
+  copy_clock(world.scheduler(), restored.scheduler());
   util::BinReader r(blob);
   restored.engine().serialize(r);
   ASSERT_EQ(rib_dump(restored.engine()), rib_dump(world.engine()));
