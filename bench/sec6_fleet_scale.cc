@@ -25,9 +25,9 @@
 
 #include "bench/bench_util.h"
 #include "fleet/fleet_scheduler.h"
+#include "run/trial_runner.h"
 #include "util/env_knobs.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 using namespace lg;
 
@@ -100,9 +100,7 @@ int main() {
       cell.targets = size;
       cell.rate = rate;
       {
-        bench::WallClock wc(label, cfg.shards,
-                            cfg.threads ? cfg.threads
-                                        : util::default_thread_count());
+        bench::WallClock wc(label, cfg.shards, run::thread_count(cfg.threads));
         cell.result = scheduler.run();
       }
       const double wall = std::chrono::duration<double>(

@@ -36,10 +36,10 @@
 #include "bench/bench_util.h"
 #include "fleet/service_plane.h"
 #include "mem/rss.h"
+#include "run/trial_runner.h"
 #include "util/env_knobs.h"
 #include "util/hashing.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 using namespace lg;
 
@@ -166,9 +166,8 @@ int main() {
   fleet::ServiceResult result;
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    bench::WallClock wc(
-        "service plane", cfg.shards,
-        cfg.threads ? cfg.threads : util::default_thread_count());
+    bench::WallClock wc("service plane", cfg.shards,
+                        run::thread_count(cfg.threads));
     if (restore_path != nullptr && restore_path[0] != '\0') {
       result = scheduler.resume(
           fleet::ServiceScheduler::read_checkpoint(restore_path, cfg.shards));
@@ -203,8 +202,7 @@ int main() {
   mem_cfg.prefixes = std::max<std::size_t>(cfg.prefixes, 100000);
   mem_cfg.horizon_seconds = 1800.0;
   mem_cfg.drain_cap_seconds = 3600.0;
-  const std::size_t mem_threads =
-      mem_cfg.threads ? mem_cfg.threads : util::default_thread_count();
+  const std::size_t mem_threads = run::thread_count(mem_cfg.threads);
   bench::section("Steady-state memory — 100k-prefix universe");
   fleet::ServiceResult mem_result;
   {

@@ -11,7 +11,11 @@
    exact "LG_..." string literal — the getenv / *_from_env call-site
    idiom) must have a row in docs/OPERATORS.md's knob table, and every
    documented knob must still exist in the code, so the operator doc can
-   neither lag nor accumulate stale rows.
+   neither lag nor accumulate stale rows. Each row's "Read by" cell must
+   name readers that exist: a backticked `a::b` name must be declared in
+   src/ as a function, class or struct (matched by its last component),
+   and any other backticked name must be a bench (bench/<name>.cc), a test
+   (tests/<name>.cc) or a class or struct defined in src/ or bench/.
 4. Every backticked repo path in README.md, DESIGN.md, EXPERIMENTS.md and
    docs/*.md must name an existing file or directory: `src/...`,
    `bench/...`, `tests/...`, `scripts/...` and `examples/...` paths, and
@@ -79,22 +83,63 @@ OPERATORS = REPO / "docs" / "OPERATORS.md"
 # Exact quoted knob names only: prose like "replay with LG_CHECK_SEED=..."
 # inside longer literals is not a read site.
 KNOB_READ_RE = re.compile(r'"(LG_[A-Z0-9_]+)"')
-# First table column: | `LG_FOO` | ...
-KNOB_ROW_RE = re.compile(r"^\|\s*`(LG_[A-Z0-9_]+)`", re.MULTILINE)
+# First two table columns, the knob and "Read by": | `LG_FOO` | ... | ...
+KNOB_ROW_RE = re.compile(r"^\|\s*`(LG_[A-Z0-9_]+)`\s*\|([^|\n]*)\|",
+                         re.MULTILINE)
+
+
+def sources(top: str) -> list:
+    """(path, text) of every .cc and .h file under top/."""
+    return [(path, path.read_text(encoding="utf-8"))
+            for path in sorted((REPO / top).rglob("*"))
+            if path.suffix in (".cc", ".h")]
+
+
+def defines_class(name: str, text: str) -> bool:
+    # A definition, not a forward declaration: the body's brace follows.
+    return re.search(rf"\b(?:class|struct)\s+{re.escape(name)}\b[^;{{]*\{{",
+                     text) is not None
+
+
+def declares_function(name: str, text: str) -> bool:
+    # A line that opens with a return type (and any qualifiers) and then
+    # names the function: `static ServiceConfig from_env();`.
+    return re.search(rf"^[ \t]*(?!return\b)(?:[\w:<>,]+[ \t*&]+)+"
+                     rf"{re.escape(name)}[ \t]*\(", text,
+                     re.MULTILINE) is not None
+
+
+def check_readers(rows: list, src: str, src_and_bench: str) -> list:
+    problems = []
+    for knob, cell in rows:
+        for name in CODE_SPAN_RE.findall(cell):
+            if "::" in name:
+                last = name.rsplit("::", 1)[1]
+                if defines_class(last, src) or declares_function(last, src):
+                    continue
+                what = "a function, class or struct declared in src/"
+            else:
+                if ((REPO / "bench" / f"{name}.cc").exists() or
+                        (REPO / "tests" / f"{name}.cc").exists() or
+                        defines_class(name, src_and_bench)):
+                    continue
+                what = "a bench, a test, or a class in src/ or bench/"
+            problems.append(
+                f"docs/OPERATORS.md: `{knob}` row's reader `{name}` is not "
+                f"{what}")
+    return problems
 
 
 def check_knob_table() -> list:
     if not OPERATORS.exists():
         return ["docs/OPERATORS.md is missing"]
-    documented = set(KNOB_ROW_RE.findall(
-        OPERATORS.read_text(encoding="utf-8")))
+    rows = KNOB_ROW_RE.findall(OPERATORS.read_text(encoding="utf-8"))
+    documented = {knob for knob, _ in rows}
+    code = {top: sources(top) for top in ("src", "bench", "tests")}
     read_sites = {}
-    for top in ("src", "bench", "tests"):
-        for path in sorted((REPO / top).rglob("*")):
-            if path.suffix not in (".cc", ".h"):
-                continue
-            for knob in KNOB_READ_RE.findall(
-                    path.read_text(encoding="utf-8")):
+    for files in code.values():
+        for path, text in files:
+            for knob in KNOB_READ_RE.findall(text):
                 read_sites.setdefault(knob, path.relative_to(REPO))
     problems = []
     for knob in sorted(set(read_sites) - documented):
@@ -105,7 +150,9 @@ def check_knob_table() -> list:
         problems.append(
             f"docs/OPERATORS.md: stale knob row `{knob}` "
             f"(no read site in src/, bench/, or tests/)")
-    return problems
+    src = "\n".join(text for _, text in code["src"])
+    bench = "\n".join(text for _, text in code["bench"])
+    return problems + check_readers(rows, src, src + "\n" + bench)
 
 
 PATH_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"]
@@ -184,7 +231,8 @@ def main() -> int:
     if not problems:
         print(f"docs OK: {len(targets)} files link-checked, "
               f"module map covers all of src/, knob table covers every "
-              f"LG_* read site, every backticked repo path exists")
+              f"LG_* read site with readers that exist, every backticked "
+              f"repo path exists")
     return 1 if problems else 0
 
 

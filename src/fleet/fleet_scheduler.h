@@ -1,4 +1,4 @@
-// lg::fleet — deterministic fan-out of the fleet over worker threads.
+// lg::fleet — deterministic fan-out of the fleet over threads.
 //
 // The fleet is partitioned into a FIXED number of shards (FleetConfig::
 // shards), each an independent simulated universe: its own SimWorld, its

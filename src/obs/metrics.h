@@ -10,12 +10,12 @@
 // Observability section of DESIGN.md for the full catalogue.
 //
 // Each registry is single-threaded (plain integers, no atomics), matching
-// the simulator, but the process is not: lg::run's TrialRunner runs one
-// SimWorld per worker thread. Parallel safety comes from *scoping*, not
-// locking — every thread reports into its thread-current registry
-// (MetricsRegistry::current(), installed via ScopedMetricsRegistry and
-// defaulting to the global one; see util/thread_current.h), and per-trial
-// registries are merge()d into the global registry sequentially, in
+// the simulator, but the process is not: lg::run's TrialRunner runs its
+// trials' SimWorlds on several threads at once. Parallel safety comes from
+// *scoping*, not locking — every thread reports into its thread-current
+// registry (MetricsRegistry::current(), installed via ScopedMetricsRegistry
+// and defaulting to the global one; see util/thread_current.h), and
+// per-trial registries are merge()d into the global registry sequentially, in
 // trial-index order, so merged results are byte-identical for any thread
 // count.
 #pragma once

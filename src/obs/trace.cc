@@ -77,9 +77,7 @@ const char* trace_kind_name(TraceKind k) noexcept {
 }
 
 TraceRing::TraceRing(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.resize(capacity_);
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 TraceRing& TraceRing::global() {
   static TraceRing ring;
@@ -97,9 +95,11 @@ void TraceRing::configure_from_env() {
   enabled_ = util::env_switch("LG_TRACE", enabled_);
 }
 
+void TraceRing::allocate() { ring_.resize(capacity_); }
+
 void TraceRing::set_capacity(std::size_t capacity) {
   capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.assign(capacity_, TraceEvent{});
+  ring_.clear();
   recorded_ = 0;
   merge_dropped_ = 0;
 }

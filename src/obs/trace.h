@@ -120,6 +120,7 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
   void record(double t, TraceKind kind, std::uint64_t a = 0,
               std::uint64_t b = 0, double value = 0.0) {
     if (!enabled_) return;
+    if (ring_.empty()) allocate();
     ring_[recorded_ % capacity_] = TraceEvent{t, kind, a, b, value};
     ++recorded_;
   }
@@ -185,10 +186,16 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
   // v2: every integer a varint.
   static constexpr std::uint32_t kVersion = 2;
 
+  // Sizes ring_ to capacity_; out of line, since record() sits on the
+  // engine's per-update paths.
+  void allocate();
+
   bool enabled_ = false;
   std::size_t capacity_;
   std::uint64_t recorded_ = 0;
   std::uint64_t merge_dropped_ = 0;
+  // Empty until the first record(), then capacity_ slots: a ring that
+  // records nothing allocates nothing.
   std::vector<TraceEvent> ring_;
 };
 

@@ -8,14 +8,17 @@
 // trials for statistical coverage — so the runner is built for "as many
 // cores as the hardware allows" without giving up reproducibility:
 //
-//  * a fixed lg::util::ThreadPool (no work stealing) sized by LG_THREADS or
-//    the hardware;
+//  * the calling thread and up to threads - 1 workers claim trial indices
+//    from one atomic counter, threads taken from LG_THREADS or the hardware
+//    (at LG_THREADS=1 every trial runs on the calling thread);
 //  * every trial gets an independent seed derived from (base_seed, index)
-//    via SplitMix64, so trial i's world is identical no matter which worker
+//    via SplitMix64, so trial i's world is identical no matter which thread
 //    runs it or in what order;
 //  * every trial gets fresh obs::MetricsRegistry / obs::TraceRing /
 //    obs::SpanRegistry instances installed as the thread-current sinks for
-//    its duration, so the global singletons are never touched concurrently;
+//    its duration, so the global singletons are never touched concurrently,
+//    and the disabled fault and adversary planes, so a trial on the calling
+//    thread sees only the planes it scopes itself, as one on a worker does;
 //  * results, metrics, traces and spans are merged in trial-index order on
 //    the calling thread once every trial has finished, into the sinks that
 //    were current where run() was called (the global ones in a bench main()).
@@ -39,6 +42,12 @@
 
 namespace lg::run {
 
+// The thread count a run asks for: `requested` when nonzero, else the
+// LG_THREADS environment variable when set (a positive integer; anything
+// else throws std::invalid_argument, see util/env_knobs.h), else
+// std::thread::hardware_concurrency() (minimum 1).
+std::size_t thread_count(std::size_t requested);
+
 // The per-trial seed: SplitMix64 over base_seed XOR a spread of the index,
 // so neighbouring trials get statistically independent streams.
 std::uint64_t trial_seed(std::uint64_t base_seed, std::size_t index) noexcept;
@@ -59,7 +68,7 @@ struct TrialContext {
 };
 
 struct TrialRunnerConfig {
-  // 0 picks util::default_thread_count() (LG_THREADS env, else hardware).
+  // 0 picks thread_count(0) (LG_THREADS env, else hardware).
   std::size_t threads = 0;
   std::uint64_t base_seed = 0x4c464721ULL;  // "LFG!"
 };
@@ -91,7 +100,7 @@ class TrialRunner {
   }
 
  private:
-  // Non-template core: pool fan-out, per-trial obs scoping, ordered merge.
+  // Non-template core: fan-out, per-trial scoping, ordered merge.
   void run_erased(std::size_t n,
                   const std::function<void(TrialContext&)>& body);
 

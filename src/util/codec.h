@@ -336,10 +336,11 @@ void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
 
 // A bounded ring of `cap` slots after `total` pushes: push k went to slot
 // k % cap, so the last min(total, cap) pushes are held. Saved as their count
-// and then each entry, oldest first, as `fn` lays it out. Loading sizes
-// `slots` to `cap`, rejects a count above min(total, cap) (`what` names the
-// ring in the diagnostic) and puts each entry back in its slot, so the next
-// push lands where it would have.
+// and then each entry, oldest first, as `fn` lays it out. Loading rejects a
+// count above min(total, cap) (`what` names the ring in the diagnostic),
+// sizes `slots` to `cap` if the ring holds entries and empties it if not,
+// and puts each entry back in its slot, so the next push lands where it
+// would have.
 template <class Ar, class Slots, class Fn>
 void ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
           std::size_t min_entry_bytes, const char* what, Fn&& fn) {
@@ -353,7 +354,7 @@ void ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
           " entries, past the " + std::to_string(held) +
           " its push total and capacity allow");
     }
-    slots.assign(cap, {});
+    slots.assign(held > 0 ? cap : 0, {});
   }
   for (std::size_t i = 0; i < n; ++i) {
     ar.record(min_entry_bytes, [&] { fn(slots[(total - n + i) % cap]); });
