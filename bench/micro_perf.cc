@@ -158,6 +158,20 @@ void BM_DataPlaneForward(benchmark::State& state) {
 }
 BENCHMARK(BM_DataPlaneForward);
 
+// The same leg as BM_DataPlaneForward without recording its hops: what each
+// ping leg and traceroute reply costs.
+void BM_DataPlaneReach(benchmark::State& state) {
+  auto& world = shared_world();
+  const AsId src = world.topology().stubs.front();
+  const AsId dst = world.topology().stubs.back();
+  const auto addr =
+      topo::AddressPlan::router_address(topo::RouterId{dst, 0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(world.dataplane().reach(src, addr));
+  }
+}
+BENCHMARK(BM_DataPlaneReach);
+
 void BM_Ping(benchmark::State& state) {
   auto& world = shared_world();
   static bool announced = [] {

@@ -1,11 +1,20 @@
 // Hop-by-hop packet forwarding over the current BGP state.
 //
 // Every probe in the system — pings, traceroute TTL-steps, spoofed probes,
-// BGP-convergence loss sampling — is one or two calls to
-// DataPlane::forward(). Forwarding consults each AS's FIB *as it is right
-// now*, so transient inconsistencies during BGP convergence naturally produce
-// loops and blackholes (the convergence loss the paper measures in §5.2),
-// and injected silent failures drop packets while BGP keeps advertising.
+// BGP-convergence loss sampling — walks the data plane one leg at a time, by
+// one loop with two entry points. DataPlane::forward() records the
+// router-level hops of a leg: the prober uses it for a traceroute's forward
+// leg (its true hops) and for reverse traceroutes, and the callers outside
+// the prober (scenarios, DNS failover, benches) use it too.
+// DataPlane::reach() runs the same walk without hops and reports only the
+// status and the AS where the leg ended: the prober uses it for both legs of
+// every ping and spoofed ping and for the reply from every traceroute hop
+// and destination, paths nobody reads.
+//
+// Forwarding consults each AS's FIB *as it is right now*, so transient
+// inconsistencies during BGP convergence naturally produce loops and
+// blackholes (the convergence loss the paper measures in §5.2), and
+// injected silent failures drop packets while BGP keeps advertising.
 #pragma once
 
 #include <optional>
@@ -60,6 +69,11 @@ class DataPlane {
                             std::nullopt,
                         std::optional<AsId> first_hop = std::nullopt) const;
 
+  // forward(src_as, dst) without the hops: the same status and final AS,
+  // with `hops` left empty. Neither depends on the router a leg starts at,
+  // so it makes no border or intra-AS lookups and allocates nothing.
+  ForwardResult reach(AsId src_as, topo::Ipv4 dst) const;
+
   const RouterNet& net() const noexcept { return *net_; }
   const bgp::BgpEngine& engine() const noexcept { return *engine_; }
   const FailureInjector& failures() const noexcept { return *failures_; }
@@ -67,6 +81,12 @@ class DataPlane {
   static constexpr int kMaxAsHops = 48;
 
  private:
+  // The one walk loop; kRecordHops decides whether it fills `hops`.
+  template <bool kRecordHops>
+  ForwardResult walk(AsId src_as, topo::Ipv4 dst,
+                     std::optional<topo::RouterId> from_router,
+                     std::optional<AsId> first_hop) const;
+
   const bgp::BgpEngine* engine_;
   const RouterNet* net_;
   const FailureInjector* failures_;

@@ -86,19 +86,18 @@ PingResult Prober::ping_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to) {
     }
     if (faults_->lose_probe(src_as, sim_now())) return result;
   }
-  result.forward = dp_->forward(src_as, dst);
-  result.forward_delivered = result.forward.delivered();
+  const dp::ForwardResult fwd = dp_->reach(src_as, dst);
+  result.forward_delivered = fwd.delivered();
   if (!result.forward_delivered) return result;
 
-  const RouterId responder = responder_for(dst, result.forward.final_as);
+  const RouterId responder = responder_for(dst, fwd.final_as);
   const bool is_router = topo::AddressPlan::router_of(dst).has_value();
   result.responder_answered =
       (!is_router || resp_->router_responds(responder)) &&
       !resp_->rate_limited();
   if (!result.responder_answered) return result;
 
-  result.reverse = dp_->forward(result.forward.final_as, reply_to, responder);
-  result.reverse_delivered = result.reverse.delivered();
+  result.reverse_delivered = dp_->reach(fwd.final_as, reply_to).delivered();
   result.replied = result.reverse_delivered;
   if (result.replied && faults_->enabled()) {
     // Spoofed probes direct the reply at another vantage point; if *that* VP
@@ -191,8 +190,7 @@ TracerouteResult Prober::traceroute_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
       result.hops.push_back(std::nullopt);
       continue;
     }
-    const auto reply = dp_->forward(hop.as, reply_to, hop);
-    if (reply.delivered()) {
+    if (dp_->reach(hop.as, reply_to).delivered()) {
       result.hops.push_back(hop);
     } else {
       result.hops.push_back(std::nullopt);
@@ -207,8 +205,8 @@ TracerouteResult Prober::traceroute_impl(AsId src_as, Ipv4 dst, Ipv4 reply_to,
         (!is_router || resp_->router_responds(responder)) &&
         !resp_->rate_limited();
     if (answers) {
-      const auto reply = dp_->forward(fwd.final_as, reply_to, responder);
-      result.destination_replied = reply.delivered();
+      result.destination_replied =
+          dp_->reach(fwd.final_as, reply_to).delivered();
     }
   }
   if (span != 0) {

@@ -56,14 +56,15 @@ struct ProbeBudget {
   void reset() { *this = ProbeBudget{}; }
 };
 
+// A ping's verdict and which of its steps went through. Both legs walk the
+// data plane through DataPlane::reach(), so no router path is kept: a
+// caller that needs one runs a traceroute.
 struct PingResult {
   bool replied = false;
   // Which leg failed (both may be fine when the responder rate-limits).
   bool forward_delivered = false;
   bool reverse_delivered = false;
   bool responder_answered = false;
-  dp::ForwardResult forward;
-  dp::ForwardResult reverse;
 };
 
 // Retry schedule for ping_with_retry. Backoff is *modeled* (accumulated into
@@ -85,8 +86,11 @@ struct RetriedPing {
 struct TracerouteResult {
   // One entry per traversed router hop; nullopt = '*' (no reply).
   std::vector<std::optional<RouterId>> hops;
-  // Router identities actually traversed (ground truth; tests only — a real
-  // operator never sees this for silent hops).
+  // Router identities actually traversed: ground truth a real operator
+  // never sees for silent hops. The path atlas records it as a target's
+  // forward path (core/atlas.cc), and isolation finds the hop after the
+  // last responsive one on it (core/isolation.cc): the model's stand-in for
+  // the paths an operator assembles from earlier traceroutes.
   std::vector<RouterId> true_hops;
   dp::DeliveryStatus forward_status = dp::DeliveryStatus::kNoRoute;
   bool destination_replied = false;
