@@ -78,12 +78,23 @@ void AsGraph::add_link(AsId a, AsId b, Rel rel_of_b_to_a) {
   if (ia == kNoIndex || ib == kNoIndex) {
     throw std::invalid_argument("link references unknown AS");
   }
-  if (!links_.insert(AsLinkKey(a, b)).second) {
+  if (has_link(a, b)) {
     throw std::invalid_argument("duplicate link " + std::to_string(a) + "-" +
                                 std::to_string(b));
   }
   nodes_[ia].neighbors.push_back({b, rel_of_b_to_a});
   nodes_[ib].neighbors.push_back({a, reverse(rel_of_b_to_a)});
+  ++num_links_;
+}
+
+bool AsGraph::has_link(AsId a, AsId b) const {
+  const auto& na = neighbors(a);
+  const auto& nb = neighbors(b);
+  const bool a_shorter = na.size() <= nb.size();
+  const AsId other = a_shorter ? b : a;
+  const auto& scan = a_shorter ? na : nb;
+  return std::any_of(scan.begin(), scan.end(),
+                     [other](const Neighbor& n) { return n.id == other; });
 }
 
 std::optional<Rel> AsGraph::relationship(AsId a, AsId b) const {
@@ -136,7 +147,14 @@ std::vector<AsId> AsGraph::as_ids_with_tier(AsTier t) const {
 }
 
 std::vector<AsLinkKey> AsGraph::links() const {
-  std::vector<AsLinkKey> out(links_.begin(), links_.end());
+  std::vector<AsLinkKey> out;
+  out.reserve(num_links_);
+  // Each link once, from its lower-id end.
+  for (std::size_t i = 0; i < ids_.size(); ++i) {
+    for (const auto& n : nodes_[i].neighbors) {
+      if (ids_[i] < n.id) out.emplace_back(ids_[i], n.id);
+    }
+  }
   std::sort(out.begin(), out.end(), [](const AsLinkKey& x, const AsLinkKey& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });

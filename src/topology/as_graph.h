@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace lg::topo {
@@ -88,9 +87,8 @@ class AsGraph {
   // Adds an undirected link; `rel_of_b_to_a` is what b is from a's view
   // (e.g. Rel::kProvider means b provides transit to a).
   void add_link(AsId a, AsId b, Rel rel_of_b_to_a);
-  bool has_link(AsId a, AsId b) const {
-    return links_.contains(AsLinkKey(a, b));
-  }
+  // Scans the shorter of the two neighbour lists.
+  bool has_link(AsId a, AsId b) const;
   // Relationship of b as seen from a, if the link exists.
   std::optional<Rel> relationship(AsId a, AsId b) const;
 
@@ -107,7 +105,7 @@ class AsGraph {
   std::vector<AsId> as_ids_with_tier(AsTier t) const;  // ascending
   std::vector<AsLinkKey> links() const;       // sorted for determinism
   std::size_t num_ases() const noexcept { return ids_.size(); }
-  std::size_t num_links() const noexcept { return links_.size(); }
+  std::size_t num_links() const noexcept { return num_links_; }
 
   // Recompute tiers from the relationship structure.
   void reclassify_tiers();
@@ -132,7 +130,8 @@ class AsGraph {
   AsId min_id_ = 0;
   std::vector<std::uint32_t> id_to_index_;
   std::unordered_map<AsId, std::uint32_t> sparse_index_;
-  std::unordered_set<AsLinkKey, AsLinkKeyHash> links_;
+  // The adjacency lists are the only copy of the links.
+  std::size_t num_links_ = 0;
 };
 
 }  // namespace lg::topo
