@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+
 #include "util/env_knobs.h"
 
 namespace lg::obs {
@@ -96,6 +98,16 @@ void TraceRing::configure_from_env() {
 }
 
 void TraceRing::allocate() { ring_.resize(capacity_); }
+
+void TraceRing::own_loaded(std::size_t held) {
+  if (held > 0) {
+    const auto oldest = static_cast<std::ptrdiff_t>((recorded_ - held) %
+                                                    capacity_);
+    std::rotate(ring_.begin(), ring_.begin() + oldest, ring_.end());
+  }
+  merge_dropped_ = recorded_ - held;
+  recorded_ = held;
+}
 
 void TraceRing::set_capacity(std::size_t capacity) {
   capacity_ = capacity == 0 ? 1 : capacity;

@@ -153,10 +153,11 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
 
   // ---- checkpoint ----
   // The enabled flag, the lifetime total recorded() and the held events,
-  // oldest first (util::ring). recorded() already folds merge-inherited
-  // drops in and dropped() is always recorded() - size(), so the total and
-  // the held events reproduce both public counters: loading keeps the total
-  // as the ring's own count.
+  // oldest first (util::ring). recorded() folds merge-inherited drops in
+  // and dropped() is always recorded() - size(), so the total and the held
+  // events reproduce both public counters. A loaded ring holds the n saved
+  // events as its own pushes and counts the other total - n as inherited
+  // drops, since a merged ring's total may exceed what it ever held.
   template <class Ar, class Self>
   static void layout(Ar& ar, Self& self) {
     ar.magic(kTag, kVersion);
@@ -168,17 +169,19 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
       self.merge_dropped_ = 0;
     }
     // A time, a kind byte, two varints and a value.
-    util::ring(ar, self.ring_, self.recorded_, self.capacity_, 19,
-               "trace ring", [&](auto& e) {
-                 ar.f64(e.t);
-                 ar.enum8(e.kind,
-                          static_cast<TraceKind>(
-                              static_cast<int>(TraceKind::kCount) - 1),
-                          "trace kind");
-                 ar.var(e.a);
-                 ar.var(e.b);
-                 ar.f64(e.value);
-               });
+    const std::size_t held = util::ring(
+        ar, self.ring_, self.recorded_, self.capacity_, 19, "trace ring",
+        [&](auto& e) {
+          ar.f64(e.t);
+          ar.enum8(e.kind,
+                   static_cast<TraceKind>(
+                       static_cast<int>(TraceKind::kCount) - 1),
+                   "trace kind");
+          ar.var(e.a);
+          ar.var(e.b);
+          ar.f64(e.value);
+        });
+    if constexpr (Ar::kLoading) self.own_loaded(held);
   }
 
  private:
@@ -189,6 +192,10 @@ class TraceRing : public util::ThreadCurrent<TraceRing> {
   // Sizes ring_ to capacity_; out of line, since record() sits on the
   // engine's per-update paths.
   void allocate();
+  // After a load placed `held` events as the last of recorded_ pushes:
+  // makes them the ring's own pushes, oldest in slot 0, and the rest of
+  // recorded_ inherited drops.
+  void own_loaded(std::size_t held);
 
   bool enabled_ = false;
   std::size_t capacity_;

@@ -340,10 +340,10 @@ void ascending(Ar& ar, std::size_t n, std::size_t min_entry_bytes,
 // count above min(total, cap) (`what` names the ring in the diagnostic),
 // sizes `slots` to `cap` if the ring holds entries and empties it if not,
 // and puts each entry back in its slot, so the next push lands where it
-// would have.
+// would have. Returns the count saved or loaded.
 template <class Ar, class Slots, class Fn>
-void ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
-          std::size_t min_entry_bytes, const char* what, Fn&& fn) {
+std::size_t ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
+                 std::size_t min_entry_bytes, const char* what, Fn&& fn) {
   const std::uint64_t held = std::min<std::uint64_t>(total, cap);
   std::size_t n = static_cast<std::size_t>(held);
   ar.count(n, min_entry_bytes);
@@ -359,6 +359,7 @@ void ring(Ar& ar, Slots& slots, std::uint64_t total, std::size_t cap,
   for (std::size_t i = 0; i < n; ++i) {
     ar.record(min_entry_bytes, [&] { fn(slots[(total - n + i) % cap]); });
   }
+  return n;
 }
 
 }  // namespace lg::util

@@ -451,16 +451,57 @@ TEST(CheckpointTest, TraceRingRoundTripsVerbatim) {
   obs::TraceRing back(8);
   back.set_enabled(true);
   load(blob, back);
-  EXPECT_EQ(back.recorded(), ring.recorded());
-  EXPECT_EQ(back.dropped(), ring.dropped());
-  const auto a = ring.events();
-  const auto b = back.events();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].t, b[i].t);
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].a, b[i].a);
+  const auto same = [](const obs::TraceRing& x, const obs::TraceRing& y) {
+    EXPECT_EQ(x.size(), y.size());
+    EXPECT_EQ(x.recorded(), y.recorded());
+    EXPECT_EQ(x.dropped(), y.dropped());
+    const auto a = x.events();
+    const auto b = y.events();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].t, b[i].t);
+      EXPECT_EQ(a[i].kind, b[i].kind);
+      EXPECT_EQ(a[i].a, b[i].a);
+    }
+  };
+  same(ring, back);
+  EXPECT_EQ(save(back), blob);
+  // The next record overwrites the oldest event in both.
+  ring.record(12.0, obs::TraceKind::kEpisodeClosed, 12);
+  back.record(12.0, obs::TraceKind::kEpisodeClosed, 12);
+  same(ring, back);
+
+  // A ring that merged a wrapped one: its total counts three drops it
+  // inherited and never held, so it loads holding two events, not five.
+  obs::TraceRing wrapped(2);
+  wrapped.set_enabled(true);
+  for (int i = 0; i < 5; ++i) {
+    wrapped.record(static_cast<double>(i), obs::TraceKind::kProbeLost,
+                   static_cast<std::uint64_t>(i) + 1);
   }
+  obs::TraceRing merged(8);
+  merged.set_enabled(true);
+  merged.merge(wrapped);
+  ASSERT_EQ(merged.size(), 2u);
+  ASSERT_EQ(merged.dropped(), 3u);
+  const std::string merged_blob = save(merged);
+
+  obs::TraceRing merged_back(8);
+  load(merged_blob, merged_back);
+  EXPECT_EQ(merged_back.size(), 2u);
+  EXPECT_EQ(merged_back.recorded(), 5u);
+  EXPECT_EQ(merged_back.dropped(), 3u);
+  same(merged, merged_back);
+  EXPECT_EQ(save(merged_back), merged_blob);
+  // Seven more records fill the ring and overwrite its oldest event in both.
+  for (int i = 5; i < 12; ++i) {
+    for (obs::TraceRing* r : {&merged, &merged_back}) {
+      r->record(static_cast<double>(i), obs::TraceKind::kProbeAnswered,
+                static_cast<std::uint64_t>(i) + 1);
+    }
+  }
+  EXPECT_EQ(merged_back.events().front().a, 5u);
+  same(merged, merged_back);
 }
 
 // A distribution's Welford accumulator and samples load bit-exactly, and
