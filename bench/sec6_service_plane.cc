@@ -12,9 +12,9 @@
 //   * announcement-budget utilization, which must sit in [0, 1] — the
 //     regression surface for the AnnouncementBudget::utilization bug where
 //     a drain running past the nominal horizon read > 1.0,
-//   * steady-state process RSS with a >= 100k-prefix universe, with the
-//     thread count it was taken at (stderr only; gate with
-//     LG_RSS_CEILING_MB).
+//   * steady-state process RSS with a >= 100k-prefix universe, read after
+//     the heap is trimmed so it counts live memory, with the thread count
+//     it was taken at (stderr only; gate with LG_RSS_CEILING_MB).
 //
 // Checkpoint/restore: LG_SERVICE_CHECKPOINT_AT=<sim s> stops the streaming
 // cell at the first tick boundary past that time and serializes every shard
@@ -218,6 +218,9 @@ int main() {
             }()));
   bench::kv("episodes closed", std::to_string(mem_result.episodes_closed()));
   bench::kv("budget respected", mem_result.budget_respected() ? "yes" : "NO");
+  // Every shard's world is freed by now: hand the allocator's free pages
+  // back first, so the reading is the memory still live, not what it keeps.
+  mem::trim_heap();
   const double rss =
       static_cast<double>(mem::current_rss_bytes()) / (1024.0 * 1024.0);
   std::fprintf(stderr,

@@ -6,62 +6,27 @@
 // re-exported to. With plain std::vector that is one heap copy per hop per
 // stage — the dominant allocation source on convergence hot paths. PathRef
 // interns the hops into one shared immutable buffer at creation (typically
-// in BgpSpeaker::export_path or an origin policy) and every downstream stage
+// in BgpSpeaker::export_unit or an origin policy) and every downstream stage
 // shares it for the price of a refcount.
 //
+// A PathRef is one 8-byte pointer to a single allocation holding the count
+// and the hops inline (bgp/shared_array.h); get() views the hops as a span.
 // The buffer is immutable after construction, so sharing across lg::run
-// worker threads is safe (shared_ptr refcounts are atomic); to modify a
-// path, build a new AsPath and wrap it.
+// worker threads is safe (the count is atomic); to modify a path, build a
+// new AsPath and wrap it.
 #pragma once
 
-#include <cstddef>
-#include <initializer_list>
-#include <memory>
-#include <utility>
 #include <vector>
 
+#include "bgp/shared_array.h"
 #include "topology/as_graph.h"
 
 namespace lg::bgp {
 
 using AsPath = std::vector<topo::AsId>;
 
-class PathRef {
- public:
-  PathRef() = default;  // the empty path, no allocation
-
-  // Implicit by design: every AsPath producer (baseline_path, poisoned_path,
-  // literals in tests) yields a PathRef at the assignment site.
-  PathRef(AsPath path)
-      : data_(path.empty() ? nullptr
-                           : std::make_shared<const AsPath>(std::move(path))) {}
-  PathRef(std::initializer_list<topo::AsId> hops) : PathRef(AsPath(hops)) {}
-
-  // The shared buffer (a static empty vector when unset). The reference is
-  // valid as long as any PathRef sharing the buffer lives.
-  const AsPath& get() const noexcept { return data_ ? *data_ : empty_path(); }
-  operator const AsPath&() const noexcept { return get(); }
-
-  bool empty() const noexcept { return data_ == nullptr || data_->empty(); }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  topo::AsId operator[](std::size_t i) const noexcept { return (*data_)[i]; }
-  topo::AsId front() const { return data_->front(); }
-  topo::AsId back() const { return data_->back(); }
-  auto begin() const noexcept { return get().begin(); }
-  auto end() const noexcept { return get().end(); }
-
-  // Content equality, with a same-buffer fast path.
-  friend bool operator==(const PathRef& a, const PathRef& b) noexcept {
-    return a.data_ == b.data_ || a.get() == b.get();
-  }
-  friend bool operator==(const PathRef& a, const AsPath& b) noexcept {
-    return a.get() == b;
-  }
-
- private:
-  static const AsPath& empty_path() noexcept;
-
-  std::shared_ptr<const AsPath> data_;
-};
+struct PathTag;
+using PathRef = SharedArray<topo::AsId, PathTag>;
+static_assert(sizeof(PathRef) == 8);
 
 }  // namespace lg::bgp

@@ -22,12 +22,12 @@
 // for size (one /24 universe at 100k prefixes holds millions of holder
 // slots over a few thousand distinct paths) and so a restored engine has
 // the same allocation shape as the original — through engine-wide intern
-// pools. Saving interns buffers by *address* (all copies of one ref share
-// the buffer, so the address is the identity) and assigns dense ids in
-// first-encounter order, which is deterministic because every layout walks
-// its state in sorted order. Id 0 is reserved for the empty ref; a new
-// buffer's contents are written inline at its first reference, so loading
-// rebuilds the pool in one pass.
+// pools. Saving interns buffers by identity (all copies of one ref share
+// the buffer, so SharedArray::buffer identifies it) and assigns dense ids
+// in first-encounter order, which is deterministic because every layout
+// walks its state in sorted order. Id 0 is reserved for the empty ref; a
+// new buffer's elements are written inline at its first reference, so
+// loading rebuilds the pool in one pass.
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
@@ -82,7 +82,7 @@ class InternPool {
         return;
       }
       const auto [it, fresh] = ids_.try_emplace(
-          &ref.get(), static_cast<std::uint32_t>(ids_.size() + 1));
+          ref.buffer(), static_cast<std::uint32_t>(ids_.size() + 1));
       ar.var(it->second);
       if (fresh) ar.vec(ref.get(), 1, [&](auto v) { ar.var(v); });
     }

@@ -136,7 +136,7 @@ bool BgpSpeaker::import_acceptable(const UpdateMessage& msg) {
   // and the engine-owned sorted locked set.
   if (cfg_.peerlock_filter && locked_ases_ != nullptr &&
       !locked_ases_->empty()) {
-    const AsPath& path = msg.path.get();
+    const std::span<const AsId> path = msg.path.get();
     for (std::size_t i = 1; i < path.size(); ++i) {
       const AsId locked = path[i];
       if (locked == id_) continue;
@@ -380,12 +380,12 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_unit(
   // the Adj-RIB-Out slots (delta encoding: per-neighbor state is refs into
   // this unit, not copies).
   if (!st.export_cache_valid) {
-    AsPath prepended;
-    prepended.reserve(best.path.size() + 1);
-    prepended.push_back(id_);
-    prepended.insert(prepended.end(), best.path.begin(), best.path.end());
     auto& mst = const_cast<PrefixState&>(st);
-    mst.export_cache = PathRef(std::move(prepended));
+    mst.export_cache =
+        PathRef::make(best.path.size() + 1, [&](std::span<AsId> hops) {
+          hops[0] = id_;
+          std::copy(best.path.begin(), best.path.end(), hops.begin() + 1);
+        });
     mst.export_cache_valid = true;
   }
   ExportUnit out;

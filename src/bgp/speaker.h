@@ -17,8 +17,9 @@
 // its row of the engine's session layout). Each side is one allocation,
 // made on first use: the Adj-RIB-In's path, communities, learned-from and
 // presence columns, and the Adj-RIB-Out's path, communities and tag
-// columns. A resident route costs 34 bytes of holder state (PathRef +
-// CommunitiesRef + two tag bytes) plus buffers shared across all holders.
+// columns. A resident route costs 18 bytes of holder state (two 8-byte
+// refs, PathRef and CommunitiesRef, plus two tag bytes) plus buffers shared
+// across all holders.
 // Slots ascend by neighbor id, the order the decision process ties on.
 // Avoid hints are rare, so they live in small sorted side-tables instead of
 // widening every slot. What only a few states need, the origin policy and
@@ -361,9 +362,9 @@ class BgpSpeaker {
     }
   };
   // A plain (neither origin nor damped) state and its index slot, before
-  // its column blocks: the per-(speaker, prefix) fixed cost.
+  // its column blocks: the per-(speaker, prefix) fixed cost (152 + 8 B).
   static_assert(sizeof(PrefixState) + sizeof(std::unique_ptr<PrefixState>) <=
-                192);
+                160);
 
   // `nbr_ids` / `nbr_rel`: this AS's row of the engine's session layout
   // (neighbor ids ascending, and what each is to this AS). `ids`: the

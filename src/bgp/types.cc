@@ -5,17 +5,7 @@
 
 namespace lg::bgp {
 
-const AsPath& PathRef::empty_path() noexcept {
-  static const AsPath kEmpty;
-  return kEmpty;
-}
-
-const Communities& CommunitiesRef::empty_set() noexcept {
-  static const Communities kEmpty;
-  return kEmpty;
-}
-
-std::string path_str(const AsPath& path) {
+std::string path_str(std::span<const AsId> path) {
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (i != 0) out += "-";
@@ -24,17 +14,18 @@ std::string path_str(const AsPath& path) {
   return out.empty() ? "(empty)" : out;
 }
 
-std::size_t count_occurrences(const AsPath& path, AsId as) {
+std::size_t count_occurrences(std::span<const AsId> path, AsId as) {
   return static_cast<std::size_t>(std::count(path.begin(), path.end(), as));
 }
 
-bool path_contains_any(const AsPath& path, const std::vector<AsId>& set) {
+bool path_contains_any(std::span<const AsId> path,
+                       const std::vector<AsId>& set) {
   return std::any_of(path.begin(), path.end(), [&](AsId a) {
     return std::find(set.begin(), set.end(), a) != set.end();
   });
 }
 
-bool path_traverses(const AsPath& path, AsId as, AsId origin) {
+bool path_traverses(std::span<const AsId> path, AsId as, AsId origin) {
   for (const AsId hop : path) {
     if (hop == origin) return false;  // reached the crafted suffix
     if (hop == as) return true;
@@ -42,7 +33,8 @@ bool path_traverses(const AsPath& path, AsId as, AsId origin) {
   return false;
 }
 
-bool path_hits_avoid_hint(const AsPath& path, const AvoidHint& hint) {
+bool path_hits_avoid_hint(std::span<const AsId> path,
+                          const AvoidHint& hint) {
   if (path.empty()) return false;
   if (hint.link) {
     AsId prev = topo::kInvalidAs;

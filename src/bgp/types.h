@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,20 +31,20 @@ using topo::Prefix;
 // communities_ref.h next to the interned CommunitiesRef wrapper that routes
 // and update messages carry.
 
-std::string path_str(const AsPath& path);
+std::string path_str(std::span<const AsId> path);
 
 // Number of times `as` appears in `path` (loop detection input).
-std::size_t count_occurrences(const AsPath& path, AsId as);
+std::size_t count_occurrences(std::span<const AsId> path, AsId as);
 
 // True if any element of `path` is in `set`.
-bool path_contains_any(const AsPath& path,
+bool path_contains_any(std::span<const AsId> path,
                        const std::vector<AsId>& set);
 
 // Does traffic following `path` actually traverse `as` on the way to
 // `origin`? A poisoned announcement embeds the poisoned AS in its crafted
 // suffix (O-A-O), so occurrences at or after the first appearance of the
 // origin are announcement artifacts, not hops traffic crosses.
-bool path_traverses(const AsPath& path, AsId as, AsId origin);
+bool path_traverses(std::span<const AsId> path, AsId as, AsId origin);
 
 // The paper's hypothetical AVOID_PROBLEM(X, P) primitive (§3): a signed hint
 // from P's origin that X is not correctly forwarding P's traffic. Honoring
@@ -62,7 +63,8 @@ struct AvoidHint {
 // final element (the true origin) is exempt: a hint can never be about the
 // origin itself. For link hints, consecutive distinct path elements are
 // treated as AS adjacencies.
-bool path_hits_avoid_hint(const AsPath& path, const AvoidHint& hint);
+bool path_hits_avoid_hint(std::span<const AsId> path,
+                          const AvoidHint& hint);
 
 // How a route was learned, for local-pref assignment. Gao-Rexford economics:
 // prefer customer routes (they pay), then peer, then provider.

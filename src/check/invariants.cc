@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_set>
 
 #include "bgp/speaker.h"
@@ -16,7 +17,7 @@ namespace {
 // Index of the first occurrence of the origin (path.back()) — everything at
 // or after it is announcement artifact (lead padding put the origin first in
 // crafted paths), everything before it is a hop traffic actually crosses.
-std::size_t first_origin_index(const bgp::AsPath& path) {
+std::size_t first_origin_index(std::span<const AsId> path) {
   const AsId origin = path.back();
   for (std::size_t i = 0; i < path.size(); ++i) {
     if (path[i] == origin) return i;
@@ -27,7 +28,7 @@ std::size_t first_origin_index(const bgp::AsPath& path) {
 // The real forwarding chain of `route` as seen from `as`: [as, h0, .., O]
 // with consecutive duplicates collapsed (prepend padding repeats an AS
 // without adding a hop).
-std::vector<AsId> real_chain(AsId as, const bgp::AsPath& path) {
+std::vector<AsId> real_chain(AsId as, std::span<const AsId> path) {
   std::vector<AsId> chain{as};
   const std::size_t k = first_origin_index(path);
   for (std::size_t i = 0; i <= k; ++i) {
@@ -113,7 +114,7 @@ void InvariantChecker::check_loop_free(std::vector<Violation>& out) const {
     for (const Prefix& p : prefixes) {
       const bgp::Route* r = engine_->best_route(as, p);
       if (r == nullptr || r->path.empty()) continue;
-      const bgp::AsPath& path = r->path;
+      const std::span<const AsId> path = r->path.get();
       // The holder itself: its import filter saw the whole path.
       if (!self.config().loop_detection_disabled &&
           bgp::count_occurrences(path, as) >= self.config().loop_threshold) {

@@ -6,6 +6,9 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace lg::mem {
 
@@ -59,6 +62,12 @@ std::size_t peak_rss_bytes() {
   }
 #endif
   return 0;
+}
+
+void trim_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 }  // namespace lg::mem

@@ -53,6 +53,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -116,10 +117,12 @@ class BinWriter {
     buf_.append(s);
   }
 
-  template <class T, class Fn>
-  void vec(const std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
-    count(v.size(), min_record_bytes);
-    for (const T& x : v) record(min_record_bytes, [&] { fn(x); });
+  // Any sized range saves as a vector loads: a vector, or the span of a
+  // shared buffer.
+  template <std::ranges::sized_range R, class Fn>
+  void vec(const R& v, std::size_t min_record_bytes, Fn&& fn) {
+    count(std::ranges::size(v), min_record_bytes);
+    for (const auto& x : v) record(min_record_bytes, [&] { fn(x); });
   }
   template <class T, class Fn>
   void opt(const std::optional<T>& v, Fn&& fn) {

@@ -66,7 +66,8 @@ TEST_F(EngineTest, EveryPathIsLoopFree) {
     if (const auto* r = engine_.best_route(as, prefix)) {
       EXPECT_EQ(bgp::count_occurrences(r->path, as), 0u);
       // No duplicates at all in honest (non-crafted) paths.
-      bgp::AsPath sorted = r->path;  // explicit copy: paths are shared/immutable
+      // A copy: paths are shared and immutable.
+      bgp::AsPath sorted(r->path.begin(), r->path.end());
       std::sort(sorted.begin(), sorted.end());
       EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
     }

@@ -126,7 +126,7 @@ TEST_F(Fig2Test, UnpoisonRestoresOriginalRoutes) {
 TEST_F(Fig2Test, PoisonOnlyAffectsTheProductionPrefix) {
   announce_and_converge();
   // Snapshot every AS's sentinel route.
-  std::vector<std::pair<topo::AsId, AsPath>> before;
+  std::vector<std::pair<topo::AsId, bgp::PathRef>> before;
   for (const auto as : topo_.graph.as_ids()) {
     if (const auto* r = sentinel_route_of(as)) before.emplace_back(as, r->path);
   }

@@ -165,7 +165,9 @@ TEST(FaultPlane, BgpConvergesToCleanFixpointUnderFaults) {
     std::vector<bgp::AsPath> paths;
     for (const AsId as : topo.graph.as_ids()) {
       const auto* route = engine.best_route(as, prefix);
-      paths.push_back(route != nullptr ? route->path.get() : bgp::AsPath{});
+      paths.push_back(route != nullptr
+                          ? bgp::AsPath(route->path.begin(), route->path.end())
+                          : bgp::AsPath{});
     }
     return paths;
   };
@@ -235,7 +237,9 @@ TEST(FaultPlane, StaleInFlightRedeliveryCannotPinOldRoutes) {
     std::vector<bgp::AsPath> result;
     for (const AsId as : topo.graph.as_ids()) {
       const auto* route = engine.best_route(as, prefix);
-      result.push_back(route != nullptr ? route->path.get() : bgp::AsPath{});
+      result.push_back(route != nullptr
+                           ? bgp::AsPath(route->path.begin(), route->path.end())
+                           : bgp::AsPath{});
     }
     return result;
   };

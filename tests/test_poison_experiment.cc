@@ -168,7 +168,7 @@ TEST_F(PoisonExperimentTest, WorldIsCleanAfterExperiment) {
   ASSERT_FALSE(candidates.empty());
 
   // Record pre-poison best routes at the feeds.
-  std::vector<bgp::AsPath> before;
+  std::vector<bgp::PathRef> before;
   for (const AsId feed : feeds) {
     before.push_back(
         world_.engine().best_route(feed, experiment.production_prefix())->path);

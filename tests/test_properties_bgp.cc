@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 #include "core/remediation.h"
 #include "topology/valley_free.h"
@@ -26,7 +27,7 @@ class BgpPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
   // Checks that `path` (receiver-side first, origin last) is valley-free
   // under the relationship graph, treating crafted suffix duplicates of the
   // origin as a single terminal.
-  void expect_valley_free(AsId receiver, const bgp::AsPath& path) {
+  void expect_valley_free(AsId receiver, std::span<const AsId> path) {
     std::vector<AsId> walk{receiver};
     for (const AsId hop : path) {
       if (walk.back() != hop) walk.push_back(hop);
@@ -104,7 +105,7 @@ TEST_P(BgpPropertyTest, PoisonInvariants) {
   if (target == topo::kInvalidAs) GTEST_SKIP() << "no transit on paths";
 
   // Snapshot sentinel routes.
-  std::vector<std::pair<AsId, bgp::AsPath>> sentinel_before;
+  std::vector<std::pair<AsId, bgp::PathRef>> sentinel_before;
   for (const AsId as : world_.graph().as_ids()) {
     if (const auto* r =
             world_.engine().best_route(as, remediator.sentinel_prefix())) {

@@ -1,17 +1,21 @@
-// The Internet-scale RIB storage refactor, checked from the outside: interned
-// CommunitiesRef semantics, the tag-encoded Adj-RIB-Out (adj_out_state /
-// adj_out_unit / record_advertised), delta-encoded export sharing, the
-// deterministic rib_memory() accounting — and, as the load-bearing proof,
-// a full differential against check::ReferenceBgp plus an InvariantChecker
-// sweep on an internet-scale synthetic graph.
+// The Internet-scale RIB storage refactor, checked from the outside: the
+// shared-buffer semantics of PathRef and CommunitiesRef (including copies
+// taken and dropped on trial threads), the tag-encoded Adj-RIB-Out
+// (adj_out_state / adj_out_unit / record_advertised), delta-encoded export
+// sharing, the deterministic rib_memory() accounting — and, as the
+// load-bearing proof, a full differential against check::ReferenceBgp plus
+// an InvariantChecker sweep on an internet-scale synthetic graph.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "bgp/engine.h"
 #include "bgp/speaker.h"
 #include "check/invariants.h"
 #include "check/reference_bgp.h"
+#include "run/trial_runner.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "util/scheduler.h"
@@ -23,25 +27,111 @@ using bgp::AsPath;
 using bgp::BgpSpeaker;
 using bgp::CommunitiesRef;
 using bgp::Communities;
+using bgp::PathRef;
 using topo::AsId;
 using topo::Prefix;
 
-// ---- CommunitiesRef interning ------------------------------------------
+// ---- PathRef and CommunitiesRef buffers --------------------------------
+
+TEST(PathRefTest, DefaultIsEmptyAndShared) {
+  const PathRef a;
+  const PathRef b(AsPath{});
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_TRUE(a.get().empty());
+  EXPECT_EQ(a, b);
+  // An empty path holds no buffer at all.
+  EXPECT_EQ(a.buffer(), nullptr);
+  EXPECT_EQ(b.buffer(), nullptr);
+}
+
+TEST(PathRefTest, SharesBufferAcrossCopies) {
+  const PathRef a{10, 20, 30};
+  const PathRef b = a;  // ref copy, no buffer copy
+  ASSERT_NE(a.buffer(), nullptr);
+  EXPECT_EQ(a.buffer(), b.buffer());
+  EXPECT_EQ(a.get().data(), b.get().data());
+  EXPECT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.front(), 10u);
+  EXPECT_EQ(b[1], 20u);
+  EXPECT_EQ(b.back(), 30u);
+}
+
+TEST(PathRefTest, ContentEqualityAcrossDistinctBuffers) {
+  const PathRef a(AsPath{7, 8});
+  const PathRef b(AsPath{7, 8});
+  const PathRef c(AsPath{7, 9});
+  EXPECT_NE(a.buffer(), b.buffer());
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(a, PathRef{7});
+  EXPECT_EQ(a, (AsPath{7, 8}));
+}
+
+TEST(PathRefTest, MovedFromRefIsEmpty) {
+  PathRef a{1, 2};
+  const void* buffer = a.buffer();
+  PathRef b = std::move(a);
+  EXPECT_EQ(b.buffer(), buffer);
+  EXPECT_TRUE(a.empty());  // moved-from refs are defined: empty
+  EXPECT_EQ(a.buffer(), nullptr);
+  PathRef c{3};
+  c = std::move(b);
+  EXPECT_EQ(c.buffer(), buffer);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(c, (AsPath{1, 2}));
+}
+
+TEST(PathRefTest, SelfAssignmentKeepsTheBuffer) {
+  PathRef a{4, 5, 6};
+  const void* buffer = a.buffer();
+  const PathRef& alias = a;
+  a = alias;
+  EXPECT_EQ(a.buffer(), buffer);
+  EXPECT_EQ(a, (AsPath{4, 5, 6}));
+}
+
+// Copies of one ref taken and dropped on every trial thread: the holder
+// count is the only state threads share, and it must neither free the
+// buffer early nor leak it. The tsan CI job runs this case.
+TEST(PathRefTest, CopiesCrossTrialThreads) {
+  const AsPath hops{11, 22, 33, 44};
+  PathRef shared(hops);
+  const void* buffer = shared.buffer();
+  run::TrialRunner runner({.threads = 4});
+  const std::vector<PathRef> kept =
+      runner.run(64, [&](const run::TrialContext&) {
+        std::vector<PathRef> copies(32, shared);
+        PathRef last;
+        for (PathRef& copy : copies) last = std::move(copy);
+        copies.clear();
+        return last;
+      });
+  ASSERT_EQ(kept.size(), 64u);
+  EXPECT_EQ(shared, hops);
+  shared = PathRef();  // the trials' results are now the only holders
+  for (const PathRef& ref : kept) {
+    EXPECT_EQ(ref.buffer(), buffer);
+    EXPECT_EQ(ref, hops);
+  }
+}
 
 TEST(CommunitiesRefTest, DefaultIsEmptyAndShared) {
   const CommunitiesRef a;
-  const CommunitiesRef b;
+  const CommunitiesRef b(Communities{});
   EXPECT_TRUE(a.empty());
   EXPECT_EQ(a.size(), 0u);
   EXPECT_EQ(a, b);
-  // Both alias the static empty set: equality is a pointer compare.
-  EXPECT_EQ(&a.get(), &b.get());
+  // The empty set holds no buffer at all.
+  EXPECT_EQ(a.buffer(), nullptr);
+  EXPECT_EQ(b.buffer(), nullptr);
 }
 
 TEST(CommunitiesRefTest, SharesBufferAcrossCopies) {
   const CommunitiesRef a(Communities{1, 2, 3});
   const CommunitiesRef b = a;  // ref copy, no buffer copy
-  EXPECT_EQ(&a.get(), &b.get());
+  ASSERT_NE(a.buffer(), nullptr);
+  EXPECT_EQ(a.buffer(), b.buffer());
   EXPECT_EQ(b.size(), 3u);
   EXPECT_EQ(b[1], 2u);
 }
@@ -50,7 +140,7 @@ TEST(CommunitiesRefTest, ContentEqualityAcrossDistinctBuffers) {
   const CommunitiesRef a(Communities{7, 8});
   const CommunitiesRef b(Communities{7, 8});
   const CommunitiesRef c(Communities{7, 9});
-  EXPECT_NE(&a.get(), &b.get());
+  EXPECT_NE(a.buffer(), b.buffer());
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
   EXPECT_EQ(a, (Communities{7, 8}));
@@ -118,14 +208,14 @@ TEST_F(AdjOutTest, ExportUnitsShareOnePrependedBuffer) {
   sched.run();
 
   const BgpSpeaker& b = engine.speaker(topo_.b);
-  std::set<const bgp::AsPath*> buffers;
+  std::set<const void*> buffers;
   std::size_t advertised = 0;
   for (const auto& n : topo_.graph.neighbors(topo_.b)) {
     if (b.adj_out_state(p, n.id) != BgpSpeaker::AdjOutState::kAdvertised) {
       continue;
     }
     ++advertised;
-    buffers.insert(&b.adj_out_unit(p, n.id)->path.get());
+    buffers.insert(b.adj_out_unit(p, n.id)->path.buffer());
   }
   ASSERT_GE(advertised, 2u) << "fig2 B re-exports to several neighbors";
   EXPECT_EQ(buffers.size(), 1u) << "all Adj-RIB-Out slots share one buffer";
